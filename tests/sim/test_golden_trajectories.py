@@ -4,7 +4,8 @@ These tests freeze the *exact* trajectories of small seeded floods — per
 packet delays, every aggregate counter, per-node energy checksums, and a
 content hash of the arrival matrix — across all registered protocols and
 the engine's optional code paths (skew, bursty dynamics, event tracking,
-probe floods).
+probe floods, two wake slots per period, the 802.15.4 MAC). Event-log
+runs additionally pin a hash of the full event stream, order included.
 
 They are the safety net for engine refactors: any change that alters RNG
 consumption order, channel resolution, or bookkeeping semantics trips
@@ -25,6 +26,8 @@ import pytest
 from repro.experiments.skew import JitteredSchedules
 from repro.net.dynamics import GilbertElliott
 from repro.net.generators import random_geometric_topology
+from repro.net.mac import make_link_model
+from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.radio import RadioModel
 from repro.net.schedule import ScheduleTable
@@ -40,10 +43,18 @@ PERIOD = 5
 MAX_SLOTS = 600
 
 
-def _substrate():
+def _substrate(wake_slots=1):
     rng = np.random.default_rng(7)
     topo = random_geometric_topology(25, area_m=180.0, rng=rng)
-    schedules = ScheduleTable.random(topo.n_nodes, PERIOD, np.random.default_rng(8))
+    if wake_slots == 1:
+        schedules = ScheduleTable.random(
+            topo.n_nodes, PERIOD, np.random.default_rng(8))
+    else:
+        # Same duty ratio as the single-slot substrate, split into
+        # ``wake_slots`` windows per (proportionally longer) period.
+        schedules = MultiSlotScheduleTable.random(
+            topo.n_nodes, PERIOD * wake_slots, wake_slots,
+            np.random.default_rng(8))
     return topo, schedules
 
 
@@ -57,8 +68,8 @@ def _config(protocol: str, **kwargs) -> SimConfig:
 
 
 def _flood(protocol: str, *, track_events=False, probes=False, dynamics=None,
-           skew=False):
-    topo, schedules = _substrate()
+           skew=False, wake_slots=1, mac="ideal"):
+    topo, schedules = _substrate(wake_slots)
     true_schedules = (
         JitteredSchedules(schedules, 0.3, seed=99) if skew else None
     )
@@ -73,11 +84,21 @@ def _flood(protocol: str, *, track_events=False, probes=False, dynamics=None,
         measure_transmission_delay=probes,
         dynamics=dyn,
         true_schedules=true_schedules,
+        link=make_link_model(mac),
     )
 
 
 def _checksum(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+def _event_stream_sha(log) -> str:
+    """Hash of the whole event log, record order included."""
+    text = ";".join(
+        f"{e.t},{e.kind.value},{e.packet},{e.sender},{e.receiver}"
+        for e in log
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _observe(result) -> dict:
@@ -133,9 +154,23 @@ SCENARIOS = {
     "dbao-bursty": dict(protocol="dbao", dynamics=True),
     "opt-events": dict(protocol="opt", track_events=True),
     "of-probes": dict(protocol="of", probes=True),
+    # Paths the serial engine alone covered before the batched engine
+    # learned them; pinned from the serial engine's answers.
+    **{f"{p}-2slot": dict(protocol=p, wake_slots=2)
+       for p in ("opt", "dbao", "of", "naive", "dca", "flash", "crosslayer")},
+    "dbao-csma": dict(protocol="dbao", mac="csma_802154"),
+    "of-bursty-probes": dict(protocol="of", dynamics=True, probes=True),
+    "dbao-skew-probes": dict(protocol="dbao", skew=True, probes=True),
+    "dbao-events": dict(protocol="dbao", track_events=True),
 }
 
-# Generated against the seed engine (pre-refactor) via the __main__ helper.
+#: Event-stream hashes (see :func:`_event_stream_sha`) of the
+#: ``track_events`` scenarios.
+EVENT_STREAMS = {'dbao-events': 'b8426f6c65f27fb0', 'opt-events': 'a957b90c3d0b8e5c'}
+
+# Generated against the seed engine (pre-refactor) via the __main__ helper;
+# the ``-2slot``, ``-csma``, ``-probes`` and ``-events`` additions against
+# the serial slot pipeline before the batched engine replaced it.
 GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                 'collisions': 6,
                 'completed': True,
@@ -153,6 +188,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                 'sleep_misses': 0,
                 'tx_attempts': 90,
                 'tx_failures': 8},
+ 'crosslayer-2slot': {'arrival_sha': 'e9da0d820be7f14d',
+                      'collisions': 8,
+                      'completed': True,
+                      'completed_at': [51, 61, 59],
+                      'coverage': [1.0, 1.0, 1.0],
+                      'delays': [51, 54, 48],
+                      'duplicates': 37,
+                      'elapsed': 62,
+                      'energy_total': 567.4,
+                      'first_tx': [1, 8, 12],
+                      'ledger_failures': [10, 91],
+                      'ledger_rx': [72, 972],
+                      'ledger_tx': [98, 1326],
+                      'overhears': 21,
+                      'sleep_misses': 0,
+                      'tx_attempts': 98,
+                      'tx_failures': 10},
  'dbao': {'arrival_sha': '354d15be16837900',
           'collisions': 10,
           'completed': True,
@@ -170,6 +222,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
           'sleep_misses': 0,
           'tx_attempts': 131,
           'tx_failures': 20},
+ 'dbao-2slot': {'arrival_sha': '97ca6352fb427c87',
+                'collisions': 9,
+                'completed': True,
+                'completed_at': [51, 69, 79],
+                'coverage': [1.0, 1.0, 1.0],
+                'delays': [51, 62, 68],
+                'duplicates': 43,
+                'elapsed': 80,
+                'energy_total': 756.0,
+                'first_tx': [1, 8, 12],
+                'ledger_failures': [21, 313],
+                'ledger_rx': [72, 972],
+                'ledger_tx': [136, 1960],
+                'overhears': 0,
+                'sleep_misses': 0,
+                'tx_attempts': 136,
+                'tx_failures': 21},
  'dbao-bursty': {'arrival_sha': '5c2f467119a72495',
                  'collisions': 7,
                  'completed': True,
@@ -187,6 +256,49 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                  'sleep_misses': 0,
                  'tx_attempts': 173,
                  'tx_failures': 63},
+ 'dbao-csma': {'arrival_sha': '731635dc9e02d1c5',
+               'collisions': 0,
+               'completed': True,
+               'completed_at': [40, 65, 70],
+               'coverage': [1.0, 1.0, 1.0],
+               'delays': [41, 58, 58],
+               'duplicates': 48,
+               'elapsed': 71,
+               'energy_total': 674.2,
+               'first_tx': [0, 8, 13],
+               'ledger_failures': [2, 39],
+               'ledger_rx': [72, 972],
+               'ledger_tx': [122, 1692],
+               'overhears': 0,
+               'sleep_misses': 0,
+               'tx_attempts': 122,
+               'tx_failures': 2},
+ 'dbao-events': {'arrival_sha': '354d15be16837900',
+                 'collisions': 10,
+                 'completed': True,
+                 'completed_at': [38, 70, 75],
+                 'coverage': [1.0, 1.0, 1.0],
+                 'delays': [39, 63, 63],
+                 'duplicates': 39,
+                 'elapsed': 76,
+                 'energy_total': 722.7,
+                 'event_counts': {'collision': 10,
+                                  'complete': 3,
+                                  'deliver': 72,
+                                  'duplicate': 39,
+                                  'inject': 3,
+                                  'loss': 0,
+                                  'overhear': 0,
+                                  'tx': 131},
+                 'first_tx': [0, 8, 13],
+                 'ledger_failures': [20, 323],
+                 'ledger_rx': [72, 972],
+                 'ledger_tx': [131, 1861],
+                 'n_events': 258,
+                 'overhears': 0,
+                 'sleep_misses': 0,
+                 'tx_attempts': 131,
+                 'tx_failures': 20},
  'dbao-skew': {'arrival_sha': '5f3ab6492dd8fb0b',
                'collisions': 10,
                'completed': True,
@@ -204,6 +316,24 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                'sleep_misses': 55,
                'tx_attempts': 191,
                'tx_failures': 79},
+ 'dbao-skew-probes': {'arrival_sha': '5f3ab6492dd8fb0b',
+                      'collisions': 10,
+                      'completed': True,
+                      'completed_at': [113, 118, 123],
+                      'coverage': [1.0, 1.0, 1.0],
+                      'delays': [114, 111, 111],
+                      'duplicates': 40,
+                      'elapsed': 124,
+                      'energy_total': 1122.3,
+                      'first_tx': [0, 8, 13],
+                      'ledger_failures': [79, 1076],
+                      'ledger_rx': [72, 972],
+                      'ledger_tx': [191, 2637],
+                      'overhears': 0,
+                      'sleep_misses': 55,
+                      'transmission_delay': [84, 79, 79],
+                      'tx_attempts': 191,
+                      'tx_failures': 79},
  'dca': {'arrival_sha': '5f25f99bd1046fc0',
          'collisions': 0,
          'completed': True,
@@ -221,6 +351,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
          'sleep_misses': 0,
          'tx_attempts': 112,
          'tx_failures': 40},
+ 'dca-2slot': {'arrival_sha': 'e9a8f11e3b459a58',
+               'collisions': 0,
+               'completed': True,
+               'completed_at': [94, 125, 135],
+               'coverage': [1.0, 1.0, 1.0],
+               'delays': [95, 121, 122],
+               'duplicates': 0,
+               'elapsed': 136,
+               'energy_total': 959.7,
+               'first_tx': [0, 5, 14],
+               'ledger_failures': [29, 93],
+               'ledger_rx': [72, 972],
+               'ledger_tx': [101, 519],
+               'overhears': 0,
+               'sleep_misses': 0,
+               'tx_attempts': 101,
+               'tx_failures': 29},
  'flash': {'arrival_sha': '52d2543d9d076245',
            'collisions': 2092,
            'completed': False,
@@ -238,6 +385,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
            'sleep_misses': 0,
            'tx_attempts': 3317,
            'tx_failures': 3183},
+ 'flash-2slot': {'arrival_sha': '3dfd0ff390b10fa8',
+                 'collisions': 2648,
+                 'completed': False,
+                 'completed_at': [518, 528, -1],
+                 'coverage': [1.0, 1.0, 0.9583333333],
+                 'delays': [519, 524, -1],
+                 'duplicates': 130,
+                 'elapsed': 600,
+                 'energy_total': 12580.0,
+                 'first_tx': [0, 5, 14],
+                 'ledger_failures': [3583, 43963],
+                 'ledger_rx': [71, 954],
+                 'ledger_tx': [3784, 46808],
+                 'overhears': 0,
+                 'sleep_misses': 0,
+                 'tx_attempts': 3784,
+                 'tx_failures': 3583},
  'naive': {'arrival_sha': '49aecb822125df6c',
            'collisions': 649,
            'completed': True,
@@ -255,6 +419,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
            'sleep_misses': 0,
            'tx_attempts': 1282,
            'tx_failures': 990},
+ 'naive-2slot': {'arrival_sha': '3fbb3dabd5a8f62a',
+                 'collisions': 703,
+                 'completed': True,
+                 'completed_at': [53, 202, 343],
+                 'coverage': [1.0, 1.0, 1.0],
+                 'delays': [50, 178, 225],
+                 'duplicates': 200,
+                 'elapsed': 344,
+                 'energy_total': 5011.3,
+                 'first_tx': [4, 25, 119],
+                 'ledger_failures': [1017, 12366],
+                 'ledger_rx': [72, 972],
+                 'ledger_tx': [1289, 16223],
+                 'overhears': 0,
+                 'sleep_misses': 0,
+                 'tx_attempts': 1289,
+                 'tx_failures': 1017},
  'of': {'arrival_sha': '446ba340b0f282fc',
         'collisions': 1,
         'completed': True,
@@ -272,6 +453,41 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
         'sleep_misses': 0,
         'tx_attempts': 83,
         'tx_failures': 5},
+ 'of-2slot': {'arrival_sha': '2065dade8eaa0a12',
+              'collisions': 1,
+              'completed': True,
+              'completed_at': [72, 82, 88],
+              'coverage': [1.0, 1.0, 1.0],
+              'delays': [72, 78, 74],
+              'duplicates': 4,
+              'elapsed': 89,
+              'energy_total': 667.8,
+              'first_tx': [1, 5, 15],
+              'ledger_failures': [6, 6],
+              'ledger_rx': [72, 972],
+              'ledger_tx': [82, 750],
+              'overhears': 0,
+              'sleep_misses': 0,
+              'tx_attempts': 82,
+              'tx_failures': 6},
+ 'of-bursty-probes': {'arrival_sha': 'e9233086f626a07a',
+                      'collisions': 2,
+                      'completed': True,
+                      'completed_at': [218, 223, 228],
+                      'coverage': [1.0, 1.0, 1.0],
+                      'delays': [219, 216, 206],
+                      'duplicates': 3,
+                      'elapsed': 229,
+                      'energy_total': 1500.8,
+                      'first_tx': [0, 8, 23],
+                      'ledger_failures': [49, 197],
+                      'ledger_rx': [72, 972],
+                      'ledger_tx': [124, 937],
+                      'overhears': 0,
+                      'sleep_misses': 0,
+                      'transmission_delay': [50, 95, 50],
+                      'tx_attempts': 124,
+                      'tx_failures': 49},
  'of-probes': {'arrival_sha': '446ba340b0f282fc',
                'collisions': 1,
                'completed': True,
@@ -307,6 +523,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
          'sleep_misses': 0,
          'tx_attempts': 74,
          'tx_failures': 2},
+ 'opt-2slot': {'arrival_sha': '8e38bc4aae481f02',
+               'collisions': 0,
+               'completed': True,
+               'completed_at': [28, 48, 58],
+               'coverage': [1.0, 1.0, 1.0],
+               'delays': [27, 41, 47],
+               'duplicates': 0,
+               'elapsed': 59,
+               'energy_total': 489.3,
+               'first_tx': [2, 8, 12],
+               'ledger_failures': [1, 22],
+               'ledger_rx': [72, 972],
+               'ledger_tx': [73, 1024],
+               'overhears': 0,
+               'sleep_misses': 0,
+               'tx_attempts': 73,
+               'tx_failures': 1},
  'opt-events': {'arrival_sha': '26659e4992609e87',
                 'collisions': 0,
                 'completed': True,
@@ -399,11 +632,29 @@ def test_golden_trajectory_extracted_from_batch(name, rep_index):
         )
 
 
+@pytest.mark.parametrize("name", sorted(EVENT_STREAMS))
+def test_golden_event_stream(name):
+    spec = dict(SCENARIOS[name])
+    result = _flood(spec.pop("protocol"), **spec)
+    assert _event_stream_sha(result.events) == EVENT_STREAMS[name]
+
+
+def test_every_event_scenario_has_a_stream_pin():
+    tracked = {name for name, spec in SCENARIOS.items()
+               if spec.get("track_events")}
+    assert tracked == set(EVENT_STREAMS)
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     import pprint
 
     fresh = {}
+    streams = {}
     for name in sorted(SCENARIOS):
         spec = dict(SCENARIOS[name])
-        fresh[name] = _observe(_flood(spec.pop("protocol"), **spec))
+        result = _flood(spec.pop("protocol"), **spec)
+        fresh[name] = _observe(result)
+        if result.events is not None:
+            streams[name] = _event_stream_sha(result.events)
     print("GOLDEN =", pprint.pformat(fresh, width=76, sort_dicts=True))
+    print("EVENT_STREAMS =", pprint.pformat(streams, width=76))
