@@ -11,9 +11,9 @@ Commands
     line — tasks, chunks, pickled vs shared-memory bytes, pool spin-up,
     per-task wall-time spread, replication-batch widths — on stderr;
     ``--cache-dir`` persists result summaries so a repeated invocation
-    is answered from the cache; ``--reps-per-task R`` chunks R
-    replications into one task (auto by default: batch-capable
-    protocols run whole chunks as one ``(R, ...)`` engine call).
+    is answered from the cache; ``--reps-per-task R`` runs R
+    replications as one task — one ``(R, ...)`` engine call (auto by
+    default).
 ``run-scenario FILE.json [--shard I/K] [--jobs N] [--cache-dir PATH] [--summary PATH]``
     Run a declarative scenario file — a serialized
     :class:`repro.scenario.ScenarioGrid` (or a bare scenario object) —
@@ -43,12 +43,13 @@ Commands
     shard files stamped with the full-grid fingerprint.
 ``profile FILE.json [--json PATH] [--no-allocs] [--reps R]``
     Per-phase wall-time and allocation profile of a scenario file's
-    batched slot pipeline: runs every rep-batchable cell through
+    engine runs: runs every cell through
     :class:`repro.sim.observers.PhaseProfiler`, prints the phase table
-    (inject/propose/validate/resolve/apply/observe/fastforward), the
-    per-slot net allocation-block and traced-peak-byte rates, and the
-    scratch-arena borrow/grow counters. ``--json PATH`` writes the raw
-    report for CI artifacts; ``--no-allocs`` skips the tracemalloc
+    (inject/propose/validate/resolve/apply/observe/fastforward, the
+    nested ``mac`` sub-phase, and ``probe`` for Fig. 9 probe floods),
+    the per-slot net allocation-block and traced-peak-byte rates, and
+    the scratch-arena borrow/grow counters. ``--json PATH`` writes the
+    raw report for CI artifacts; ``--no-allocs`` skips the tracemalloc
     pass.
 ``trace [--seed N] [--out PATH]``
     Synthesize the GreenOrbs-like trace, print its statistics, optionally
@@ -92,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--reps-per-task", type=int, default=None, metavar="R",
-            help="replications per dispatched task (default: auto — "
-                 "replication-batchable scenarios run chunks of up to 32 "
-                 "reps as one (R, ...) batched engine call; 1 restores "
+            help="replications per dispatched task, run as one (R, ...) "
+                 "engine call (default: auto, up to 128; 1 restores "
                  "per-replication dispatch; results are bit-identical at "
                  "any width)",
         )
@@ -175,10 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser(
         "profile",
         help="per-phase wall-time and allocation profile of a "
-             "scenario's batched slot pipeline",
+             "scenario file's engine runs",
     )
-    prof.add_argument("file", help="scenario file (batchable cells are "
-                                   "profiled; others are skipped)")
+    prof.add_argument("file", help="scenario file (every cell is profiled)")
     prof.add_argument("--json", default=None, metavar="PATH",
                       help="write the profile report as JSON")
     prof.add_argument("--no-allocs", action="store_true",
@@ -450,7 +449,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         load_scenario_file
     from .sim.arena import global_arena
     from .sim.observers import PhaseProfiler
-    from .sim.runner import run_replication_chunk, scenario_rep_batchable
+    from .sim.runner import run_replication_chunk
 
     try:
         grid = load_scenario_file(args.file)
@@ -458,26 +457,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except (OSError, ValueError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.reps is not None and args.reps < 1:
+        print(f"--reps must be >= 1, got {args.reps}", file=sys.stderr)
+        return 2
     cells = []
     for s in scenarios:
-        if not scenario_rep_batchable(s):
-            continue
         if s.topology is None:
             print(f"scenario {s.fingerprint()[:16]} names no topology",
                   file=sys.stderr)
             return 2
         n = args.reps if args.reps is not None else s.n_replications
-        # The profiler hooks live in the batched engine; a width-1 chunk
-        # would degrade to the serial path and record nothing.
-        cells.append((build_topology(s.topology), s, max(2, int(n))))
-    skipped = len(scenarios) - len(cells)
-    if not cells:
-        print("no replication-batchable scenario in the file — the "
-              "profiler instruments the batched slot pipeline",
-              file=sys.stderr)
-        return 2
-    if skipped:
-        print(f"(skipping {skipped} non-batchable cell(s))")
+        cells.append((build_topology(s.topology), s, int(n)))
 
     def run_all(profiler=None):
         for topo, s, n in cells:

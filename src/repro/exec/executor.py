@@ -88,18 +88,18 @@ class ExecutorStats:
     task_s_min: float = math.inf
     task_s_max: float = 0.0
     #: Replication batching (``--reps-per-task``): tasks that carried a
-    #: multi-replication chunk, how many replications rode in them, and
-    #: the widest chunk seen. ``serial_reps`` counts the replications
-    #: that went out as ordinary width-1 tasks instead (non-batchable
-    #: scenarios and chunk tails) — together with ``batched_reps`` it
-    #: yields the dispatch's batch coverage.
+    #: multi-replication batch, how many replications rode in them, and
+    #: the widest batch seen. ``serial_reps`` counts the replications
+    #: that went out as width-1 tasks instead (``--reps-per-task 1``,
+    #: one-replication cells and batch tails) — together with
+    #: ``batched_reps`` it yields the dispatch's batch coverage.
     rep_batches: int = 0
     batched_reps: int = 0
     serial_reps: int = 0
     max_batch_width: int = 0
-    #: Cross-cell stacking: ``("stack", …)`` tasks dispatched and the
-    #: grid cells they merged. ``stacked_cells / stack_tasks`` is the
-    #: mean stacking ratio — the fig10-column diagnosis number.
+    #: Cross-cell stacking: tasks that merged several grid cells and the
+    #: cells they merged. ``stacked_cells / stack_tasks`` is the mean
+    #: stacking ratio — the fig10-column diagnosis number.
     stack_tasks: int = 0
     stacked_cells: int = 0
     #: Scratch-arena reuse across the dispatch (in-process backends):

@@ -322,6 +322,16 @@ class BatchGilbertElliott:
             [inst._rng for inst in instances],
         )
 
+    def write_back(self, instances: "list[GilbertElliott]") -> None:
+        """Copy each replication's link states into its source instance.
+
+        The inverse of :meth:`from_instances` (which shares the
+        streams already): afterwards every instance is exactly where a
+        standalone run of its replication would have left it.
+        """
+        for k, inst in enumerate(instances):
+            inst._bad[:] = self._bad[k]
+
     @property
     def n_reps(self) -> int:
         return len(self._rngs)

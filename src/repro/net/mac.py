@@ -4,9 +4,8 @@
 contention, capture, Bernoulli loss. This module owns the *medium
 access* policy wrapped around that physics: a :class:`LinkModel` decides
 how the slot's committed frames contend for the channel, when each frame
-is actually put on air, and what an acknowledgment means. The engines
-(:func:`repro.sim.engine.run_flood` and
-:func:`repro.sim.batch.run_flood_batch`) resolve every traffic slot
+is actually put on air, and what an acknowledgment means. The engine
+(:func:`repro.sim.batch.run_flood_batch`) resolves every traffic slot
 through a link model instead of calling the raw resolver directly, so
 the MAC becomes a swappable scenario field (``mac``/``mac_kwargs``)
 rather than a hard-coded assumption.
@@ -16,19 +15,20 @@ Layer contract
 A link model resolves one wake slot: it receives the validated,
 duplicate-free transmission batch, the actual wake set and the
 replication's channel stream, and returns the slot's
-:class:`~repro.net.radio.SlotOutcome` (or
-:class:`~repro.net.radio.RepSlotOutcome` on the batched path). Hard
-rules every implementation must keep:
+:class:`~repro.net.radio.RepSlotOutcome` (:meth:`LinkModel.resolve_reps`,
+the engine's path) or :class:`~repro.net.radio.SlotOutcome`
+(:meth:`LinkModel.resolve`, one replication at a time — the reference
+the link tests compare the batched path against). Hard rules every
+implementation must keep:
 
 * **One decode per receiver per slot.** The slot is one packet time in
-  the paper's model; both engines' apply stages rely on at most one
+  the paper's model; the engine's apply stage relies on at most one
   reception per (replication, receiver) per slot.
 * **Serial-order RNG consumption.** All randomness comes from the
   per-replication stream passed in, and the batched
   :meth:`LinkModel.resolve_reps` must consume each replication's stream
-  in exactly the order the serial :meth:`LinkModel.resolve` would — the
-  batch-equivalence suite enforces bit-identical extracted
-  replications.
+  in exactly the order the one-replication :meth:`LinkModel.resolve`
+  would — the link tests enforce bit-identical outcomes.
 * **Frame-level accounting.** ``failures`` lists each committed frame
   that was ultimately not delivered to its addressed receiver (once,
   in batch-row order); ``collisions`` is the subset of those failed
@@ -119,7 +119,7 @@ class LinkModel:
         assume_unique_senders: bool = False,
         profiler=None,
     ) -> SlotOutcome:
-        """Resolve one slot on the serial engine path.
+        """Resolve one slot of one replication (the reference path).
 
         ``profiler`` (a :class:`~repro.sim.observers.PhaseProfiler` or
         ``None``) receives the model's own backoff/ack accounting time
@@ -142,12 +142,16 @@ class LinkModel:
         awake_stack: Optional[np.ndarray] = None,
         arena=None,
         profiler=None,
+        collect_collision_rows: bool = False,
     ) -> RepSlotOutcome:
-        """Resolve one slot across R replications (batched engine path).
+        """Resolve one slot across R replications (the engine's path).
 
         Arguments mirror :func:`~repro.net.radio.resolve_slot_reps`;
         every replication's stream must be consumed exactly as
-        :meth:`resolve` would consume it.
+        :meth:`resolve` would consume it. With
+        ``collect_collision_rows`` the outcome's ``coll_rows`` lists the
+        input rows reported in ``collisions`` — the per-frame identity
+        observers need.
         """
         raise NotImplementedError
 
@@ -179,12 +183,13 @@ class IdealCsmaLink(LinkModel):
 
     def resolve_reps(self, kk, ss, rr, pp, topo, awake_by_rep, rngs, radio,
                      dynamics=None, awake_stack=None, arena=None,
-                     profiler=None):
+                     profiler=None, collect_collision_rows=False):
         if profiler is not None:
             profiler.note("mac", 0.0)
         return resolve_slot_reps(
             kk, ss, rr, pp, topo, awake_by_rep, rngs, radio,
             dynamics=dynamics, awake_stack=awake_stack, arena=arena,
+            collect_collision_rows=collect_collision_rows,
         )
 
 
@@ -414,7 +419,7 @@ class Csma802154Link(LinkModel):
 
     def resolve_reps(self, kk, ss, rr, pp, topo, awake_by_rep, rngs, radio,
                      dynamics=None, awake_stack=None, arena=None,
-                     profiler=None):
+                     profiler=None, collect_collision_rows=False):
         T = int(ss.size)
         if T == 0:
             return RepSlotOutcome.empty()
@@ -590,6 +595,7 @@ class Csma802154Link(LinkModel):
         out = RepSlotOutcome(
             rec_rep, rec_recv, rec_send, rec_pack, rec_over,
             kk[fail_rows], ss[fail_rows], collision_counts,
+            coll_fail if collect_collision_rows else None,
         )
         if profiler is not None:
             profiler.note("mac", (perf_counter() - t_mac) - t_phy)

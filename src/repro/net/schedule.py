@@ -211,6 +211,11 @@ class ScheduleTable:
     def duty_ratio(self) -> float:
         return 1.0 / self.period
 
+    @property
+    def offsets_matrix(self) -> np.ndarray:
+        """``(n_nodes, 1)`` offsets: the multi-slot tables' layout."""
+        return self.offsets[:, None]
+
     def awake_at(self, t: int) -> np.ndarray:
         """Node ids whose active slot matches slot ``t`` (ascending order)."""
         return self.wake_lists[validate_slot_index(t) % self.period]

@@ -7,7 +7,7 @@ Importing this package registers every protocol with the name registry
 
 from .base import (
     FloodingProtocol,
-    SimView,
+    RepSimView,
     available_protocols,
     make_protocol,
     register_protocol,
@@ -22,7 +22,7 @@ from .oppflood import OpportunisticFlooding
 from .tree import EtxTree, build_etx_tree, hop_delay_moments
 
 __all__ = [
-    "FloodingProtocol", "SimView", "available_protocols", "make_protocol",
+    "FloodingProtocol", "RepSimView", "available_protocols", "make_protocol",
     "register_protocol",
     "CrossLayerFlooding", "recommended_configuration",
     "Dbao",

@@ -3,33 +3,24 @@
 A sender in a real low-duty-cycle network does not know which packets its
 neighbors hold; it knows only what it can infer from link-layer
 acknowledgements of its own transmissions and from ACKs it overhears
-while awake in transmit mode. :class:`NeighborBelief` stores exactly that
-inference — per node, a boolean matrix over (packet, out-neighbor).
+while awake in transmit mode. :class:`RepNeighborBelief` stores exactly
+that inference — per replication and node, which packets each
+out-neighbor is known to hold.
 
 Beliefs are *sound under our update rules* (only confirmed receptions are
 recorded), so a sender may waste transmissions on packets the receiver
 already has, but never wrongly skips a needed packet. The DBAO and OF
 implementations both rely on this one-sided-error property for their
 coverage guarantees; a property test enforces it.
-
-Storage is one padded ``(n_nodes, M, max_degree)`` boolean array plus an
-``(n_nodes, n_nodes)`` pair-to-column map; the per-node matrices exposed
-through the scalar API are views aliasing the big array. That layout lets
-the batched queries (:meth:`needs_pairs`) and the broadcast updates
-(:meth:`sync_for_witnesses`) run as single fancy-indexing operations over
-arbitrary (observer, receiver) pair sets — the DBAO proposal loop's
-hottest accesses.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 import numpy as np
 
 from ..net.topology import Topology
 
-__all__ = ["NeighborBelief", "RepNeighborBelief"]
+__all__ = ["RepNeighborBelief"]
 
 
 def _index_array(x) -> np.ndarray:
@@ -39,199 +30,13 @@ def _index_array(x) -> np.ndarray:
     return np.fromiter((int(v) for v in x), dtype=np.int64)
 
 
-class NeighborBelief:
-    """Per-node beliefs about out-neighbors' packet possession.
-
-    Parameters
-    ----------
-    topo:
-        The network; belief is kept only for graph out-neighbors.
-    n_packets:
-        Flood size ``M``.
-    """
-
-    def __init__(self, topo: Topology, n_packets: int):
-        if n_packets < 1:
-            raise ValueError("need at least one packet")
-        self._topo = topo
-        self._n_packets = int(n_packets)
-        n = topo.n_nodes
-        degrees = [topo.out_neighbors(node).size for node in range(n)]
-        #: (observer, receiver) -> column in the observer's belief matrix,
-        #: -1 for non-neighbors.
-        self._pair_col = np.full((n, n), -1, dtype=np.int64)
-        #: Padded backing store; row ``node`` uses columns [0, degree).
-        self._belief3d = np.zeros(
-            (n, self._n_packets, max(max(degrees, default=0), 1)), dtype=bool
-        )
-        self._col: List[Dict[int, int]] = []
-        self._belief: List[np.ndarray] = []
-        #: Padded neighbor ids aligned with the belief columns, plus the
-        #: mask of real (non-padding) columns — the offer queries below
-        #: translate column hits back to receiver ids through these.
-        max_deg = self._belief3d.shape[2]
-        self._nbr_pad = np.zeros((n, max_deg), dtype=np.int64)
-        self._nbr_valid = np.zeros((n, max_deg), dtype=bool)
-        for node in range(n):
-            nbs = topo.out_neighbors(node)
-            self._pair_col[node, nbs] = np.arange(nbs.size)
-            self._nbr_pad[node, : nbs.size] = nbs
-            self._nbr_valid[node, : nbs.size] = True
-            self._col.append({int(r): i for i, r in enumerate(nbs.tolist())})
-            # A view, not a copy: scalar and batched APIs share storage.
-            self._belief.append(self._belief3d[node, :, : nbs.size])
-
-    def believes_has(self, observer: int, receiver: int, packet: int) -> bool:
-        """Whether ``observer`` believes ``receiver`` holds ``packet``."""
-        col = self._col[observer].get(receiver)
-        if col is None:
-            raise KeyError(f"node {receiver} is not an out-neighbor of {observer}")
-        return bool(self._belief[observer][packet, col])
-
-    def believed_needs(self, observer: int, receiver: int) -> np.ndarray:
-        """(M,) mask of packets ``observer`` believes ``receiver`` lacks."""
-        col = self._col[observer].get(receiver)
-        if col is None:
-            raise KeyError(f"node {receiver} is not an out-neighbor of {observer}")
-        return ~self._belief[observer][:, col]
-
-    def needs_matrix(self, receiver: int, observers) -> np.ndarray:
-        """(M, len(observers)) stacked :meth:`believed_needs` columns.
-
-        Column ``i`` is what ``observers[i]`` believes ``receiver``
-        lacks — the batch input for ``SimView.fcfs_heads_batch``.
-        """
-        cols = np.empty((self._n_packets, len(observers)), dtype=bool)
-        for i, obs in enumerate(observers):
-            col = self._col[int(obs)].get(receiver)
-            if col is None:
-                raise KeyError(
-                    f"node {receiver} is not an out-neighbor of {obs}"
-                )
-            cols[:, i] = ~self._belief[int(obs)][:, col]
-        return cols
-
-    def needs_pairs(
-        self, observers: np.ndarray, receivers: np.ndarray
-    ) -> np.ndarray:
-        """(M, P) believed-needs columns for P (observer, receiver) pairs.
-
-        The fully batched form of :meth:`needs_matrix`: pair ``i`` asks
-        what ``observers[i]`` believes ``receivers[i]`` lacks. Every
-        receiver must be an out-neighbor of its observer.
-        """
-        cols = self._pair_col[observers, receivers]
-        if np.any(cols < 0):
-            bad = int(np.flatnonzero(cols < 0)[0])
-            raise KeyError(
-                f"node {int(receivers[bad])} is not an out-neighbor of "
-                f"{int(observers[bad])}"
-            )
-        return ~self._belief3d[observers, :, cols].T
-
-    def confirm(self, observer: int, receiver: int, packet: int) -> None:
-        """Record confirmed possession (own ACK or overheard ACK)."""
-        col = self._col[observer].get(receiver)
-        if col is None:
-            return  # evidence about a non-neighbor is useless — drop it
-        self._belief[observer][packet, col] = True
-
-    def confirm_for_witnesses(
-        self, witnesses, receiver: int, packet: int
-    ) -> None:
-        """Let every node in ``witnesses`` record the same ACK evidence."""
-        w = _index_array(witnesses)
-        if w.size == 0:
-            return
-        cols = self._pair_col[w, receiver]
-        keep = cols >= 0
-        self._belief3d[w[keep], packet, cols[keep]] = True
-
-    def sync_possession(self, observer: int, receiver: int, held) -> None:
-        """Absorb a possession summary advertised by ``receiver``.
-
-        Link-layer ACKs in dissemination protocols piggyback the
-        receiver's packet summary (Deluge-style version vectors); a
-        sender that hears one learns the receiver's *entire* buffer state
-        at once, not just the fate of its own frame. Without this,
-        belief lag makes every clique member retransmit every packet the
-        receiver obtained elsewhere — one wasted unicast per
-        (sender, packet) pair — and the redundant contention snowballs
-        into collisions.
-
-        ``held`` is an iterable of packet indices the receiver holds;
-        the summary is still sound (receivers advertise only what they
-        have), so the one-sided-error property is preserved.
-        """
-        col = self._col[observer].get(receiver)
-        if col is None:
-            return
-        self._belief[observer][_index_array(held), col] = True
-
-    def sync_for_witnesses(self, witnesses, receiver: int, held) -> None:
-        """Broadcast one possession summary to several overhearers.
-
-        One three-axis fancy assignment over (witness, packet) instead of
-        a Python loop over witnesses — this runs once per non-overheard
-        reception in DBAO's observe path.
-        """
-        w = _index_array(witnesses)
-        if w.size == 0:
-            return
-        held_idx = _index_array(held)
-        cols = self._pair_col[w, receiver]
-        keep = cols >= 0
-        if not keep.all():
-            w, cols = w[keep], cols[keep]
-            if w.size == 0:
-                return
-        if held_idx.size == 0:
-            return
-        self._belief3d[w[:, None], held_idx[None, :], cols[:, None]] = True
-
-    def believed_coverage_count(self, observer: int, packet: int) -> int:
-        """How many out-neighbors ``observer`` believes hold ``packet``."""
-        return int(self._belief[observer][packet].sum())
-
-    # -- Quiescence-frontier queries -----------------------------------
-
-    def offer_pairs(
-        self, observers: np.ndarray, receivers: np.ndarray, has: np.ndarray
-    ) -> np.ndarray:
-        """(P,) mask: pair ``i``'s observer has something to offer.
-
-        Pair ``i`` offers when ``observers[i]`` holds (per ``has``, the
-        ``(M, n_nodes)`` possession matrix — each observer's own column)
-        at least one packet it believes ``receivers[i]`` lacks. This is
-        exactly the condition under which the belief-driven protocols
-        would commit a transmission on that pair, so the pairs' receivers
-        form the protocol's pending frontier.
-        """
-        cols = self._pair_col[observers, receivers]
-        believed = self._belief3d[observers, :, cols]  # (P, M)
-        return (has[:, observers].T & ~believed).any(axis=1)
-
-    def offer_receivers(self, has: np.ndarray) -> np.ndarray:
-        """Receivers some believing in-neighbor could serve, over all links.
-
-        The all-pairs form of :meth:`offer_pairs` for protocols whose
-        candidate senders are simply the receiver's in-neighbors. Returns
-        receiver ids (possibly with duplicates — one per offering link).
-        """
-        offers = (
-            (has.T[:, :, None] & ~self._belief3d).any(axis=1)
-            & self._nbr_valid
-        )
-        return self._nbr_pad[offers]
-
-
 class RepNeighborBelief:
-    """R independent :class:`NeighborBelief` universes in one array.
+    """R independent per-node belief stores in one array.
 
-    Replication ``rep``'s slice evolves exactly like a standalone
-    :class:`NeighborBelief` driven by that replication's observations,
-    so belief-limited decisions extracted from the batch match their
-    serial twins bit for bit.
+    Replication ``rep``'s slice evolves only with that replication's
+    observations, so belief-limited decisions never leak across
+    replications. A node keeps beliefs about its graph out-neighbors
+    only: belief column ``j`` of node ``v`` is its ``j``-th out-neighbor.
 
     For M <= 64 packets the backing store packs the packet axis into
     uint64 words (packet ``m`` -> bit ``m``, shape ``(R, n_nodes,
@@ -242,20 +47,24 @@ class RepNeighborBelief:
     """
 
     def __init__(self, topo: Topology, n_packets: int, n_reps: int):
+        if n_packets < 1:
+            raise ValueError("need at least one packet")
         if n_reps < 1:
             raise ValueError("need at least one replication")
-        template = NeighborBelief(topo, n_packets)
-        self._pair_col = template._pair_col
-        self._nbr_pad = template._nbr_pad
-        self._nbr_valid = template._nbr_valid
-        self._n_packets = template._n_packets
+        n = topo.n_nodes
+        nbrs = [topo.out_neighbors(node) for node in range(n)]
+        max_deg = max(max((a.size for a in nbrs), default=0), 1)
+        #: (observer, receiver) -> belief column, -1 for non-neighbors.
+        self._pair_col = np.full((n, n), -1, dtype=np.int64)
+        for node, nbs in enumerate(nbrs):
+            self._pair_col[node, nbs] = np.arange(nbs.size)
+        self._n_packets = int(n_packets)
         if self._n_packets <= 64:
             self._pow2 = np.uint64(1) << np.arange(
                 self._n_packets, dtype=np.uint64
             )
-            n_nodes, _, max_deg = template._belief3d.shape
             self._packed = np.zeros(
-                (int(n_reps), n_nodes, max_deg), dtype=np.uint64
+                (int(n_reps), n, max_deg), dtype=np.uint64
             )
             self._full_word = np.uint64((1 << self._n_packets) - 1)
             self._belief4 = None
@@ -263,7 +72,7 @@ class RepNeighborBelief:
             self._pow2 = None
             self._packed = None
             self._belief4 = np.zeros(
-                (int(n_reps),) + template._belief3d.shape, dtype=bool
+                (int(n_reps), n, self._n_packets, max_deg), dtype=bool
             )
 
     @property
@@ -291,7 +100,14 @@ class RepNeighborBelief:
     def sync_possession(
         self, rep: int, observer: int, receiver: int, held
     ) -> None:
-        """Per-replication :meth:`NeighborBelief.sync_possession`."""
+        """Absorb a possession summary advertised by ``receiver``.
+
+        Link-layer ACKs in dissemination protocols piggyback the
+        receiver's packet summary (Deluge-style version vectors); a
+        sender that hears one learns the receiver's *entire* buffer
+        state at once. ``held`` lists the packets the receiver holds;
+        evidence about a non-neighbor is useless and dropped.
+        """
         col = self._pair_col[observer, receiver]
         if col < 0:
             return
@@ -307,7 +123,7 @@ class RepNeighborBelief:
     def sync_for_witnesses(
         self, rep: int, witnesses, receiver: int, held
     ) -> None:
-        """Per-replication :meth:`NeighborBelief.sync_for_witnesses`."""
+        """Broadcast one possession summary to several overhearers."""
         w = _index_array(witnesses)
         if w.size == 0:
             return
@@ -409,7 +225,7 @@ class RepNeighborBelief:
     def coverage_counts(
         self, kk: np.ndarray, observers: np.ndarray, packets: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`NeighborBelief.believed_coverage_count`.
+        """Believed holder counts for flat (replication, observer, packet).
 
         Row ``i``: how many out-neighbors ``observers[i]`` believes hold
         ``packets[i]`` in replication ``kk[i]``. Padding columns never
@@ -470,11 +286,14 @@ class RepNeighborBelief:
         """(len(rep_ids), P) offer mask across replications.
 
         ``has_stack`` is the ``(R, M, n_nodes)`` possession stack; pair
-        ``j`` offers in replication ``rep_ids[i]`` under the same
-        condition as :meth:`NeighborBelief.offer_pairs`. When the caller
-        supplies the engine-maintained ``(R, n)`` possession bitmask the
-        scan runs on packed words — two 2-D gathers and one uint64 op
-        per pair instead of the 3-D boolean gather.
+        ``j`` offers in replication ``rep_ids[i]`` when its observer holds
+        at least one packet it believes the receiver lacks — exactly the
+        condition under which the belief-driven protocols would commit a
+        transmission on that pair, so offering pairs' receivers form the
+        protocol's pending frontier. When the caller supplies the
+        engine-maintained ``(R, n)`` possession bitmask the scan runs on
+        packed words — two 2-D gathers and one uint64 op per pair
+        instead of the 3-D boolean gather.
         """
         cols = self._pair_col[observers, receivers]
         if self._packed is not None:

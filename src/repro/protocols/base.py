@@ -3,10 +3,11 @@
 A protocol's job each slot: given which nodes are awake (able to receive),
 decide which covered nodes transmit what to whom. Everything else —
 injection, channel resolution, possession bookkeeping, metrics — is the
-engine's. Protocols see network state only through :class:`SimView`,
-which exposes *exactly* the information the paper's model grants a node:
-its own buffer, its neighbors' schedules (local synchronization), and
-whatever it learned from acknowledged or overheard transmissions.
+engine's. Protocols run R replications of one scenario at once and see
+network state only through :class:`RepSimView`, which exposes *exactly*
+the information the paper's model grants a node: its own buffer, its
+neighbors' schedules (local synchronization), and whatever it learned
+from acknowledged or overheard transmissions.
 
 The one deliberate exception is :class:`~repro.protocols.opt.OptOracle`,
 which reads ground-truth possession — that is the point of OPT.
@@ -16,24 +17,23 @@ from __future__ import annotations
 
 import math
 from abc import ABC
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 import numpy as np
 
 from ..net.packet import FloodWorkload
-from ..net.radio import SlotOutcome, Transmission, TxBatch
 from ..net.schedule import ScheduleTable
 from ..net.topology import Topology
 
-__all__ = ["SimView", "RepSimView", "FloodingProtocol", "register_protocol",
-           "make_protocol", "available_protocols", "NEVER", "earliest_wake",
+__all__ = ["RepSimView", "FloodingProtocol", "register_protocol",
+           "make_protocol", "available_protocols", "NEVER",
            "phase_cache_period"]
 
 #: Sentinel arrival for absent packets in FCFS computations (hoisted —
 #: ``np.iinfo`` on every call shows up hard in profiles).
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: "No action possible ever" sentinel for :meth:`next_action_slot`.
+#: "No action possible ever" sentinel for :meth:`next_action_slots`.
 #: Far beyond any horizon yet small enough that the engine's clamping
 #: arithmetic cannot overflow int64.
 NEVER = _INT64_MAX // 4
@@ -57,172 +57,16 @@ def phase_cache_period(schedules_list, cap: int = 16384) -> int:
     return period
 
 
-def earliest_wake(schedules, t: int, receivers: np.ndarray) -> int:
-    """Earliest slot after ``t`` at which any of ``receivers`` can receive.
-
-    The shared tail of every protocol's quiescence frontier: given the
-    receivers the protocol could still serve, the earliest of their next
-    active slots bounds the next slot with possible traffic. An empty
-    receiver set means no transmission is ever possible again
-    (:data:`NEVER` — the engine clamps it to injections/horizon); a
-    schedule object without the vectorized ``next_wake_after`` bulk query
-    degrades to the conservative ``t + 1`` (no fast-forward).
-    """
-    if len(receivers) == 0:
-        return NEVER
-    bulk = getattr(schedules, "next_wake_after", None)
-    if bulk is None:
-        return t + 1
-    return int(bulk(t, receivers).min())
-
-
-class SimView:
-    """Read-only window onto simulation state handed to protocols.
-
-    Parameters
-    ----------
-    topo, schedules, workload:
-        The static substrate.
-    has:
-        ``(M, n_nodes)`` ground-truth possession matrix. Protocols other
-        than OPT must only read *their own* columns (a node knows its own
-        buffer) — the engine cannot enforce this, but the test suite
-        audits each protocol's information usage on crafted scenarios.
-    arrival:
-        ``(M, n_nodes)`` arrival slots (``-1`` if absent); defines FCFS
-        order at each node.
-    """
-
-    def __init__(
-        self,
-        topo: Topology,
-        schedules: ScheduleTable,
-        workload: FloodWorkload,
-        has: np.ndarray,
-        arrival: np.ndarray,
-    ):
-        self.topo = topo
-        self.schedules = schedules
-        self.workload = workload
-        self._has = has
-        self._arrival = arrival
-        #: Monotone state-change counter, bumped by the engine whenever
-        #: possession (and hence any belief derived from channel events)
-        #: may have changed. Quiescence frontiers cache their offer sets
-        #: keyed on this so repeated ``next_action_slot`` probes between
-        #: state changes skip the possession scan.
-        self.state_version = 0
-
-    @property
-    def n_nodes(self) -> int:
-        return self.topo.n_nodes
-
-    @property
-    def n_packets(self) -> int:
-        return self.workload.n_packets
-
-    def holds(self, node: int, packet: int) -> bool:
-        """Whether ``node`` has ``packet`` (a node's own-buffer query)."""
-        return bool(self._has[packet, node])
-
-    def held_packets(self, node: int) -> np.ndarray:
-        """Packet indices in ``node``'s buffer (ascending index)."""
-        return np.flatnonzero(self._has[:, node])
-
-    def held_counts(self, nodes: np.ndarray) -> np.ndarray:
-        """Buffer sizes of ``nodes`` — batch form of ``len(held_packets)``.
-
-        Each count is the node's own-buffer cardinality, which any node
-        may advertise about itself; the batched accessor leaks nothing a
-        per-node query would not.
-        """
-        return self._has[:, nodes].sum(axis=0)
-
-    def arrival_slot(self, node: int, packet: int) -> int:
-        """When ``packet`` arrived at ``node`` (-1 if absent)."""
-        return int(self._arrival[packet, node])
-
-    def fcfs_head(self, sender: int, needed_mask: np.ndarray) -> Optional[int]:
-        """Earliest-arrived packet at ``sender`` among ``needed_mask``.
-
-        ``needed_mask`` is an ``(M,)`` boolean mask of packets the
-        intended receiver lacks *according to the sender's information*.
-        Returns the packet index or None.
-        """
-        cand = self._has[:, sender] & needed_mask
-        if not cand.any():
-            return None
-        arrivals = np.where(cand, self._arrival[:, sender], _INT64_MAX)
-        return int(arrivals.argmin())
-
-    def fcfs_heads_batch(
-        self, senders: np.ndarray, needs_matrix: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized :meth:`fcfs_head` for many senders of one receiver.
-
-        ``needs_matrix`` is ``(M, len(senders))`` — column ``i`` is the
-        needs mask *as believed by* ``senders[i]``. Returns
-        ``(heads, valid)``: per-sender head packet indices (undefined
-        where ``valid`` is False). One NumPy pass instead of a Python
-        call per neighbor — the simulator's hottest path.
-        """
-        senders = np.asarray(senders)
-        cand = self._has[:, senders] & needs_matrix
-        arrivals = np.where(cand, self._arrival[:, senders], _INT64_MAX)
-        return arrivals.argmin(axis=0), cand.any(axis=0)
-
-    def candidate_senders(
-        self, neighbors: np.ndarray, needed_mask: np.ndarray
-    ) -> np.ndarray:
-        """Subset of ``neighbors`` holding at least one packet in ``needed_mask``.
-
-        Vectorized hot-path helper: one boolean sub-matrix slice instead of
-        a per-neighbor Python loop.
-        """
-        neighbors = np.asarray(neighbors)
-        if neighbors.size == 0 or not needed_mask.any():
-            return neighbors[:0]
-        sub = self._has[:, neighbors] & needed_mask[:, None]
-        return neighbors[sub.any(axis=0)]
-
-    def possession_by_holder(self) -> np.ndarray:
-        """Read-only ``(M, n_nodes)`` possession matrix; column = own buffer.
-
-        For quiescence-frontier queries
-        (:meth:`FloodingProtocol.next_action_slot`): the frontier asks,
-        for every (holder, receiver) pair at once, whether the holder
-        owns a packet it believes the receiver lacks. Each column is the
-        corresponding node's *own* buffer — information that node may
-        freely use about itself — so, like :meth:`held_counts`, the
-        batched accessor leaks nothing a per-node :meth:`holds` scan
-        would not.
-        """
-        view = self._has.view()
-        view.flags.writeable = False
-        return view
-
-    # -- Oracle-only accessors (used by OPT; audited in tests) ---------
-
-    def oracle_needed(self, receiver: int) -> np.ndarray:
-        """(M,) mask of packets ``receiver`` truly lacks. OPT only."""
-        return ~self._has[:, receiver]
-
-    def oracle_possession(self) -> np.ndarray:
-        """Ground-truth possession matrix (read-only view). OPT only."""
-        view = self._has.view()
-        view.flags.writeable = False
-        return view
-
-
 class RepSimView:
     """Stacked read-only window across R replications of one scenario.
 
-    The replication-batched pipeline's analogue of :class:`SimView`:
-    possession and arrival matrices gain a leading replication axis
-    (``(R, M, n_nodes)``), schedules stay per-replication objects plus a
-    stacked ``(R, n_nodes)`` offsets matrix for vectorized wake queries.
-    The information-visibility contract is unchanged — a batched accessor
-    exposes exactly what R serial views would.
+    Possession and arrival matrices carry a leading replication axis
+    (``(R, M, n_nodes)``); schedules stay per-replication objects plus a
+    stacked ``(R, n_nodes, A)`` matrix of every node's active-slot
+    offsets (``A`` wake slots per period) for vectorized wake queries.
+    Protocols other than OPT must only read a node's *own* columns — the
+    engine cannot enforce this, but the test suite audits each
+    protocol's information usage on crafted scenarios.
     """
 
     def __init__(
@@ -238,9 +82,15 @@ class RepSimView:
         self.workload = workload
         self.has_stack = has_stack
         self.arrival_stack = arrival_stack
-        self.offsets_stack = np.stack(
-            [np.asarray(s.offsets) for s in schedules_list]
-        )
+        # Tables with fewer wake slots repeat their last offset, which
+        # leaves every earliest-wake minimum unchanged.
+        mats = [s.offsets_matrix for s in schedules_list]
+        width = max(m.shape[1] for m in mats)
+        self.offsets_stack = np.stack([
+            m if m.shape[1] == width
+            else np.pad(m, ((0, 0), (0, width - m.shape[1])), mode="edge")
+            for m in mats
+        ])
         #: (R,) per-replication wake periods; cross-cell stacks mix duty
         #: cycles, so ``period`` (the first replication's) only stands
         #: for the whole stack when ``uniform_period`` holds.
@@ -262,8 +112,7 @@ class RepSimView:
             ).sum(axis=1, dtype=np.uint64)
         else:
             self.has_packed = None
-        #: (R,) per-replication state-change counters (see
-        #: :attr:`SimView.state_version`); the batch engine bumps a
+        #: (R,) per-replication state-change counters: the engine bumps a
         #: replication's entry whenever its possession/belief inputs may
         #: have changed, and frontier caches key on it.
         self.state_version = np.zeros(self.n_reps, dtype=np.int64)
@@ -298,12 +147,31 @@ class RepSimView:
     def n_packets(self) -> int:
         return self.workload.n_packets
 
-    def rep_view(self, rep: int) -> SimView:
-        """Serial-shaped view of one replication (fallback paths)."""
-        return SimView(
-            self.topo, self.schedules_list[rep], self.workload,
-            self.has_stack[rep], self.arrival_stack[rep],
-        )
+    def fcfs_head(
+        self, rep: int, sender: int, needed_mask: np.ndarray
+    ) -> Optional[int]:
+        """Earliest-arrived packet at ``sender`` among ``needed_mask``.
+
+        ``needed_mask`` is an ``(M,)`` boolean mask of packets the
+        intended receiver lacks *according to the sender's information*
+        in replication ``rep``. Returns the packet index or None.
+        """
+        cand = self.has_stack[rep, :, sender] & needed_mask
+        if not cand.any():
+            return None
+        arrivals = np.where(
+            cand, self.arrival_stack[rep, :, sender], _INT64_MAX)
+        return int(arrivals.argmin())
+
+    def candidate_senders(
+        self, rep: int, neighbors: np.ndarray, needed_mask: np.ndarray
+    ) -> np.ndarray:
+        """Subset of ``neighbors`` holding a packet in ``needed_mask``."""
+        neighbors = np.asarray(neighbors)
+        if neighbors.size == 0 or not needed_mask.any():
+            return neighbors[:0]
+        sub = self.has_stack[rep][:, neighbors] & needed_mask[:, None]
+        return neighbors[sub.any(axis=0)]
 
     def fcfs_heads_pairs(
         self, kk: np.ndarray, senders: np.ndarray, needs: np.ndarray
@@ -312,7 +180,8 @@ class RepSimView:
 
         ``needs`` is ``(P, M)`` — row ``i`` is the needs mask believed by
         ``senders[i]`` in replication ``kk[i]``. Returns ``(heads,
-        valid)`` exactly like :meth:`SimView.fcfs_heads_batch`.
+        valid)``: per-pair :meth:`fcfs_head` packets (undefined where
+        ``valid`` is False).
         """
         cand = self.has_stack[kk, :, senders] & needs  # (P, M)
         arrivals = np.where(
@@ -343,16 +212,18 @@ class RepSimView:
         self, t: int, rep_ids: np.ndarray, frontier: np.ndarray,
         offers: np.ndarray, off_frontier: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Per-replication :func:`earliest_wake` over a masked frontier.
+        """Earliest slot after ``t`` at which an offered receiver wakes.
 
+        The shared tail of every protocol's quiescence frontier.
         ``frontier`` holds candidate receiver node ids; ``offers`` is
         ``(len(rep_ids), len(frontier))`` marking which of them each
-        replication could still serve. Returns one sound lower bound per
-        replication (:data:`NEVER` where no receiver offers).
+        replication could still serve. Every active slot of a receiver
+        counts, so the result is a sound lower bound per replication
+        (:data:`NEVER` where no receiver offers).
 
-        ``off_frontier`` may carry the precomputed ``(R, len(frontier))``
-        offset gather for protocols whose frontier is static — queries
-        then skip the per-call node-axis fancy index.
+        ``off_frontier`` may carry the precomputed ``(R, len(frontier),
+        A)`` offset gather for protocols whose frontier is static —
+        queries then skip the per-call node-axis fancy index.
         """
         if frontier.size == 0:
             return np.full(len(rep_ids), NEVER, dtype=np.int64)
@@ -368,112 +239,35 @@ class RepSimView:
             wake_map = nxt + (
                 (np.arange(self.period, dtype=np.int64) - nxt) % self.period
             )
-            return np.where(offers, wake_map[off], NEVER).min(axis=1)
-        # Heterogeneous-period stack: apply the formula directly with
-        # each replication's own period.
-        per = self.periods[rep_ids][:, None]
-        wakes = nxt + ((off - nxt) % per)
-        return np.where(offers, wakes, NEVER).min(axis=1)
+            wakes = wake_map[off]
+        else:
+            # Heterogeneous-period stack: apply the formula directly with
+            # each replication's own period.
+            per = self.periods[rep_ids][:, None, None]
+            wakes = nxt + ((off - nxt) % per)
+        return np.where(offers, wakes.min(axis=2), NEVER).min(axis=1)
 
 
 class FloodingProtocol(ABC):
     """Base class for flooding protocols.
 
-    Lifecycle: ``prepare`` once per run, then per slot a proposal followed
-    by ``observe`` with the channel outcome.
-
-    A subclass implements **either** proposal method; each default
-    delegates to the other. List-returning protocols override
-    :meth:`propose` and get batching through the adapter; hot protocols
-    override :meth:`propose_batch` and emit structure-of-arrays
-    :class:`~repro.net.radio.TxBatch` directly — the engine only ever
-    consumes batches. Overriding neither raises ``NotImplementedError``
-    at proposal time.
+    Lifecycle: :meth:`prepare_reps` once per run, then per executed slot
+    :meth:`propose_reps` followed by :meth:`observe_reps` with the
+    channel outcome; after an idle slot the engine asks
+    :meth:`next_action_slots` how far it may fast-forward. Every method
+    serves R independent replications at once, and each replication's
+    decisions must depend on that replication's state and stream only.
     """
 
     #: Registry key; subclasses must override.
     name: str = ""
 
     #: Constructor kwargs, for faithful reconstruction (e.g. the Fig. 9
-    #: single-packet probe floods re-instantiate the protocol per probe).
+    #: single-packet probe floods re-instantiate the protocol).
     #: :func:`make_protocol` records the passed kwargs on every instance;
     #: this class-level default only covers protocols instantiated
     #: directly with default arguments.
     init_kwargs: Dict = {}
-
-    def prepare(
-        self,
-        topo: Topology,
-        schedules: ScheduleTable,
-        workload: FloodWorkload,
-        rng: np.random.Generator,
-    ) -> None:
-        """One-time setup (tree construction, backoff ranks, beliefs)."""
-
-    def propose(self, t: int, awake: np.ndarray, view: SimView) -> List[Transmission]:
-        """Transmissions to commit at slot ``t``.
-
-        Constraints the engine enforces: at most one transmission per
-        sender; the sender must hold the packet; the receiver must be
-        awake. Sending a packet the receiver already has is allowed
-        (belief-limited protocols do it), it just wastes a slot.
-        """
-        if type(self).propose_batch is FloodingProtocol.propose_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override propose or propose_batch"
-            )
-        return self.propose_batch(t, awake, view).to_transmissions()
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        """Batched form of :meth:`propose`; same contract, SoA container.
-
-        This is what the engine calls. The default adapts a
-        list-returning :meth:`propose`.
-        """
-        if type(self).propose is FloodingProtocol.propose:
-            raise NotImplementedError(
-                f"{type(self).__name__} must override propose or propose_batch"
-            )
-        return TxBatch.from_transmissions(self.propose(t, awake, view))
-
-    def observe(self, t: int, outcome: SlotOutcome, view: SimView) -> None:
-        """Learn from the slot's outcome (ACKs, overheard receptions)."""
-
-    def next_action_slot(self, t: int, awake: np.ndarray, view: SimView) -> int:
-        """Quiescence contract: earliest slot after ``t`` with possible traffic.
-
-        Called by the engine after an executed slot ``t`` whose proposal
-        came back empty. The returned slot is a *sound lower bound*: the
-        protocol guarantees that at every slot in ``(t, returned)`` it
-        would again propose nothing **and consume no randomness** —
-        possession, beliefs, and injections cannot change while no
-        transmission occurs, so only schedule progression matters and the
-        bound is typically the minimum
-        :meth:`~repro.net.schedule.ScheduleTable.next_wake_after` over
-        the receivers the protocol could still serve (its pending
-        frontier). The engine fast-forwards to the bound (clamped by
-        pending injections and the horizon), advancing link dynamics and
-        energy accounting exactly.
-
-        Under-estimating is always safe — the skipped-to slot simply
-        executes as a no-op. Over-estimating breaks trajectory fidelity;
-        when in doubt return the conservative default ``t + 1`` (no
-        skip), which keeps any protocol correct.
-        """
-        return t + 1
-
-    # -- Replication-batched interface ---------------------------------
-    #
-    # Batch-native protocols answer True from ``rep_batchable`` and
-    # implement the ``*_reps`` methods; all seven paper-era floods do
-    # (OPT only under the designated server policy). A protocol that
-    # keeps the defaults makes the runner fall back to
-    # replication-by-replication serial runs (documented in DESIGN.md's
-    # "replication axis" section).
-
-    def rep_batchable(self) -> bool:
-        """Whether this instance supports (R, …) batched proposals."""
-        return False
 
     def prepare_reps(
         self,
@@ -482,39 +276,65 @@ class FloodingProtocol(ABC):
         workload: FloodWorkload,
         rngs: "List[np.random.Generator]",
     ) -> None:
-        """One-time setup across R replications.
+        """One-time setup across R replications (trees, cliques, beliefs).
 
-        Must leave each replication's protocol state exactly as R serial
-        :meth:`prepare` calls would have, consuming each replication's
-        stream identically (the batch-native protocols consume none).
+        ``schedules_list`` holds each replication's *believed* schedule
+        table; ``rngs`` its channel stream, which protocol randomness
+        shares.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} is not replication-batchable"
+            f"{type(self).__name__} must override prepare_reps"
         )
 
     def propose_reps(
         self, t: int, rep_ids: np.ndarray, awake_by_rep, view: RepSimView
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-        """Batched proposal: flat ``(kk, senders, receivers, packets)``.
+        """Transmissions to commit at slot ``t``: flat
+        ``(kk, senders, receivers, packets)``.
 
         ``rep_ids`` lists the replications executing slot ``t`` with a
-        non-empty wake set, ascending; rows must come back grouped by
-        replication in that order, and **within each replication in the
-        exact row order the serial :meth:`propose_batch` would emit** —
-        capture tie-breaking in the channel depends on it.
+        non-empty wake set, ascending; ``awake_by_rep[k]`` is replication
+        ``k``'s believed wake set. Rows come back grouped by replication
+        in ``rep_ids`` order; within a replication, row order is the
+        back-off rank order the channel's capture tie-breaks see.
+
+        Constraints the engine enforces: at most one transmission per
+        sender; the sender must hold the packet; the receiver must be
+        awake. Sending a packet the receiver already has is allowed
+        (belief-limited protocols do it), it just wastes a slot.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} is not replication-batchable"
+            f"{type(self).__name__} must override propose_reps"
         )
 
     def observe_reps(self, t: int, outcome, view: RepSimView) -> None:
-        """Batched :meth:`observe` over a
-        :class:`~repro.net.radio.RepSlotOutcome`."""
+        """Learn from the slot's
+        :class:`~repro.net.radio.RepSlotOutcome` (ACKs, overheard
+        receptions)."""
 
     def next_action_slots(
         self, t: int, rep_ids: np.ndarray, view: RepSimView
     ) -> np.ndarray:
-        """Per-replication :meth:`next_action_slot` bounds (sound, vectorized)."""
+        """Quiescence contract: per replication, the earliest slot after
+        ``t`` with possible traffic.
+
+        Called by the engine after an executed slot ``t``. Each returned
+        slot is a *sound lower bound*: the protocol guarantees that at
+        every slot in ``(t, returned)`` that replication would again
+        propose nothing **and consume no randomness** — possession,
+        beliefs, and injections cannot change while no transmission
+        occurs, so only schedule progression matters and the bound is
+        typically :meth:`RepSimView.earliest_wakes` over the receivers
+        the protocol could still serve (its pending frontier). The
+        engine fast-forwards to the bound (clamped by pending injections
+        and the horizon), advancing link dynamics and energy accounting
+        exactly.
+
+        Under-estimating is always safe — the skipped-to slot simply
+        executes as a no-op. Over-estimating breaks trajectory fidelity;
+        when in doubt return the conservative default ``t + 1`` (no
+        skip), which keeps any protocol correct.
+        """
         return np.full(len(rep_ids), t + 1, dtype=np.int64)
 
 

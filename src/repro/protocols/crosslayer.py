@@ -23,20 +23,18 @@ This module implements the sketch:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.tradeoff import EnergyModel, GainWeights, TradeoffPoint, optimal_duty_cycle
-from ..net.radio import TxBatch, csma_select, csma_select_reps
+from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
-from ._belief import NeighborBelief, RepNeighborBelief
+from ._belief import RepNeighborBelief
 from ._repbatch import candidate_rows, flatten_sender_lists
 from .base import (
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
@@ -77,128 +75,49 @@ class CrossLayerFlooding(FloodingProtocol):
     def __init__(self):
         self.init_kwargs: dict = {}
         self._topo = None
-        self._belief: NeighborBelief = None  # type: ignore[assignment]
-        self._last_contenders: Dict[int, List[int]] = {}
 
-    def prepare(self, topo, schedules, workload, rng):
+    # Clique candidate rows per phase like DBAO; the best-link pick per
+    # (replication, sender) keeps the earliest traversal row on PRR ties,
+    # usefulness is computed on the picked rows (beliefs are static
+    # within a slot), and the observe join mirrors DBAO's contender
+    # matching with the sender sync applied unconditionally.
+
+    def prepare_reps(self, topo, schedules_list, workload, rngs):
+        # No randomness is consumed; the ETX anchor (and so the cliques)
+        # is period-independent.
         from .dbao import forwarder_clique
         from .tree import build_etx_tree
 
         self._topo = topo
-        self._belief = NeighborBelief(topo, workload.n_packets)
-        self._last_contenders = {}
-        tree = build_etx_tree(topo, schedules.period)
-        self._forwarders = [
-            forwarder_clique(topo, r, anchor=int(tree.parent[r]))
+        tree = build_etx_tree(topo, int(schedules_list[0].period))
+        forwarders = [
+            np.asarray(
+                forwarder_clique(topo, r, anchor=int(tree.parent[r])),
+                dtype=np.int64,
+            )
             for r in range(topo.n_nodes)
         ]
-        self._schedules = schedules
         # Quiescence frontier: all (clique member, receiver) pairs, like
         # DBAO's — the opportunistic ranking only reorders senders, it
         # never adds pairs beyond the cliques.
         s_parts = []
         r_parts = []
-        for r, fwd in enumerate(self._forwarders):
-            if r == SOURCE or not fwd:
+        for r, fwd in enumerate(forwarders):
+            if r == SOURCE or fwd.size == 0:
                 continue
-            s_parts.append(np.asarray(fwd, dtype=np.int64))
-            r_parts.append(np.full(len(fwd), r, dtype=np.int64))
+            s_parts.append(fwd)
+            r_parts.append(np.full(fwd.size, r, dtype=np.int64))
         if s_parts:
             self._frontier_s = np.concatenate(s_parts)
             self._frontier_r = np.concatenate(r_parts)
         else:
             self._frontier_s = np.empty(0, dtype=np.int64)
             self._frontier_r = np.empty(0, dtype=np.int64)
-
-    def next_action_slot(self, t, awake, view):
-        offers = self._belief.offer_pairs(
-            self._frontier_s, self._frontier_r, view.possession_by_holder()
-        )
-        return earliest_wake(self._schedules, t, self._frontier_r[offers])
-
-    def _usefulness(self, s: int, packet: int) -> int:
-        """How many of s's out-neighbors still (believably) need ``packet``."""
-        deg = self._topo.out_neighbors(s).size
-        return deg - self._belief.believed_coverage_count(s, packet)
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        choices: Dict[int, Tuple[int, int, float, int]] = {}
-        # RX-mode rule: see FlashFlooding.propose.
-        listening = {
-            int(v) for v in awake.tolist()
-            if v != SOURCE and view.held_packets(int(v)).size < view.n_packets
-        }
-        for r in awake.tolist():
-            if r == SOURCE:
-                continue
-            forwarders = self._forwarders[r]
-            if not forwarders:
-                continue
-            needs = self._belief.needs_matrix(r, forwarders)
-            heads, valid = view.fcfs_heads_batch(np.asarray(forwarders), needs)
-            for i, s in enumerate(forwarders):
-                if not valid[i] or s in listening:
-                    continue
-                head = int(heads[i])
-                prr = self._topo.link_prr(s, r)
-                useful = self._usefulness(s, head)
-                prev = choices.get(s)
-                if prev is None or prr > prev[2]:
-                    choices[s] = (r, head, prr, useful)
-        self._last_contenders = {}
-        if not choices:
-            return TxBatch.empty()
-
-        # Deterministic back-off rank: best link first (like DBAO), then
-        # most-useful transmission (overhearing turns usefulness into
-        # free coverage), then id.
-        ranked = sorted(choices, key=lambda s: (-choices[s][2], -choices[s][3], s))
-        winners, _ = csma_select(ranked, self._topo)
-        n = len(winners)
-        out_s = np.fromiter(winners, dtype=np.int64, count=n)
-        out_r = np.empty(n, dtype=np.int64)
-        out_p = np.empty(n, dtype=np.int64)
-        for i, winner in enumerate(winners):
-            r, pkt, _, _ = choices[winner]
-            out_r[i] = r
-            out_p[i] = pkt
-        # All contenders for r hear r's ACK (they are in range of r).
-        for s, (r, _, _, _) in choices.items():
-            self._last_contenders.setdefault(r, []).append(s)
-        return TxBatch(out_s, out_r, out_p)
-
-    def observe(self, t, outcome, view):
-        for rec in outcome.receptions:
-            if rec.overheard:
-                continue
-            held = view.held_packets(rec.receiver)
-            self._belief.sync_possession(rec.sender, rec.receiver, held)
-            audience = self._last_contenders.get(rec.receiver, ())
-            self._belief.sync_for_witnesses(audience, rec.receiver, held)
-
-    # -- Replication-batched path ---------------------------------------
-    #
-    # Clique candidate rows per phase like DBAO; the best-link pick per
-    # (replication, sender) keeps the earliest traversal row on PRR ties
-    # (matching the serial strictly-greater replacement), usefulness is
-    # computed on the picked rows (beliefs are static within a slot),
-    # and the observe join mirrors DBAO's contender matching with the
-    # sender sync applied unconditionally.
-
-    def rep_batchable(self) -> bool:
-        return True
-
-    def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness; the ETX anchor (and so
-        # the cliques) is period-independent.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list))
         self._rep_schedules = list(schedules_list)
         self._fwd_sizes, self._fwd_starts, self._fwd_flat = (
-            flatten_sender_lists(
-                [np.asarray(f, dtype=np.int64) for f in self._forwarders]
-            )
+            flatten_sender_lists(forwarders)
         )
         self._out_deg = np.asarray(
             [topo.out_neighbors(v).size for v in range(topo.n_nodes)],
@@ -241,6 +160,7 @@ class CrossLayerFlooding(FloodingProtocol):
                 sender_awake, prr = sender_awake[keep], prr[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
+        # RX-mode rule: see FlashFlooding.propose_reps.
         listen = sender_awake & (ss != SOURCE) & (
             view.held_counts[kk, ss] < view.n_packets
         )
@@ -250,9 +170,9 @@ class CrossLayerFlooding(FloodingProtocol):
         k_o, s_o, r_o = kk[ok], ss[ok], rr[ok]
         h_o, prr_o = heads[ok], prr[ok]
 
-        # Best-link receiver per (replication, sender); the serial
-        # replacement is strictly-greater, so PRR ties keep the earliest
-        # traversal row (seq as the final sort key).
+        # Best-link receiver per (replication, sender); a later row
+        # replaces the pick only on a strictly greater PRR, so ties keep
+        # the earliest traversal row (seq as the final sort key).
         n = self._topo.n_nodes
         seq = np.flatnonzero(ok)
         pair = k_o * n + s_o
@@ -267,9 +187,9 @@ class CrossLayerFlooding(FloodingProtocol):
         chosen_p = h_o[pick]
         chosen_prr = prr_o[pick]
 
-        # Residual usefulness on the picked rows only — beliefs are
-        # static within a slot, so this matches the serial evaluation at
-        # traversal time.
+        # Residual usefulness — how many of the sender's out-neighbors
+        # still (believably) need the packet — on the picked rows only;
+        # beliefs are static within a slot.
         useful = self._out_deg[chosen_s] - self._rep_belief.coverage_counts(
             chosen_k, chosen_s, chosen_p
         )
@@ -280,7 +200,9 @@ class CrossLayerFlooding(FloodingProtocol):
         self._contender_s = chosen_s
         self._contender_r = chosen_r
 
-        # Back-off rank: best link, then most useful, then id.
+        # Deterministic back-off rank: best link first (like DBAO), then
+        # most-useful transmission (overhearing turns usefulness into
+        # free coverage), then id.
         rank = np.lexsort((chosen_s, -useful, -chosen_prr, chosen_k))
         win = csma_select_reps(
             np.searchsorted(rep_ids, chosen_k[rank]), chosen_s[rank],

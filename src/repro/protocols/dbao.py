@@ -29,12 +29,13 @@ update rules only record confirmed receptions, keeping beliefs sound
 ``abl-overhearing``).
 
 The proposal path is fully batched: the per-slot candidate set is the
-concatenation of every waking receiver's forwarder clique, flattened to
-parallel (sender, receiver, prr) arrays that depend only on the wake set
-and are therefore cached per schedule phase. Belief lookups, FCFS heads,
-the per-sender best-receiver choice, and the back-off ranking all run as
-single NumPy passes over those arrays; the scalar rules they replace are
-documented inline where each vectorized step must match them bit-exactly.
+concatenation of every waking receiver's forwarder clique across all
+replications, flattened to parallel (replication, sender, receiver, prr)
+arrays that depend only on the wake sets and are therefore cached per
+schedule phase. Belief lookups, FCFS heads, the per-sender
+best-receiver choice, and the back-off ranking all run as single NumPy
+passes over those arrays; each step documents the per-node rule it
+implements.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..net.radio import TxBatch, csma_select, csma_select_reps
+from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE
-from ._belief import NeighborBelief, RepNeighborBelief
+from ._belief import RepNeighborBelief
 from .base import (
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
@@ -97,47 +96,35 @@ class Dbao(FloodingProtocol):
     def __init__(self, overhearing: bool = True):
         self.overhearing = bool(overhearing)
         self.init_kwargs = {"overhearing": self.overhearing}
-        self._belief: NeighborBelief = None  # type: ignore[assignment]
         self._topo = None
-        self._forwarders: List[List[int]] = []
-        #: Senders that contended (won or deferred) in the last slot, per
-        #: receiver — the overhearing audience for that receiver's ACK.
-        self._last_contenders: Dict[int, List[int]] = {}
 
-    def prepare(self, topo, schedules, workload, rng):
+    # The batch keys every per-sender/per-group reduction by
+    # (replication, sender). Belief state lives in a RepNeighborBelief;
+    # the CSMA back-off walk runs once over all replications' ranked
+    # candidates (csma_select_reps) and the observe-time belief syncs
+    # collapse into one batched update per slot.
+
+    def prepare_reps(self, topo, schedules_list, workload, rngs):
+        # No randomness is consumed, and the ETX anchors are
+        # period-independent, so one clique build serves replications
+        # with heterogeneous periods too.
         from .tree import build_etx_tree
 
         self._topo = topo
-        self._belief = NeighborBelief(topo, workload.n_packets)
-        self._last_contenders = {}
-        tree = build_etx_tree(topo, schedules.period)
-        self._forwarders = [
-            forwarder_clique(topo, r, anchor=int(tree.parent[r]))
+        tree = build_etx_tree(topo, int(schedules_list[0].period))
+        fwd_arrays = [
+            np.asarray(
+                forwarder_clique(topo, r, anchor=int(tree.parent[r])),
+                dtype=np.int64,
+            )
             for r in range(topo.n_nodes)
         ]
-        # Flat per-receiver candidate arrays for the batched proposal:
-        # clique members (in clique order) and their link PRRs.
-        self._fwd_arrays = [
-            np.asarray(f, dtype=np.int64) for f in self._forwarders
-        ]
-        self._fwd_prr = [
-            topo.prr[f, r] for r, f in enumerate(self._fwd_arrays)
-        ]
-        # The candidate pair set depends only on the wake set; wake
-        # arrays repeat identically (same objects) each schedule period,
-        # so cache the flattened pairs keyed by wake-array identity. The
-        # cap bounds memory when a schedule model returns fresh arrays
-        # every slot (e.g. clock skew) — those simply never hit.
-        self._pair_cache: Dict[int, Tuple] = {}
-        self._pair_cache_cap = int(schedules.period)
-        self._listen_mask = np.zeros(topo.n_nodes, dtype=bool)
-        self._schedules = schedules
         # Quiescence frontier: every (clique member, receiver) pair of
-        # the whole network, flattened once — next_action_slot scans them
-        # in one batched belief query.
+        # the whole network, flattened once — next_action_slots scans
+        # them in one batched belief query.
         s_parts = []
         r_parts = []
-        for r, fwd in enumerate(self._fwd_arrays):
+        for r, fwd in enumerate(fwd_arrays):
             if r == SOURCE or fwd.size == 0:
                 continue
             s_parts.append(fwd)
@@ -148,180 +135,25 @@ class Dbao(FloodingProtocol):
         else:
             self._frontier_s = np.empty(0, dtype=np.int64)
             self._frontier_r = np.empty(0, dtype=np.int64)
-        self._nas_version = -1
-        self._nas_receivers = None
-
-    def next_action_slot(self, t, awake, view):
-        # A receiver is actionable when some clique member holds a packet
-        # it believes that receiver lacks — the same offer condition the
-        # proposal's needs/FCFS pass enforces, minus the per-slot listen
-        # rule and back-off (which only shrink a slot's batch, keeping
-        # this bound conservative). DBAO's back-off carries no cross-slot
-        # phase state — ranks are recomputed each slot — so schedule
-        # progression alone decides when the frontier can next transmit.
-        #
-        # Offers depend only on possession and belief, both versioned by
-        # the engine, so consecutive probes between state changes (the
-        # common case on dense floods, where every non-traffic slot asks
-        # again) reuse the cached offering receivers and pay only the
-        # earliest-wake scan.
-        version = getattr(view, "state_version", None)
-        if version is not None and version == self._nas_version:
-            receivers = self._nas_receivers
-        else:
-            offers = self._belief.offer_pairs(
-                self._frontier_s, self._frontier_r,
-                view.possession_by_holder(),
-            )
-            receivers = self._frontier_r[offers]
-            if version is not None:
-                self._nas_version = version
-                self._nas_receivers = receivers
-        return earliest_wake(self._schedules, t, receivers)
-
-    # ------------------------------------------------------------------
-
-    def _pairs_for(self, awake: np.ndarray):
-        """Flattened (senders, receivers, prrs) candidate pairs for a wake set."""
-        hit = self._pair_cache.get(id(awake))
-        if hit is not None and hit[0] is awake:
-            return hit[1]
-        s_parts: List[np.ndarray] = []
-        r_parts: List[np.ndarray] = []
-        p_parts: List[np.ndarray] = []
-        for r in awake.tolist():
-            fwd = self._fwd_arrays[r]
-            if r == SOURCE or fwd.size == 0:
-                continue
-            s_parts.append(fwd)
-            r_parts.append(np.full(fwd.size, r, dtype=np.int64))
-            p_parts.append(self._fwd_prr[r])
-        if s_parts:
-            pairs = (
-                np.concatenate(s_parts),
-                np.concatenate(r_parts),
-                np.concatenate(p_parts),
-            )
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            pairs = (empty, empty, np.empty(0, dtype=np.float64))
-        if len(self._pair_cache) < self._pair_cache_cap:
-            self._pair_cache[id(awake)] = (awake, pairs)
-        return pairs
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        self._last_contenders = {}
-        s_flat, r_flat, prr_flat = self._pairs_for(awake)
-        if s_flat.size == 0:
-            return TxBatch.empty()
-
-        # What each candidate sender can offer its candidate receiver.
-        needs = self._belief.needs_pairs(s_flat, r_flat)
-        heads, valid = view.fcfs_heads_batch(s_flat, needs)
-
-        # A node at its own active slot with an incomplete buffer stays
-        # in RX mode (see FlashFlooding.propose — the same rule prevents
-        # schedule-aligned neighbor pairs from starving each other).
-        listen = self._listen_mask
-        active = awake[awake != SOURCE]
-        listen[active] = view.held_counts(active) < view.n_packets
-        eligible = valid & ~listen[s_flat]
-        listen[active] = False
-        if not eligible.any():
-            return TxBatch.empty()
-
-        s_e = s_flat[eligible]
-        r_e = r_flat[eligible]
-        prr_e = prr_flat[eligible]
-        h_e = heads[eligible]
-
-        # A sender with multiple waking neighbors in need picks the one
-        # it has the best link to, equal links tie-breaking to the
-        # smaller receiver id: sort by (sender, -prr, receiver) and keep
-        # each sender's first row.
-        order = np.lexsort((r_e, -prr_e, s_e))
-        s_sorted = s_e[order]
-        first = np.ones(s_sorted.size, dtype=bool)
-        first[1:] = s_sorted[1:] != s_sorted[:-1]
-        pick = order[first]
-        chosen_s = s_e[pick]  # ascending sender id by construction
-        chosen_r = r_e[pick]
-        chosen_p = h_e[pick]
-        chosen_prr = prr_e[pick]
-
-        # Deterministic back-off rank: best link first, id tie-break.
-        rank = np.lexsort((chosen_s, -chosen_prr))
-        winners, _ = csma_select(chosen_s[rank].tolist(), self._topo)
-        w = np.asarray(winners, dtype=np.int64)
-        idx = np.searchsorted(chosen_s, w)
-
-        if self.overhearing:
-            # Every contender that chose receiver r is awake, within range
-            # of r (it wanted to transmit to r), and hears r's link-layer
-            # ACK — winner or not. They all learn from a success.
-            for s, r in zip(chosen_s.tolist(), chosen_r.tolist()):
-                self._last_contenders.setdefault(r, []).append(s)
-        return TxBatch(w, chosen_r[idx], chosen_p[idx])
-
-    def observe(self, t, outcome, view):
-        # Transmitting senders always learn from their own ACK, which
-        # piggybacks the receiver's possession summary; deferring group
-        # members pick the same ACK up by overhearing (when enabled).
-        for rec in outcome.receptions:
-            if rec.overheard:
-                # The overhearing third party now *holds* the packet (the
-                # engine recorded that): its own belief tables need no
-                # update — beliefs are about neighbors.
-                continue
-            held = view.held_packets(rec.receiver)
-            audience = (
-                self._last_contenders.get(rec.receiver)
-                if self.overhearing else None
-            )
-            if audience:
-                # The winner contended for this receiver, so it is part
-                # of the audience: one witness broadcast covers its own
-                # ACK learning too, saving a separate sync per reception.
-                self._belief.sync_for_witnesses(audience, rec.receiver, held)
-            else:
-                self._belief.sync_possession(rec.sender, rec.receiver, held)
-
-    # -- Replication-batched path ---------------------------------------
-    #
-    # DBAO's proposal is already array-shaped per replication; the batch
-    # form simply prepends a replication column to the flat pair arrays
-    # and keys every per-sender/per-group reduction by (replication,
-    # sender). Belief state moves into a 4-D RepNeighborBelief; the CSMA
-    # back-off walk runs once over all replications' ranked candidates
-    # (csma_select_reps) and the observe-time belief syncs collapse into
-    # one batched update per slot.
-
-    def rep_batchable(self) -> bool:
-        return True
-
-    def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness, and the ETX anchors it
-        # derives are period-independent, so one clique build serves
-        # replications with heterogeneous periods too.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list)
         )
         self._rep_schedules = list(schedules_list)
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
-        # Static forwarder cliques flattened once: per-phase row builds
-        # gather ranges out of these instead of concatenating hundreds
-        # of per-receiver arrays.
+        # Static forwarder cliques (in clique order) and their link PRRs,
+        # flattened once: per-phase row builds gather ranges out of these
+        # instead of concatenating hundreds of per-receiver arrays.
         self._fwd_sizes = np.fromiter(
-            (f.size for f in self._fwd_arrays), np.int64,
-            count=len(self._fwd_arrays),
+            (f.size for f in fwd_arrays), np.int64, count=len(fwd_arrays),
         )
         self._fwd_starts = np.concatenate(
             ([0], np.cumsum(self._fwd_sizes))
         )
-        self._fwd_flat = np.concatenate(self._fwd_arrays)
-        self._fwd_prr_flat = np.concatenate(self._fwd_prr)
+        self._fwd_flat = np.concatenate(fwd_arrays)
+        self._fwd_prr_flat = np.concatenate(
+            [topo.prr[f, r] for r, f in enumerate(fwd_arrays)]
+        )
         self._contender_k = None
         self._contender_s = None
         self._contender_r = None
@@ -469,7 +301,9 @@ class Dbao(FloodingProtocol):
             k_e = k_srt.take(sel, out=arena.buf("dbao.k_e", E, np.int64))
             s_e = s_srt.take(sel, out=arena.buf("dbao.s_e", E, np.int64))
 
-            # Per-sender best receiver = first remaining row per
+            # A sender with several waking neighbors in need picks the
+            # one it has the best link to, equal links tie-breaking to
+            # the smaller receiver id: the first remaining row per
             # (replication, sender); boundaries via the fused pair key.
             pk = arena.buf("dbao.pk", E, np.int64)
             np.multiply(k_e, self._topo.n_nodes, out=pk)
@@ -490,7 +324,9 @@ class Dbao(FloodingProtocol):
             # Pair-level gate, evaluated once per unique (replication,
             # sender): a sender must hold at least one packet (else no
             # row of it can validate), and the listen rule silences a
-            # waking non-source node with an incomplete buffer.
+            # waking non-source node with an incomplete buffer — its
+            # active slot exists to receive, and transmitting through it
+            # would starve schedule-aligned neighbor pairs.
             counts_u = view.held_counts_pairs(u_k, u_s)
             elig_u = (counts_u > 0) & ~(
                 u_listen & (counts_u < view.n_packets)
@@ -536,9 +372,10 @@ class Dbao(FloodingProtocol):
             self._contender_s = chosen_s
             self._contender_r = chosen_r
 
-        # Back-off rank within each replication, then one CSMA walk over
-        # all replications' ranked candidates. Winner rows come back in
-        # (replication, rank) order — the serial emission order.
+        # Deterministic back-off rank within each replication (best link
+        # first, id tie-break), then one CSMA walk over all
+        # replications' ranked candidates. Winner rows come back in
+        # (replication, rank) order.
         rank = np.lexsort((chosen_s, -chosen_prr, chosen_k))
         win = csma_select_reps(
             np.searchsorted(rep_ids, chosen_k[rank]), chosen_s[rank],
@@ -550,6 +387,11 @@ class Dbao(FloodingProtocol):
         return chosen_k[rows], chosen_s[rows], chosen_r[rows], chosen_p[rows]
 
     def observe_reps(self, t, outcome, view: RepSimView):
+        # Transmitting senders always learn from their own ACK, which
+        # piggybacks the receiver's possession summary; deferring group
+        # members pick the same ACK up by overhearing (when enabled). An
+        # overheard reception updates nobody: the third party now holds
+        # the packet, and beliefs are about neighbors.
         sel = ~outcome.rec_overheard
         if not sel.any():
             return
@@ -573,8 +415,8 @@ class Dbao(FloodingProtocol):
             w_obs = self._contender_s[match]
             w_recv = self._contender_r[match]
             # Receivers no contender chose (the winner always contends,
-            # so this is defensive parity with the serial path): the
-            # sender alone absorbs the summary.
+            # so this is defensive): the sender alone absorbs the
+            # summary.
             ckey_sorted = np.sort(ckey)
             rpos = np.searchsorted(ckey_sorted, rkey)
             rpos_c = np.minimum(rpos, ckey_sorted.size - 1)
@@ -597,6 +439,13 @@ class Dbao(FloodingProtocol):
             )
 
     def next_action_slots(self, t, rep_ids, view: RepSimView):
+        # A receiver is actionable when some clique member holds a packet
+        # it believes that receiver lacks — the same offer condition the
+        # proposal's needs/FCFS pass enforces, minus the per-slot listen
+        # rule and back-off (which only shrink a slot's batch, keeping
+        # this bound conservative). DBAO's back-off carries no
+        # cross-slot state, so schedule progression alone decides when
+        # the frontier can next transmit.
         if self._off_frontier is None:
             self._off_frontier = view.offsets_stack[:, self._frontier_r]
         # Per-replication offer rows are cached keyed on the engine's

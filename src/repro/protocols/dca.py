@@ -23,15 +23,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..net.radio import TxBatch, csma_select, csma_select_reps
+from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
-from ._belief import NeighborBelief, RepNeighborBelief
+from ._belief import RepNeighborBelief
 from .base import (
     NEVER,
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
@@ -82,69 +80,7 @@ class DutyCycleAwareFlooding(FloodingProtocol):
     def __init__(self):
         self.init_kwargs: dict = {}
         self._topo = None
-        self._parent: np.ndarray = None  # type: ignore[assignment]
-        self._belief: NeighborBelief = None  # type: ignore[assignment]
 
-    def prepare(self, topo, schedules, workload, rng):
-        self._topo = topo
-        self._schedules = schedules
-        self._parent, _ = build_delay_optimal_tree(
-            topo, schedules.offsets, schedules.period
-        )
-        self._belief = NeighborBelief(topo, workload.n_packets)
-        # Quiescence frontier: the only candidate pairs are tree edges.
-        rs = np.flatnonzero(self._parent >= 0)
-        rs = rs[rs != SOURCE]
-        self._frontier_r = rs
-        self._frontier_s = self._parent[rs]
-
-    def next_action_slot(self, t, awake, view):
-        offers = self._belief.offer_pairs(
-            self._frontier_s, self._frontier_r, view.possession_by_holder()
-        )
-        # The listen rule and sender conflicts only shrink slots further;
-        # the tree-edge offer set stays a sound (conservative) frontier.
-        return earliest_wake(self._schedules, t, self._frontier_r[offers])
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        choices: Dict[int, Tuple[int, int]] = {}
-        # RX-mode rule: see FlashFlooding.propose.
-        listening = {
-            int(v) for v in awake.tolist()
-            if v != SOURCE and view.held_packets(int(v)).size < view.n_packets
-        }
-        for r in awake.tolist():
-            if r == SOURCE:
-                continue
-            s = int(self._parent[r])
-            if s < 0 or s in choices or s in listening:
-                continue
-            head = view.fcfs_head(s, self._belief.believed_needs(s, r))
-            if head is not None:
-                choices[s] = (r, head)
-        if not choices:
-            return TxBatch.empty()
-        winners, _ = csma_select(sorted(choices), self._topo)  # id back-off
-        n = len(winners)
-        out_s = np.fromiter(winners, dtype=np.int64, count=n)
-        out_r = np.empty(n, dtype=np.int64)
-        out_p = np.empty(n, dtype=np.int64)
-        for i, winner in enumerate(winners):
-            r, pkt = choices[winner]
-            out_r[i] = r
-            out_p[i] = pkt
-        return TxBatch(out_s, out_r, out_p)
-
-    def observe(self, t, outcome, view):
-        # Tree parents track their children via ACK possession summaries.
-        for rec in outcome.receptions:
-            if not rec.overheard:
-                self._belief.sync_possession(
-                    rec.sender, rec.receiver, view.held_packets(rec.receiver)
-                )
-
-    # -- Replication-batched path ---------------------------------------
-    #
     # DCA's forwarding structure is *schedule-derived*, so unlike the
     # other floods its per-replication state is a whole tree: one
     # delay-optimal parent vector per replication's offsets. Candidate
@@ -152,27 +88,21 @@ class DutyCycleAwareFlooding(FloodingProtocol):
     # frontier query asks about a different observer per replication
     # (offer_pairs_matrix).
 
-    def rep_batchable(self) -> bool:
-        return True
-
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness; replication 0's tree is
-        # exactly what it built.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
         R = len(schedules_list)
         n = topo.n_nodes
         parents = np.empty((R, n), dtype=np.int64)
-        parents[0] = self._parent
-        for k in range(1, R):
-            sched = schedules_list[k]
+        for k, sched in enumerate(schedules_list):
             parents[k], _ = build_delay_optimal_tree(
                 topo, sched.offsets, sched.period
             )
+        self._topo = topo
         self._rep_parent = parents
         self._rep_belief = RepNeighborBelief(topo, workload.n_packets, R)
         self._rep_schedules = list(schedules_list)
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
+        # Quiescence frontier: the only candidate pairs are tree edges.
         fr = np.flatnonzero((parents >= 0).any(axis=0))
         self._rep_frontier_r = fr[fr != SOURCE]
         self._off_frontier = None
@@ -229,8 +159,9 @@ class DutyCycleAwareFlooding(FloodingProtocol):
                 sender_awake = sender_awake[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
-        # RX-mode rule: a waking non-source parent with an incomplete
-        # buffer listens instead of forwarding.
+        # RX-mode rule (see FlashFlooding.propose_reps): a waking
+        # non-source parent with an incomplete buffer listens instead of
+        # forwarding.
         listen = sender_awake & (ss != SOURCE) & (
             view.held_counts[kk, ss] < view.n_packets
         )
@@ -239,9 +170,9 @@ class DutyCycleAwareFlooding(FloodingProtocol):
             return empty, empty, empty, empty
         k_o, s_o, r_o, h_o = kk[ok], ss[ok], rr[ok], heads[ok]
 
-        # One TX per parent per slot: the serial loop serves the first
-        # waking child (ascending id) with a valid head; the first flat
-        # occurrence per (replication, parent) is that choice.
+        # One TX per parent per slot: a parent serves its first waking
+        # child (ascending id) with a valid head — the first flat
+        # occurrence per (replication, parent).
         n = self._topo.n_nodes
         _, first_idx = np.unique(k_o * n + s_o, return_index=True)
         chosen_k = k_o[first_idx]  # ascending (replication, sender)
@@ -259,9 +190,12 @@ class DutyCycleAwareFlooding(FloodingProtocol):
         return (chosen_k[win], chosen_s[win], chosen_r[win], chosen_p[win])
 
     def observe_reps(self, t, outcome, view: RepSimView):
+        # Tree parents track their children via ACK possession summaries.
         self._rep_belief.sync_ack_summaries(outcome, view)
 
     def next_action_slots(self, t, rep_ids, view: RepSimView):
+        # The listen rule and sender conflicts only shrink slots further;
+        # the tree-edge offer set stays a sound (conservative) frontier.
         fr = self._rep_frontier_r
         if fr.size == 0:
             return np.full(len(rep_ids), NEVER, dtype=np.int64)

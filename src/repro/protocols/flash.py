@@ -24,15 +24,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..net.radio import TxBatch
 from ..net.topology import SOURCE
-from ._belief import NeighborBelief, RepNeighborBelief
+from ._belief import RepNeighborBelief
 from ._repbatch import candidate_rows, flatten_sender_lists
 from .base import (
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
@@ -60,84 +57,15 @@ class FlashFlooding(FloodingProtocol):
         self.max_concurrent = int(max_concurrent)
         self.init_kwargs = {"max_concurrent": self.max_concurrent}
         self._topo = None
-        self._belief: NeighborBelief = None  # type: ignore[assignment]
 
-    def prepare(self, topo, schedules, workload, rng):
-        self._topo = topo
-        self._schedules = schedules
-        self._belief = NeighborBelief(topo, workload.n_packets)
-
-    def next_action_slot(self, t, awake, view):
-        # Candidate senders are exactly the receiver's in-neighbors, so
-        # the frontier is every receiver with an offering believed link.
-        # The cap and the RX-mode listen rule only *shrink* a slot's
-        # batch — ignoring them keeps the bound conservative (a bounded
-        # slot may still execute empty, never the reverse).
-        receivers = self._belief.offer_receivers(view.possession_by_holder())
-        receivers = receivers[receivers != SOURCE]
-        return earliest_wake(self._schedules, t, receivers)
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        rows: List[Tuple[int, int, int]] = []
-        assigned = set()
-        # A node whose own active slot is now and whose buffer is still
-        # incomplete keeps its radio in RX mode: its active slot exists to
-        # receive, and transmitting through it would deterministically
-        # starve schedule-aligned neighbor pairs (each forever serving the
-        # other instead of listening).
-        listening = {
-            int(v) for v in awake.tolist()
-            if v != SOURCE and view.held_packets(int(v)).size < view.n_packets
-        }
-        for r in awake.tolist():
-            if r == SOURCE:
-                continue
-            nbs = self._topo.in_neighbors(r)
-            if nbs.size == 0:
-                continue
-            needs = self._belief.needs_matrix(r, nbs)
-            heads, valid = view.fcfs_heads_batch(nbs, needs)
-            # Strongest-first, capped: overlaps beyond the cap only add
-            # interference that capture cannot recover.
-            order = np.argsort(-self._topo.prr[nbs, r], kind="stable")
-            sent = 0
-            for i in order.tolist():
-                if sent >= self.max_concurrent:
-                    break
-                s = int(nbs[i])
-                if not valid[i] or s in assigned or s in listening:
-                    continue
-                rows.append((s, r, int(heads[i])))
-                assigned.add(s)
-                sent += 1
-        if not rows:
-            return TxBatch.empty()
-        arr = np.asarray(rows, dtype=np.int64)
-        return TxBatch(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    def observe(self, t, outcome, view):
-        for rec in outcome.receptions:
-            if not rec.overheard:
-                self._belief.sync_possession(
-                    rec.sender, rec.receiver, view.held_packets(rec.receiver)
-                )
-
-    # -- Replication-batched path ---------------------------------------
-    #
-    # Candidate rows are the serial traversal flattened (receivers
-    # ascending, each receiver's in-neighbors strongest-first); validity
-    # and the listen rule vectorize, then a small Python walk over the
-    # surviving rows applies the stateful one-TX-per-sender /
-    # cap-per-receiver greedy exactly as the serial loop does. Flash
-    # consumes no protocol randomness and uses no CSMA.
-
-    def rep_batchable(self) -> bool:
-        return True
+    # Candidate rows are each waking receiver's in-neighbors,
+    # strongest-first (receivers ascending); validity and the listen
+    # rule vectorize, then a small Python walk over the surviving rows
+    # applies the stateful one-TX-per-sender / cap-per-receiver greedy.
+    # Flash consumes no protocol randomness and uses no CSMA.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness and holds no
-        # period-dependent state.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
+        self._topo = topo
         self._rep_schedules = list(schedules_list)
         n = topo.n_nodes
         self._rep_belief = RepNeighborBelief(
@@ -152,6 +80,12 @@ class FlashFlooding(FloodingProtocol):
         )
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
+        # Quiescence frontier: candidate senders are exactly the
+        # receiver's in-neighbors, so the frontier is every receiver with
+        # an offering believed link. The cap and the RX-mode listen rule
+        # only *shrink* a slot's batch — ignoring them keeps the bound
+        # conservative (a bounded slot may still execute empty, never the
+        # reverse).
         s_parts, r_parts = [], []
         for r in range(n):
             if r == SOURCE:
@@ -196,6 +130,11 @@ class FlashFlooding(FloodingProtocol):
                 sender_awake = sender_awake[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
+        # A node whose own active slot is now and whose buffer is still
+        # incomplete keeps its radio in RX mode: its active slot exists
+        # to receive, and transmitting through it would deterministically
+        # starve schedule-aligned neighbor pairs (each forever serving
+        # the other instead of listening).
         listen = sender_awake & (ss != SOURCE) & (
             view.held_counts[kk, ss] < view.n_packets
         )
@@ -204,9 +143,10 @@ class FlashFlooding(FloodingProtocol):
             return empty, empty, empty, empty
 
         # Greedy walk over the surviving rows in traversal order: one TX
-        # per sender, at most max_concurrent accepted rows per receiver
-        # (a cap-skipped sender stays available at a later receiver —
-        # the serial `break` never assigns it).
+        # per sender, and strongest-first at most max_concurrent accepted
+        # rows per receiver — overlaps beyond the cap only add
+        # interference that capture cannot recover. A cap-skipped sender
+        # stays available at a later receiver.
         el = np.flatnonzero(ok)
         k_l = kk[el].tolist()
         s_l = ss[el].tolist()

@@ -17,15 +17,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..net.radio import TxBatch
 from ..net.topology import SOURCE
-from ._belief import NeighborBelief, RepNeighborBelief
+from ._belief import RepNeighborBelief
 from ._repbatch import candidate_rows, flatten_sender_lists
 from .base import (
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
@@ -52,74 +49,14 @@ class NaiveFlooding(FloodingProtocol):
         self.persistence = float(persistence)
         self.init_kwargs = {"persistence": self.persistence}
         self._topo = None
-        self._belief: NeighborBelief = None  # type: ignore[assignment]
-        self._rng: np.random.Generator = None  # type: ignore[assignment]
 
-    def prepare(self, topo, schedules, workload, rng):
-        self._topo = topo
-        self._rng = rng
-        self._schedules = schedules
-        self._belief = NeighborBelief(topo, workload.n_packets)
-
-    def next_action_slot(self, t, awake, view):
-        # The proposal considers every (in-neighbor, waking receiver)
-        # link, so the frontier is every receiver some believing holder
-        # could serve. Exact for naive: options (and hence persistence
-        # draws — the RNG-quiescence requirement) are nonempty iff an
-        # offering link has a waking receiver.
-        receivers = self._belief.offer_receivers(view.possession_by_holder())
-        receivers = receivers[receivers != SOURCE]
-        return earliest_wake(self._schedules, t, receivers)
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        # Each sender independently picks one waking neighbor it believes
-        # needs something — uniformly at random among its options, with no
-        # coordination whatsoever.
-        options: Dict[int, List[Tuple[int, int]]] = {}
-        for r in awake.tolist():
-            if r == SOURCE:
-                continue
-            for s in self._topo.in_neighbors(r).tolist():
-                head = view.fcfs_head(s, self._belief.believed_needs(s, r))
-                if head is not None:
-                    options.setdefault(s, []).append((r, head))
-
-        rows: List[Tuple[int, int, int]] = []
-        for s in sorted(options):
-            if self.persistence < 1.0 and self._rng.random() >= self.persistence:
-                continue
-            cands = options[s]
-            r, pkt = cands[int(self._rng.integers(len(cands)))]
-            rows.append((s, r, pkt))
-        if not rows:
-            return TxBatch.empty()
-        arr = np.asarray(rows, dtype=np.int64)
-        return TxBatch(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    def observe(self, t, outcome, view):
-        # Even the naive baseline reads the ACK's possession summary —
-        # its problem is contention, not bookkeeping.
-        for rec in outcome.receptions:
-            if not rec.overheard:
-                self._belief.sync_possession(
-                    rec.sender, rec.receiver, view.held_packets(rec.receiver)
-                )
-
-    # -- Replication-batched path ---------------------------------------
-    #
-    # The option-collection loop flattens to (replication, sender,
-    # receiver) rows per phase; the persistence and uniform-pick draws
-    # stay a small Python loop over the per-(replication, sender) option
-    # groups so each replication consumes its channel stream exactly as
-    # its serial run does.
-
-    def rep_batchable(self) -> bool:
-        return True
+    # The option collection flattens to (replication, sender, receiver)
+    # rows per phase; the persistence and uniform-pick draws stay a small
+    # Python loop over the per-(replication, sender) option groups so
+    # each replication consumes its channel stream in a fixed order.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness and holds no
-        # period-dependent state.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
+        self._topo = topo
         self._rep_rngs = list(rngs)
         self._rep_schedules = list(schedules_list)
         n = topo.n_nodes
@@ -130,6 +67,11 @@ class NaiveFlooding(FloodingProtocol):
         )
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
+        # Quiescence frontier: the proposal considers every (in-neighbor,
+        # waking receiver) link, so the frontier is every receiver some
+        # believing holder could serve. Exact for naive: options (and
+        # hence persistence draws — the RNG-quiescence requirement) are
+        # nonempty iff an offering link has a waking receiver.
         s_parts, r_parts = [], []
         for r in range(n):
             if r == SOURCE:
@@ -177,11 +119,13 @@ class NaiveFlooding(FloodingProtocol):
             return empty, empty, empty, empty
         k_o, s_o, r_o, h_o = kk[valid], ss[valid], rr[valid], heads[valid]
 
-        # Group the option rows by (replication, sender). The stable
-        # sort keeps each group's rows in flat traversal order — the
-        # exact candidate-list order the serial loop accumulates — and
-        # orders groups by ascending (replication, sender), matching the
-        # serial `for s in sorted(options)` draw and emission order.
+        # Each sender independently picks one waking neighbor it
+        # believes needs something — uniformly at random among its
+        # options, with no coordination whatsoever. Group the option rows
+        # by (replication, sender): the stable sort keeps each group's
+        # rows in flat traversal order (receivers ascending, in-neighbor
+        # order) and orders the groups — and so the draws and emitted
+        # rows — by ascending (replication, sender).
         n = self._topo.n_nodes
         key = k_o * n + s_o
         order = np.argsort(key, kind="stable")
@@ -207,6 +151,8 @@ class NaiveFlooding(FloodingProtocol):
         return k_o[rows], s_o[rows], r_o[rows], h_o[rows]
 
     def observe_reps(self, t, outcome, view: RepSimView):
+        # Even the naive baseline reads the ACK's possession summary —
+        # its problem is contention, not bookkeeping.
         self._rep_belief.sync_ack_summaries(outcome, view)
 
     def next_action_slots(self, t, rep_ids, view: RepSimView):

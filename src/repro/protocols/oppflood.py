@@ -22,23 +22,21 @@ paper's forwarding-probability threshold); the ablation bench sweeps it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..net.radio import TxBatch, csma_select, csma_select_reps
+from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE
-from ._belief import NeighborBelief, RepNeighborBelief
+from ._belief import RepNeighborBelief
 from ._repbatch import candidate_rows, flatten_sender_lists
 from .base import (
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
-from .tree import EtxTree, build_etx_tree, hop_delay_moments
+from .tree import build_etx_tree
 
 __all__ = ["OpportunisticFlooding"]
 
@@ -57,130 +55,21 @@ class OpportunisticFlooding(FloodingProtocol):
         self.opp_quantile = float(opp_quantile)
         self.init_kwargs = {"opp_quantile": self.opp_quantile}
         self._topo = None
-        self._tree: EtxTree = None  # type: ignore[assignment]
-        self._belief: NeighborBelief = None  # type: ignore[assignment]
-        self._rng: np.random.Generator = None  # type: ignore[assignment]
-        self._period = 0
-        self._gen_slots: np.ndarray = None  # type: ignore[assignment]
-        self._quantiles: np.ndarray = None  # type: ignore[assignment]
 
-    def prepare(self, topo, schedules, workload, rng):
-        self._topo = topo
-        self._period = schedules.period
-        self._schedules = schedules
-        self._rng = rng
-        self._tree = build_etx_tree(topo, schedules.period)
-        self._belief = NeighborBelief(topo, workload.n_packets)
-        self._gen_slots = workload.generation_slots()
-        self._quantiles = np.asarray(
-            [
-                self._tree.delay_quantile(v, self.opp_quantile)
-                for v in range(topo.n_nodes)
-            ]
-        )
-        # Hot-path precomputation: per-link expected hop delay (T / q) and
-        # each node's own expected tree delay, both plain array lookups.
-        with np.errstate(divide="ignore"):
-            self._hop_mean = np.where(
-                topo.prr > 0.0, schedules.period / topo.prr, np.inf
-            )
-        self._own_mean = np.asarray(self._tree.delay_mean, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-
-    def _wants_to_send(
-        self, t: int, s: int, r: int, head: int, view: SimView
-    ) -> bool:
-        """OF's forwarding rule for sender ``s`` with head packet ``head``."""
-        if self._tree.is_tree_edge(s, r):
-            return True
-        # Opportunistic link: forward only statistically-early copies. The
-        # sender estimates how long the packet has been in flight from the
-        # copy's arrival at itself: it arrived after roughly its own
-        # tree-path delay, so elapsed ~ (t - arrival_here) + E[tree delay
-        # to here]. Forward only if the extra hop still beats the
-        # receiver's tree-delay quantile.
-        own_mean = self._own_mean[s]
-        if not np.isfinite(own_mean):
-            return False
-        arrival_here = view.arrival_slot(s, head)
-        estimated_age = (t - arrival_here) + own_mean
-        return estimated_age + self._hop_mean[s, r] <= self._quantiles[r]
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        choices: Dict[int, Tuple[int, int]] = {}
-        for r in awake.tolist():
-            if r == SOURCE:
-                continue
-            nbs = self._topo.in_neighbors(r)
-            if nbs.size == 0:
-                continue
-            needs = self._belief.needs_matrix(r, nbs)
-            heads, valid = view.fcfs_heads_batch(nbs, needs)
-            for i, s in enumerate(nbs.tolist()):
-                if not valid[i] or s in choices:
-                    continue  # nothing to offer / one TX per sender per slot
-                head = int(heads[i])
-                if self._wants_to_send(t, s, r, head, view):
-                    choices[s] = (r, head)
-        if not choices:
-            return TxBatch.empty()
-
-        # Random back-off: contenders draw ranks uniformly at random (OF
-        # has no deterministic rank assignment).
-        senders = np.asarray(sorted(choices))
-        ranked = senders[self._rng.permutation(senders.size)].tolist()
-        winners, _ = csma_select(ranked, self._topo)
-        n = len(winners)
-        out_s = np.fromiter(winners, dtype=np.int64, count=n)
-        out_r = np.empty(n, dtype=np.int64)
-        out_p = np.empty(n, dtype=np.int64)
-        for i, winner in enumerate(winners):
-            r, pkt = choices[winner]
-            out_r[i] = r
-            out_p[i] = pkt
-        return TxBatch(out_s, out_r, out_p)
-
-    def next_action_slot(self, t, awake, view):
-        # Frontier over every believed in-neighbor link. The statistical
-        # lateness gate (:meth:`_wants_to_send`) only suppresses choices,
-        # so the ungated offer set is a conservative superset — crucially
-        # it also bounds the back-off permutation draw: choices (and the
-        # RNG consumption) are empty whenever no link offers.
-        receivers = self._belief.offer_receivers(view.possession_by_holder())
-        receivers = receivers[receivers != SOURCE]
-        return earliest_wake(self._schedules, t, receivers)
-
-    def observe(self, t, outcome, view):
-        # The receiver's ACK piggybacks its possession summary.
-        for rec in outcome.receptions:
-            if not rec.overheard:
-                self._belief.sync_possession(
-                    rec.sender, rec.receiver, view.held_packets(rec.receiver)
-                )
-
-    # -- Replication-batched path ---------------------------------------
-    #
     # OF's proposal flattens to (replication, sender, receiver) rows per
     # schedule phase: the statistical gate becomes one vectorized float
-    # comparison over the rows (evaluated with the serial operation
-    # order, so borderline comparisons agree bit for bit), the
-    # one-TX-per-sender rule a first-row-per-(replication, sender) pick,
-    # and the random back-off a per-replication permutation drawn from
-    # each replication's own channel stream — exactly when the serial
-    # run would draw one.
-
-    def rep_batchable(self) -> bool:
-        return True
+    # comparison over the rows, the one-TX-per-sender rule a
+    # first-row-per-(replication, sender) pick, and the random back-off
+    # a per-replication permutation drawn from each replication's own
+    # channel stream.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness; the ETX-tree parents
-        # (and so the tree-edge set) are period-independent, while the
-        # delay statistics the opportunistic gate tests scale with the
-        # wake period — build those per distinct period so a cross-cell
-        # stack mixing duty cycles gates each replication exactly as its
-        # own serial run would.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
+        # No randomness is consumed. The ETX-tree parents (and so the
+        # tree-edge set) are period-independent, while the delay
+        # statistics the opportunistic gate tests scale with the wake
+        # period — build those per distinct period so a cross-cell stack
+        # mixing duty cycles gates each replication by its own period.
+        self._topo = topo
         self._rep_rngs = list(rngs)
         self._rep_schedules = list(schedules_list)
         n = topo.n_nodes
@@ -189,15 +78,14 @@ class OpportunisticFlooding(FloodingProtocol):
         quant = np.empty((len(distinct), n))
         own = np.empty((len(distinct), n))
         hop = np.empty((len(distinct), n, n))
+        trees = {}
         for d, period in enumerate(distinct):
-            tree = (
-                self._tree if period == int(self._period)
-                else build_etx_tree(topo, period)
-            )
+            tree = trees[period] = build_etx_tree(topo, period)
             quant[d] = [
                 tree.delay_quantile(v, self.opp_quantile) for v in range(n)
             ]
             own[d] = np.asarray(tree.delay_mean, dtype=np.float64)
+            # Expected hop delay T / q per link.
             with np.errstate(divide="ignore"):
                 hop[d] = np.where(topo.prr > 0.0, period / topo.prr, np.inf)
         self._pidx = np.asarray(
@@ -206,7 +94,7 @@ class OpportunisticFlooding(FloodingProtocol):
         self._own_stack = own
         self._hop_stack = hop
         tree_edge = np.zeros((n, n), dtype=bool)
-        parent = np.asarray(self._tree.parent, dtype=np.int64)
+        parent = np.asarray(trees[periods[0]].parent, dtype=np.int64)
         kids = np.flatnonzero(parent >= 0)
         tree_edge[parent[kids], kids] = True
         self._tree_edge = tree_edge
@@ -218,8 +106,11 @@ class OpportunisticFlooding(FloodingProtocol):
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
         # Quiescence frontier: every believed in-neighbor link with a
-        # non-source receiver — the ungated offer superset the serial
-        # next_action_slot scans (it also bounds RNG consumption).
+        # non-source receiver. The statistical lateness gate only
+        # suppresses choices, so this ungated offer set is a
+        # conservative superset — crucially it also bounds the back-off
+        # permutation draw: choices (and the RNG consumption) are empty
+        # whenever no link offers.
         s_parts, r_parts = [], []
         for r in range(n):
             if r == SOURCE:
@@ -278,8 +169,14 @@ class OpportunisticFlooding(FloodingProtocol):
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         if not valid.any():
             return empty, empty, empty, empty
-        # The statistical gate (_wants_to_send), vectorized. Heads on
-        # invalid rows are argmin garbage; `valid &` masks them out.
+        # The statistical gate. Tree edges always forward; an
+        # opportunistic link forwards only statistically-early copies.
+        # The sender estimates how long the packet has been in flight
+        # from the copy's arrival at itself: it arrived after roughly its
+        # own tree-path delay, so age ~ (t - arrival_here) + E[tree delay
+        # to here], and the extra hop must still beat the receiver's
+        # tree-delay quantile. Heads on invalid rows are argmin garbage;
+        # `valid &` masks them out.
         arrival = view.arrival_stack[kk, heads, ss]
         age = (t - arrival) + own_r
         ok = valid & (tree_e | (fin & (age + hop_r <= quant_r)))
@@ -287,10 +184,10 @@ class OpportunisticFlooding(FloodingProtocol):
             return empty, empty, empty, empty
         k_o, s_o, r_o, h_o = kk[ok], ss[ok], rr[ok], heads[ok]
 
-        # One TX per sender per slot: the serial loop keeps the first
-        # waking receiver (traversal order) whose row is valid and
-        # gated; rows are in that exact order, so the first flat
-        # occurrence per (replication, sender) is the serial choice.
+        # One TX per sender per slot: a sender serves the first waking
+        # receiver (ascending id, in-neighbor order) whose row is valid
+        # and gated — the first flat occurrence per (replication,
+        # sender).
         n = self._topo.n_nodes
         _, first_idx = np.unique(k_o * n + s_o, return_index=True)
         chosen_k = k_o[first_idx]  # ascending (replication, sender)
@@ -298,9 +195,9 @@ class OpportunisticFlooding(FloodingProtocol):
         chosen_r = r_o[first_idx]
         chosen_p = h_o[first_idx]
 
-        # Random back-off: each replication with a non-empty choice set
-        # draws one permutation from its own channel stream — the same
-        # draw, at the same point in the stream, as its serial run.
+        # Random back-off (OF has no deterministic rank assignment):
+        # each replication with a non-empty choice set draws one
+        # permutation of its contenders from its own channel stream.
         reps_u, starts = np.unique(chosen_k, return_index=True)
         bounds = np.append(starts, chosen_k.size)
         parts = []
@@ -318,6 +215,7 @@ class OpportunisticFlooding(FloodingProtocol):
         return chosen_k[rows], chosen_s[rows], chosen_r[rows], chosen_p[rows]
 
     def observe_reps(self, t, outcome, view: RepSimView):
+        # The receiver's ACK piggybacks its possession summary.
         self._rep_belief.sync_ack_summaries(outcome, view)
 
     def next_action_slots(self, t, rep_ids, view: RepSimView):

@@ -33,13 +33,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..net.radio import RadioModel, TxBatch
+from ..net.radio import RadioModel
 from ..net.topology import SOURCE
 from .base import (
     FloodingProtocol,
     RepSimView,
-    SimView,
-    earliest_wake,
     phase_cache_period,
     register_protocol,
 )
@@ -74,188 +72,81 @@ class OptOracle(FloodingProtocol):
         self.server_policy = server_policy
         self.init_kwargs = {"server_policy": server_policy}
         self._topo = None
-        self._period = 1
         self._designated: Optional[np.ndarray] = None
         self._etx_cost: Optional[np.ndarray] = None
         self._ranked_in: List[np.ndarray] = []
 
-    def prepare(self, topo, schedules, workload, rng):
-        from .tree import build_etx_tree
-
-        self._topo = topo
-        self._period = schedules.period
-        self._schedules = schedules
-        # In-neighbor lists ordered by descending link quality: the
-        # oracle always tries the best link first.
-        self._ranked_in = []
-        for r in range(topo.n_nodes):
-            nbs = topo.in_neighbors(r)
-            order = np.argsort(-topo.prr[nbs, r], kind="stable")
-            self._ranked_in.append(nbs[order])
-        # Padded in-neighbor ids for the "any"-policy frontier query.
-        max_deg = max((a.size for a in self._ranked_in), default=1) or 1
-        n = topo.n_nodes
-        self._in_pad = np.zeros((n, max_deg), dtype=np.int64)
-        self._in_valid = np.zeros((n, max_deg), dtype=bool)
-        for r, nbs in enumerate(self._ranked_in):
-            self._in_pad[r, : nbs.size] = nbs
-            self._in_valid[r, : nbs.size] = True
-
-        if self.server_policy == "designated":
-            tree = build_etx_tree(topo, schedules.period)
-            designated = np.full(topo.n_nodes, -1, dtype=np.int64)
-            for r in range(topo.n_nodes):
-                if r == SOURCE:
-                    continue
-                cost_r = tree.etx_cost[r]
-                if not np.isfinite(cost_r):
-                    continue  # unreachable: no server
-                best, best_prr = -1, -1.0
-                for s in topo.in_neighbors(r).tolist():
-                    if tree.etx_cost[s] < cost_r:
-                        prr = topo.link_prr(s, r)
-                        if prr > best_prr:
-                            best, best_prr = s, prr
-                # The tree parent always qualifies (its cost is strictly
-                # smaller), so reachable sensors always get a server.
-                designated[r] = best
-            self._designated = designated
-            self._etx_cost = np.asarray(tree.etx_cost, dtype=np.float64)
-            # Quiescence frontier under the designated policy: only the
-            # fixed (server, sensor) pairs can ever carry traffic.
-            rs = np.flatnonzero(designated >= 0)
-            rs = rs[rs != SOURCE]
-            self._frontier_r = rs
-            self._frontier_s = designated[rs]
-        # Frontier cache: offers depend only on possession, so repeated
-        # probes between state changes reuse the last receiver set.
-        self._nas_version = -1
-        self._nas_receivers = None
-
-    def next_action_slot(self, t, awake, view):
-        # OPT's frontier reads ground truth (that is the point of OPT):
-        # a sensor is actionable iff a candidate server truly holds a
-        # packet the sensor truly lacks. Round-robin rotation, parity
-        # fallback, and semi-duplex conflicts only *defer* service within
-        # a wake slot — they never create traffic where no pair offers —
-        # so the oracle offer set is a sound frontier.
-        if view.state_version == self._nas_version:
-            receivers = self._nas_receivers
-        else:
-            has = view.oracle_possession()
-            if self.server_policy == "designated":
-                offers = (has[:, self._frontier_s] & ~has[:, self._frontier_r])
-                receivers = self._frontier_r[offers.any(axis=0)]
-            else:
-                held = has[:, self._in_pad]  # (M, n, max_deg)
-                offers = (held & ~has[:, :, None]).any(axis=0) & self._in_valid
-                receivers = np.flatnonzero(offers.any(axis=1))
-                receivers = receivers[receivers != SOURCE]
-            self._nas_version = view.state_version
-            self._nas_receivers = receivers
-        return earliest_wake(self._schedules, t, receivers)
-
-    # ------------------------------------------------------------------
-
-    def propose_batch(self, t: int, awake: np.ndarray, view: SimView) -> TxBatch:
-        awake_set = set(awake.tolist())
-        # Starvation avoidance: drafting a node that is itself awake and
-        # still missing packets as a sender costs it its own reception
-        # (semi-duplex). With deterministic schedules a greedy would
-        # repeat the same sacrifice at the same phase every period,
-        # starving that node forever. Such nodes are last-resort senders,
-        # and even then only on alternating periods, so they receive at
-        # least every other wake-up.
-        period_parity = (t // max(self._period, 1)) % 2
-
-        def is_receiving_priority(s: int) -> bool:
-            return s in awake_set and bool(view.oracle_needed(s).any())
-
-        if self.server_policy == "designated":
-            rows = self._propose_designated(
-                t, awake, view, is_receiving_priority, period_parity
-            )
-        else:
-            rows = self._propose_any(
-                t, awake, view, is_receiving_priority, period_parity
-            )
-        if not rows:
-            return TxBatch.empty()
-        arr = np.asarray(rows, dtype=np.int64)
-        return TxBatch(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    def _propose_designated(
-        self, t, awake, view, is_receiving_priority, period_parity
-    ) -> List[tuple]:
-        # Each waking sensor asks its fixed best server. The oracle
-        # schedules the slot jointly, upstream-first (ascending ETX cost):
-        # once a server commits to a receiver, that receiver is marked
-        # busy-receiving and is excluded from transmitting in the same
-        # slot (semi-duplex), so server/dependent role conflicts never
-        # waste a transmission. Dependents of one server are served
-        # round-robin across periods so no weak-link dependent starves.
-        requests: dict = {}
-        for r in awake.tolist():
-            if r == SOURCE:
-                continue
-            s = int(self._designated[r])
-            if s < 0:
-                continue
-            if view.oracle_needed(r).any():
-                requests.setdefault(s, []).append(r)
-
-        rows: List[tuple] = []
-        assigned = set()
-        receiving = set()
-        rotation = t // max(self._period, 1)
-        for s in sorted(requests, key=lambda s: (self._etx_cost[s], s)):
-            if s in assigned or s in receiving:
-                continue
-            deps = [r for r in requests[s] if r not in receiving]
-            if not deps:
-                continue
-            start = rotation % len(deps)
-            for i in range(len(deps)):
-                r = deps[(start + i) % len(deps)]
-                head = view.fcfs_head(s, view.oracle_needed(r))
-                if head is None:
-                    continue
-                rows.append((s, r, head))
-                assigned.add(s)
-                receiving.add(r)
-                break
-        return rows
-
-    # -- Replication-batched path (designated policy only) -------------
-    #
     # The designated-server slot schedule decomposes exactly: each
     # server's *candidate* commitment (which dependent, which packet) is
     # independent of every other server's — dependents of one server are
     # never dependents or chosen receivers of another (designation is
-    # unique), so ``deps == requests[s]`` always — and the only coupling
-    # is "server s stays silent iff its own designated server committed
-    # to *it* this slot", which is resolved strictly earlier in the
-    # ascending-ETX order. Candidate edges therefore form disjoint
-    # ETX-increasing paths, along which act/defer simply alternates from
-    # each path head. The batched path computes all candidates with array
-    # ops and resolves the alternation by pointer chasing; the "any"
-    # policy has no such decomposition (its greedy matching couples every
-    # receiver through the shared ``assigned`` set), so it stays serial.
-
-    def rep_batchable(self) -> bool:
-        return self.server_policy == "designated"
+    # unique) — and the only coupling is "server s stays silent iff its
+    # own designated server committed to *it* this slot", which is
+    # resolved strictly earlier in the ascending-ETX order. Candidate
+    # edges therefore form disjoint ETX-increasing paths, along which
+    # act/defer simply alternates from each path head. propose_reps
+    # computes all candidates with array ops and resolves the
+    # alternation by pointer chasing. The "any" policy has no such
+    # decomposition (its greedy matching couples every receiver through
+    # the shared ``assigned`` set), so it walks each replication in
+    # Python.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        # Serial prepare consumes no randomness, and the designated map
-        # is derived from ETX costs and link PRRs only — both
-        # period-independent — so it serves replications with
-        # heterogeneous periods too.
-        self.prepare(topo, schedules_list[0], workload, rngs[0])
+        # No randomness is consumed, and both server maps derive from
+        # link PRRs and ETX costs only — period-independent — so they
+        # serve replications with heterogeneous periods too.
+        from .tree import build_etx_tree
+
+        self._topo = topo
+        n = topo.n_nodes
         self._rep_periods = np.asarray(
             [int(s.period) for s in schedules_list], dtype=np.int64
         )
-        self._rep_cache_period = phase_cache_period(schedules_list)
         self._off_frontier = None
+        if self.server_policy == "any":
+            # In-neighbor lists ordered by descending link quality: the
+            # oracle always tries the best link first.
+            self._ranked_in = []
+            for r in range(n):
+                nbs = topo.in_neighbors(r)
+                order = np.argsort(-topo.prr[nbs, r], kind="stable")
+                self._ranked_in.append(nbs[order])
+            # Padded in-neighbor ids for the frontier query.
+            max_deg = max((a.size for a in self._ranked_in), default=1) or 1
+            self._in_pad = np.zeros((n, max_deg), dtype=np.int64)
+            self._in_valid = np.zeros((n, max_deg), dtype=bool)
+            for r, nbs in enumerate(self._ranked_in):
+                self._in_pad[r, : nbs.size] = nbs
+                self._in_valid[r, : nbs.size] = True
+            self._all_nodes = np.arange(n, dtype=np.int64)
+            return
+
+        tree = build_etx_tree(topo, int(self._rep_periods[0]))
+        designated = np.full(n, -1, dtype=np.int64)
+        for r in range(n):
+            if r == SOURCE:
+                continue
+            cost_r = tree.etx_cost[r]
+            if not np.isfinite(cost_r):
+                continue  # unreachable: no server
+            best, best_prr = -1, -1.0
+            for s in topo.in_neighbors(r).tolist():
+                if tree.etx_cost[s] < cost_r:
+                    prr = topo.link_prr(s, r)
+                    if prr > best_prr:
+                        best, best_prr = s, prr
+            # The tree parent always qualifies (its cost is strictly
+            # smaller), so reachable sensors always get a server.
+            designated[r] = best
+        self._designated = designated
+        self._etx_cost = np.asarray(tree.etx_cost, dtype=np.float64)
+        # Quiescence frontier under the designated policy: only the
+        # fixed (server, sensor) pairs can ever carry traffic.
+        rs = np.flatnonzero(designated >= 0)
+        rs = rs[rs != SOURCE]
+        self._frontier_r = rs
+        self._frontier_s = designated[rs]
+        self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: dict = {}
         # Per-replication frontier cache for next_action_slots, keyed on
         # the engine-maintained state versions (see dbao for the pattern).
@@ -297,7 +188,8 @@ class OptOracle(FloodingProtocol):
         return rows
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
-        assert self.server_policy == "designated"
+        if self.server_policy == "any":
+            return self._propose_any_reps(t, rep_ids, awake_by_rep, view)
         n = self._topo.n_nodes
         empty = np.empty(0, dtype=np.int64)
 
@@ -409,7 +301,20 @@ class OptOracle(FloodingProtocol):
         return cand_k[emit], cand_s[emit], cand_r[emit], cand_h[emit]
 
     def next_action_slots(self, t, rep_ids, view: RepSimView):
-        assert self.server_policy == "designated"
+        # OPT's frontier reads ground truth (that is the point of OPT):
+        # a sensor is actionable iff a candidate server truly holds a
+        # packet the sensor truly lacks. Round-robin rotation, parity
+        # fallback, and semi-duplex conflicts only *defer* service within
+        # a wake slot — they never create traffic where no pair offers —
+        # so the oracle offer set is a sound frontier.
+        if self.server_policy == "any":
+            has = view.has_stack[rep_ids]  # (R', M, n)
+            held = has[:, :, self._in_pad]  # (R', M, n, max_deg)
+            offers = (
+                (held & ~has[:, :, :, None]).any(axis=1) & self._in_valid
+            ).any(axis=2)
+            offers[:, SOURCE] = False
+            return view.earliest_wakes(t, rep_ids, self._all_nodes, offers)
         if self._off_frontier is None:
             self._off_frontier = view.offsets_stack[:, self._frontier_r]
         # Offers depend only on possession: recompute only for
@@ -438,9 +343,30 @@ class OptOracle(FloodingProtocol):
             t, rep_ids, self._frontier_r, offers, self._off_frontier
         )
 
-    def _propose_any(
-        self, t, awake, view, is_receiving_priority, period_parity
-    ) -> List[tuple]:
+    def _propose_any_reps(self, t, rep_ids, awake_by_rep, view):
+        kk: List[int] = []
+        rows: List[tuple] = []
+        for k in rep_ids.tolist():
+            # Starvation avoidance: drafting a node that is itself awake
+            # and still missing packets as a sender costs it its own
+            # reception (semi-duplex). With deterministic schedules a
+            # greedy would repeat the same sacrifice at the same phase
+            # every period, starving that node forever. Such nodes are
+            # last-resort senders, and even then only on alternating
+            # periods, so they receive at least every other wake-up.
+            parity = (t // max(int(self._rep_periods[k]), 1)) % 2
+            rep_rows = self._propose_any(k, awake_by_rep[k], view, parity)
+            kk.extend([k] * len(rep_rows))
+            rows.extend(rep_rows)
+        if not rows:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, empty
+        arr = np.asarray(rows, dtype=np.int64)
+        return np.asarray(kk, dtype=np.int64), arr[:, 0], arr[:, 1], arr[:, 2]
+
+    def _propose_any(self, rep, awake, view, period_parity) -> List[tuple]:
+        has = view.has_stack[rep]
+        awake_set = set(awake.tolist())
         rows: List[tuple] = []
         assigned = set()
         # Receivers are served in order of how few candidate senders they
@@ -449,11 +375,11 @@ class OptOracle(FloodingProtocol):
         for r in awake.tolist():
             if r == SOURCE:
                 continue
-            needed = view.oracle_needed(r)
+            needed = ~has[:, r]
             if not needed.any():
                 continue
             ranked = self._ranked_in[r]
-            candidates = view.candidate_senders(ranked, needed)
+            candidates = view.candidate_senders(rep, ranked, needed)
             if candidates.size:
                 pending.append((candidates.size, r, needed, ranked))
         pending.sort(key=lambda item: (item[0], item[1]))
@@ -464,10 +390,10 @@ class OptOracle(FloodingProtocol):
             for s in ranked.tolist():
                 if s in assigned:
                     continue
-                head = view.fcfs_head(s, needed)
+                head = view.fcfs_head(rep, s, needed)
                 if head is None:
                     continue
-                if is_receiving_priority(s):
+                if s in awake_set and not has[:, s].all():
                     if fallback is None and (s % 2) == period_parity:
                         fallback = (s, head)
                     continue

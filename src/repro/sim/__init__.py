@@ -2,15 +2,10 @@
 
 from .clock import SlottedClock
 from .energy import EnergyLedger, energy_summary
-from .engine import FloodResult, SimConfig, run_flood, run_single_packet_floods
+from .engine import FloodResult, SimConfig, run_flood
 from .events import EventKind, EventLog, SimEvent
-from .metrics import FloodCounters, FloodMetrics, PacketDelays, coverage_threshold
-from .observers import (
-    CounterObserver,
-    EnergyObserver,
-    EventLogObserver,
-    SimObserver,
-)
+from .metrics import FloodMetrics, PacketDelays, coverage_threshold
+from .observers import EventLogObserver, SimObserver
 from .rng import RngStreams, derive_seed, spawn_generator
 from .runner import (
     ExperimentSpec,
@@ -25,10 +20,10 @@ from .runner import (
 __all__ = [
     "SlottedClock",
     "EnergyLedger", "energy_summary",
-    "FloodResult", "SimConfig", "run_flood", "run_single_packet_floods",
+    "FloodResult", "SimConfig", "run_flood",
     "EventKind", "EventLog", "SimEvent",
-    "FloodCounters", "FloodMetrics", "PacketDelays", "coverage_threshold",
-    "SimObserver", "CounterObserver", "EnergyObserver", "EventLogObserver",
+    "FloodMetrics", "PacketDelays", "coverage_threshold",
+    "SimObserver", "EventLogObserver",
     "RngStreams", "derive_seed", "spawn_generator",
     "ExperimentSpec", "RunSummary", "run_experiment", "run_experiments",
     "run_protocol_sweep", "run_replication", "run_scenarios",

@@ -1,18 +1,38 @@
-"""Replication-batched flood engine: R independent floods in lockstep.
+"""The flood engine: R independent floods in lockstep.
 
-:func:`run_flood_batch` runs R replications sharing one substrate (same
-topology, radio model and packet count; per-replication schedules,
-workloads and streams — wake periods may differ, which is how a
-cross-cell stack sweeps a whole duty column in one call) through a
-single staged slot loop over ``(R, …)`` state stacks. Each
-replication's trajectory is **bit-identical** to what R separate
-:func:`~repro.sim.engine.run_flood` calls would produce — same channel
-draws, same fast-forward jumps, same counters — because every layer of
-the batch (``replication_streams``, :class:`BatchGilbertElliott`,
-:func:`resolve_slot_reps`, the batched protocol proposers) preserves the
-serial per-replication stream consumption exactly. The batch is purely a
-throughput device: one ``propose``/``resolve``/``apply`` sweep amortises
-the Python interpreter and NumPy dispatch overhead across R floods.
+:func:`run_flood_batch` simulates the paper's Sec. V setup end to end
+for R replications sharing one substrate (same topology, radio model and
+packet count; per-replication schedules, workloads and streams — wake
+periods may differ, which is how a cross-cell stack sweeps a whole duty
+column in one call). One staged slot loop over ``(R, …)`` state stacks
+executes, per slot,
+
+1. **inject**: packets whose generation slot arrived enter the source,
+2. the believed **wake sets** (cached per schedule phase),
+3. **propose**: the protocol commits flat ``(replication, sender,
+   receiver, packet)`` rows,
+4. **validate** the rows against the model's hard constraints
+   (possession, one TX per sender, receiver awake) with mask checks,
+5. **resolve** the channel through the run's
+   :class:`~repro.net.mac.LinkModel`, against the *true* wake sets,
+6. **apply** receptions to the possession state, then **observe**: the
+   protocol learns from the outcome (ACK/overhearing beliefs),
+
+and, after an idle slot, **fast-forwards** over the slots the protocol
+proves quiescent (the paper's compact time scale). A replication ends
+when every packet reached the coverage target (the paper's 99% rule) or
+its horizon expires. :func:`~repro.sim.engine.run_flood` is this engine
+at R = 1.
+
+Each replication's trajectory depends only on its own inputs: every
+layer (:func:`~repro.sim.rng.replication_streams`,
+:class:`~repro.net.dynamics.BatchGilbertElliott`,
+:func:`~repro.net.radio.resolve_slot_reps`, the protocols' ``*_reps``
+methods) consumes each replication's stream in a fixed per-replication
+order, so a replication extracted from any batch is bit-identical to the
+same replication run alone. The batch is a throughput device: one
+propose/resolve/apply sweep amortises the Python interpreter and NumPy
+dispatch overhead across R floods.
 
 Replications advance on their own clocks: the loop executes the earliest
 pending slot across live replications, and only the replications whose
@@ -22,53 +42,62 @@ out the intermediate slots while denser replications churn, with lazy
 per-replication Gilbert-Elliott catch-up keeping link-dynamics streams
 exact.
 
-Scope: the batch path supports the paper's core configuration —
-single-wake-slot schedules, no clock skew, no event log, no extra
-observers, no Fig. 9 probe floods. The runner falls back to serial
-:func:`run_flood` per replication otherwise (see
-:func:`supports_rep_batching` and ``repro.sim.runner``).
+Three per-replication features cost nothing per slot unless some
+replication uses them: clock skew (a true-schedule table), observers
+that override a hook (the ``track_events`` log is one), and the Fig. 9
+probe floods, which run after the main loop as one more batch.
+Counters and the energy ledger are engine state, settled in one
+bincount pass at the end of the run.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from time import perf_counter
-
 from ..net.dynamics import BatchGilbertElliott
+from ..net.mac import IdealCsmaLink
 from ..net.packet import FloodWorkload
-from ..net.radio import Transmission
+from ..net.radio import Reception, SlotOutcome, TxBatch
 from ..net.schedule import ScheduleTable
 from ..net.topology import SOURCE, Topology
 from ..protocols.base import FloodingProtocol, RepSimView, phase_cache_period
 from .arena import ScratchArena
 from .energy import EnergyLedger
-from .engine import (
-    _IDEAL_LINK,
-    _LONG_JUMP,
-    FloodResult,
-    SimConfig,
-    _default_horizon,
-    _raise_invalid_proposal,
-)
+from .engine import FloodResult, SimConfig
 from .metrics import FloodMetrics, PacketDelays, coverage_threshold
+from .observers import EventLogObserver, overriders_of
 
-__all__ = ["run_flood_batch", "supports_rep_batching"]
+__all__ = ["run_flood_batch"]
+
+#: Span length (in slots) above which a fast-forward jump marks the
+#: landing slot as "sparse regime": the slot attempts another skip even
+#: if it carried traffic. Purely a performance heuristic — it changes
+#: where frontier queries run, never the trajectory.
+_LONG_JUMP = 4
+
+#: Shared default link model: the paper's idealized slot radio. Stateless
+#: across runs, so one instance serves every flood.
+_IDEAL_LINK = IdealCsmaLink()
+
+#: Fig. 9 probe floods per replication (cycled over the M packets).
+_MAX_PROBES = 8
 
 
-def supports_rep_batching(
-    protocol: FloodingProtocol, config: SimConfig
-) -> bool:
-    """Whether ``(protocol, config)`` can take the batched engine path.
+def _default_horizon(topo: Topology, schedules: ScheduleTable, M: int) -> int:
+    """Generous default simulation horizon.
 
-    The event log records per-frame history the batch does not
-    materialise, so ``track_events`` forces the serial engine; everything
-    else the config carries (radio model, coverage target, horizon,
-    fast-forward) batches exactly.
+    Scales with the Theorem-2 upper bound inflated by the network's mean
+    k-class (loss) plus slack for collision-heavy baselines.
     """
-    return protocol.rep_batchable() and not config.track_events
+    m = max(int(math.ceil(math.log2(1 + topo.n_sensors))), 1)
+    k = max(topo.mean_k_class(), 1.0)
+    bound = schedules.period * (2 * m + M) * k
+    return int(32 * bound) + 2048
 
 
 def _raise_invalid_batch(
@@ -81,34 +110,50 @@ def _raise_invalid_batch(
     has_stack: np.ndarray,
     awake_mask: np.ndarray,
 ) -> None:
-    """Cold path: find the offending replication, raise its serial error.
+    """Cold path: find the offending replication and raise its error.
 
-    Replications are independent runs, so the batch reports the failure
-    of the lowest-numbered violating replication with exactly the
-    message its serial run would have raised.
+    Replications are independent runs, so the batch reports the lowest
+    violating replication, re-running its per-frame checks in row order
+    so the message names the first violated frame.
     """
     reps, starts = np.unique(kk, return_index=True)
     bounds = np.append(starts, kk.size)
     for i, rep in enumerate(reps):
-        rep = int(rep)
         lo, hi = int(bounds[i]), int(bounds[i + 1])
-        sub_ss = ss[lo:hi]
-        violated = (
-            np.unique(sub_ss).size != hi - lo
-            or not has_stack[rep, pp[lo:hi], sub_ss].all()
-            or not awake_mask[rep, rr[lo:hi]].all()
-        )
-        if violated:
-            txs = [
-                Transmission(int(s), int(r), int(p))
-                for s, r, p in zip(sub_ss, rr[lo:hi], pp[lo:hi])
-            ]
-            _raise_invalid_proposal(
-                protocol, t, txs, has_stack[rep], awake_mask[rep]
-            )
+        has = has_stack[int(rep)]
+        awake = awake_mask[int(rep)]
+        seen: set = set()
+        for s, r, p in zip(ss[lo:hi].tolist(), rr[lo:hi].tolist(),
+                           pp[lo:hi].tolist()):
+            if s in seen:
+                raise ValueError(
+                    f"protocol {protocol.name!r} scheduled two "
+                    f"transmissions for node {s} at slot {t}"
+                )
+            seen.add(s)
+            if not has[p, s]:
+                raise ValueError(
+                    f"protocol {protocol.name!r} made node {s} send "
+                    f"packet {p} it does not hold (slot {t})"
+                )
+            if not awake[r]:
+                raise ValueError(
+                    f"protocol {protocol.name!r} targeted sleeping node "
+                    f"{r} at slot {t}"
+                )
     raise AssertionError(
         "batch validation flagged a proposal the per-frame checks accept"
     )
+
+
+def _fanout(observers_list, hook: str) -> Dict[int, list]:
+    """Replication -> its observers overriding ``hook`` (omitted if none)."""
+    out = {}
+    for k, observers in enumerate(observers_list):
+        hit = overriders_of(observers, hook)
+        if hit:
+            out[k] = hit
+    return out
 
 
 def run_flood_batch(
@@ -122,6 +167,9 @@ def run_flood_batch(
     arena=None,
     profiler=None,
     link=None,
+    true_schedules_list: Optional[Sequence] = None,
+    observers_list: Optional[Sequence[Sequence]] = None,
+    measure_transmission_delay: bool = False,
 ) -> List[FloodResult]:
     """Simulate R replications of one flood scenario in a single batch.
 
@@ -129,48 +177,66 @@ def run_flood_batch(
     ----------
     topo:
         The substrate shared by every replication.
+    schedules_list:
+        One schedule table per replication — what its protocol
+        *believes* (the advertised working schedules from local
+        synchronization). Wake periods and wake slots per period may
+        differ per replication: a cross-cell stack runs a whole duty
+        column in one batch.
     workload:
         One :class:`FloodWorkload` shared by every replication, or a
         sequence of R per-replication workloads (cross-cell stacks mix
         generation intervals); packet counts must agree.
-    schedules_list:
-        One :class:`ScheduleTable` per replication. Wake periods may
-        differ per replication — a cross-cell stack runs a whole duty
-        column in one batch.
     protocol:
-        A fresh replication-batchable protocol instance
-        (:meth:`FloodingProtocol.rep_batchable`); ``prepare_reps`` is
-        called here.
+        A fresh protocol instance (protocols carry per-run state);
+        ``prepare_reps`` is called here.
     rngs:
-        One channel stream per replication — the *same* streams the
-        serial runner would hand to :func:`run_flood` (see
-        :func:`repro.sim.rng.replication_streams`).
+        One channel stream per replication (see
+        :func:`repro.sim.rng.replication_streams`); protocol randomness
+        and the probe floods' seeds come from it too.
     config:
-        Engine configuration, shared across replications
-        (``track_events`` is unsupported on this path).
+        Engine configuration, shared across replications (defaults to
+        the paper's). ``track_events`` keeps one
+        :class:`~repro.sim.events.EventLog` per replication.
     dynamics_list:
-        Optional per-replication :class:`GilbertElliott` instances,
-        stacked into one :class:`BatchGilbertElliott`. All or none.
+        Optional per-replication :class:`GilbertElliott` instances, all
+        or none, stacked into one :class:`BatchGilbertElliott`. Each
+        instance ends the run in the state it reached at its
+        replication's last slot.
     arena:
         Optional :class:`~repro.sim.arena.ScratchArena` serving the hot
         path's per-slot buffers. Defaults to a fresh arena per call; the
         runner threads :func:`~repro.sim.arena.global_arena` through so
         consecutive invocations reuse warm buffers. Pass a
         :class:`~repro.sim.arena.NullArena` to force fresh allocation
-        per borrow (arena-off mode — trajectories are bit-identical
-        either way).
+        per borrow (trajectories are bit-identical either way).
     profiler:
         Optional :class:`~repro.sim.observers.PhaseProfiler`; when
-        present, the loop records per-phase wall time into it.
+        present, the loop records per-phase wall time into it, and the
+        probe floods as one ``probe`` phase.
     link:
         The :class:`~repro.net.mac.LinkModel` resolving every traffic
-        slot across replications. Default:
-        :class:`~repro.net.mac.IdealCsmaLink` (the serial engine's
-        default) — any model must consume each replication's stream in
-        serial order so extracted replications stay bit-identical.
+        slot. Default: :class:`~repro.net.mac.IdealCsmaLink`, the
+        paper's one-winner CSMA oracle.
+    true_schedules_list:
+        Clock-skew injection: per replication, ``None`` (no skew — the
+        paper's perfectly locally-synchronized model) or the table of
+        when radios are really on. Believed schedules drive proposals,
+        validation and fast-forward; true ones drive channel resolution,
+        so a transmission to a node the sender believed awake but that
+        is actually dormant fails and counts as a ``sleep_miss``.
+    observers_list:
+        Per replication, extra :class:`~repro.sim.observers.SimObserver`
+        instances watching that replication's flood (after the event
+        log, if any). Observers watch; they must not mutate simulation
+        state.
+    measure_transmission_delay:
+        Additionally flood each replication's packets in isolation on
+        the same substrate to measure the queueing-free transmission
+        delay — the Fig. 9 decomposition.
 
     Returns one :class:`FloodResult` per replication, index-aligned with
-    ``schedules_list``, each bit-identical to its serial counterpart.
+    ``schedules_list``.
     """
     R = len(schedules_list)
     if R == 0:
@@ -192,17 +258,36 @@ def run_flood_batch(
     config = config or SimConfig()
     if link is None:
         link = _IDEAL_LINK
-    if not supports_rep_batching(protocol, config):
-        raise ValueError(
-            f"protocol {protocol.name!r} / config cannot take the batched "
-            "path (see supports_rep_batching)"
-        )
     for schedules in schedules_list:
         if len(schedules) != topo.n_nodes:
             raise ValueError(
                 f"schedule table covers {len(schedules)} nodes but "
                 f"topology has {topo.n_nodes}"
             )
+    if true_schedules_list is None:
+        true_schedules_list = [None] * R
+    if len(true_schedules_list) != R:
+        raise ValueError(
+            f"{R} replications but {len(true_schedules_list)} true "
+            "schedule tables"
+        )
+    # A true table that *is* the believed one means no skew.
+    true_list = [
+        None if truth is believed else truth
+        for believed, truth in zip(schedules_list, true_schedules_list)
+    ]
+    for truth in true_list:
+        if truth is not None and len(truth) != topo.n_nodes:
+            raise ValueError("true_schedules does not match the topology")
+    observers_list = [list(obs) for obs in observers_list or [()] * R]
+    if len(observers_list) != R:
+        raise ValueError(
+            f"{R} replications but {len(observers_list)} observer lists"
+        )
+    logs = None
+    if config.track_events:
+        logs = [EventLogObserver() for _ in range(R)]
+        observers_list = [[log] + obs for log, obs in zip(logs, observers_list)]
 
     batch_dyn = None
     if dynamics_list is not None:
@@ -214,7 +299,87 @@ def run_flood_batch(
                     "or none"
                 )
             batch_dyn = BatchGilbertElliott.from_instances(list(dynamics_list))
+    if arena is None:
+        arena = ScratchArena()
 
+    results, dyn_clock = _simulate(
+        topo, list(schedules_list), workloads, protocol, list(rngs), config,
+        batch_dyn, arena, profiler, link, true_list, observers_list,
+    )
+    if batch_dyn is not None:
+        # Lazy catch-up of a final jump to the horizon, so every instance
+        # ends exactly where its last slot left it (and the probes fork
+        # from that state).
+        for k, res in enumerate(results):
+            batch_dyn.advance_rep(
+                k, res.metrics.elapsed_slots - int(dyn_clock[k]))
+        batch_dyn.write_back(dynamics_list)
+    if measure_transmission_delay:
+        t0 = perf_counter()
+        delays = _probe_delays(
+            topo, schedules_list, true_list, protocol, rngs, config,
+            dynamics_list if batch_dyn is not None else None, arena, link,
+            workloads[0].n_packets,
+        )
+        if profiler is not None:
+            profiler.note("probe", perf_counter() - t0)
+        for res, row in zip(results, delays):
+            res.metrics.transmission_delay = row
+    for k, res in enumerate(results):
+        if logs is not None:
+            res.events = logs[k].log
+        for ob in overriders_of(observers_list[k], "on_finish"):
+            ob.on_finish(res)
+    return results
+
+
+def _probe_delays(topo, schedules_list, true_list, protocol, rngs, config,
+                  dynamics_list, arena, link, n_packets) -> np.ndarray:
+    """Queueing-free per-packet delays, one ``(M,)`` row per replication.
+
+    Each replication floods single packets in isolation on its own
+    substrate — schedules, skew and link model — with fresh channel
+    streams and, on bursty links, an independent fork of the link state
+    its flood ended in, so probes measure the parent's channel and stay
+    i.i.d. across packets. ``min(M, 8)`` probes therefore stand in for
+    all M packets, cycled over the packet slots. Probe ``i`` of a
+    replication draws its channel seed, then (with dynamics) its fork
+    seed, from that replication's stream in order; all R x probes run
+    as one batch.
+    """
+    n_probes = min(n_packets, _MAX_PROBES)
+    schedules, truths, streams, forks = [], [], [], []
+    for k, rng in enumerate(rngs):
+        for _ in range(n_probes):
+            streams.append(np.random.default_rng(rng.integers(0, 2**63)))
+            if dynamics_list is not None:
+                forks.append(dynamics_list[k].fork(
+                    np.random.default_rng(rng.integers(0, 2**63))))
+            schedules.append(schedules_list[k])
+            truths.append(true_list[k])
+    probe_protocol = type(protocol)(**protocol.init_kwargs)
+    results, _ = _simulate(
+        topo, schedules, [FloodWorkload(1)] * len(schedules), probe_protocol,
+        streams, replace(config, track_events=False),
+        BatchGilbertElliott.from_instances(forks) if forks else None,
+        arena, None, link, truths, [[]] * len(schedules),
+    )
+    probes = np.asarray(
+        [res.metrics.delays.total_delay()[0] for res in results],
+        dtype=np.int64,
+    ).reshape(len(rngs), n_probes)
+    return probes[:, np.arange(n_packets) % n_probes]
+
+
+def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
+              batch_dyn, arena, profiler, link, true_list, observers_list):
+    """The slot loop over validated inputs.
+
+    Returns the per-replication results and, per replication, the slot
+    its link dynamics were stepped through (``elapsed`` may lie beyond
+    it after a final jump).
+    """
+    R = len(schedules_list)
     n = topo.n_nodes
     M = workloads[0].n_packets
     # Horizons are per replication: the default scales with the wake
@@ -256,8 +421,7 @@ def run_flood_batch(
         dtype=np.int64,
     )
 
-    # (R, …) state stacks — the serial pipeline's arrays with a leading
-    # replication axis.
+    # (R, …) state stacks.
     has_stack = np.zeros((R, M, n), dtype=bool)
     arrival_stack = np.full((R, M, n), -1, dtype=np.int64)
     covered = np.zeros((R, M), dtype=np.int64)
@@ -274,25 +438,22 @@ def run_flood_batch(
     elapsed = np.zeros(R, dtype=np.int64)
     long_jump = np.zeros(R, dtype=bool)
     # Last slot each replication's dynamics were stepped through, plus
-    # one: lazy catch-up advances exactly the slots the serial loop
+    # one: lazy catch-up advances exactly the slots a slot-by-slot loop
     # would have stepped or block-advanced.
     dyn_clock = np.zeros(R, dtype=np.int64)
 
-    # Per-replication counters (CounterObserver's fields, vectorized).
+    # Per-replication counters.
     c_attempts = np.zeros(R, dtype=np.int64)
     c_failures = np.zeros(R, dtype=np.int64)
     c_collisions = np.zeros(R, dtype=np.int64)
     c_duplicates = np.zeros(R, dtype=np.int64)
     c_overhears = np.zeros(R, dtype=np.int64)
+    c_misses = np.zeros(R, dtype=np.int64)
     # Per-(replication, node) energy counts (EnergyLedger's arrays).
     e_tx = np.zeros((R, n), dtype=np.int64)
     e_fail = np.zeros((R, n), dtype=np.int64)
     e_rx = np.zeros((R, n), dtype=np.int64)
 
-    schedules_list = list(schedules_list)
-    rngs = list(rngs)
-    if arena is None:
-        arena = ScratchArena()
     view = RepSimView(
         topo, schedules_list, workloads[0], has_stack, arrival_stack)
     view.arena = arena
@@ -323,6 +484,23 @@ def run_flood_batch(
             if key is not None:
                 phase_cache[key] = entry
         return entry
+
+    # True wake sets of skewed replications are not periodic: they are
+    # built per traffic slot, for the replications that transmit.
+    skewed = np.asarray([truth is not None for truth in true_list])
+    any_skew = bool(skewed.any())
+
+    # Observer fan-out, resolved once: a hook nobody overrides costs
+    # nothing per slot.
+    obs_inject = _fanout(observers_list, "on_inject")
+    obs_slot = _fanout(observers_list, "on_slot")
+    obs_tx = _fanout(observers_list, "on_tx")
+    obs_idle = _fanout(observers_list, "on_idle_span")
+    traffic_obs = (
+        set(obs_tx) | set(_fanout(observers_list, "on_reception"))
+        | set(_fanout(observers_list, "on_complete"))
+    )
+    want_coll_rows = bool(obs_tx)
 
     fast_forward = config.fast_forward
     empty64 = np.empty(0, dtype=np.int64)
@@ -382,6 +560,7 @@ def run_flood_batch(
             inject_slots = inject_slots_by_rep[ki]
             inject_order = inject_order_by_rep[ki]
             cur = int(inject_cursor[ki])
+            hooks = obs_inject.get(ki, ()) if obs_inject else ()
             while cur < n_inject[ki] and inject_slots[cur] <= t:
                 p = int(inject_order[cur])
                 has_stack[ki, p, SOURCE] = True
@@ -389,12 +568,18 @@ def run_flood_batch(
                 view.held_counts[ki, SOURCE] += 1
                 if pack_pw is not None:
                     view.has_packed[ki, SOURCE] |= pack_pw[p]
+                for ob in hooks:
+                    ob.on_inject(t, p)
                 cur += 1
             inject_cursor[ki] = cur
             next_inject[ki] = (
                 int(inject_slots[cur]) if cur < n_inject[ki] else _NEVER
             )
             inj_rows[ki] = True
+        if obs_slot:
+            for k in exec_reps.tolist():
+                for ob in obs_slot.get(k, ()):
+                    ob.on_slot(t, awake_by_rep[k])
         rep_ids = exec_reps[has_awake[exec_reps]]
         if prof is not None:
             _now = perf_counter()
@@ -413,9 +598,9 @@ def run_flood_batch(
             _tprev = _now
 
         if kk.size:
-            # Validate: the serial engine's mask checks, batched, on
-            # borrowed scratch (sender uniqueness via the sorted fused
-            # key; possession and receiver-awake via flat-index takes).
+            # Validate on borrowed scratch: sender uniqueness via the
+            # sorted fused key; possession and receiver-awake (believed)
+            # via flat-index takes.
             P = kk.size
             vkey = arena.buf("batch.vkey", P, np.int64)
             np.multiply(kk, n, out=vkey)
@@ -442,23 +627,46 @@ def run_flood_batch(
                 _raise_invalid_batch(
                     protocol, t, kk, ss, rr, pp, has_stack, awake_stack
                 )
+            true_by_rep, true_stack, miss = awake_by_rep, awake_stack, None
+            if any_skew:
+                # Clock skew: resolve against when radios are really on;
+                # frames addressed to a truly dormant receiver miss.
+                tx_reps = np.unique(kk)
+                tx_skewed = tx_reps[skewed[tx_reps]]
+                if tx_skewed.size:
+                    true_by_rep = list(awake_by_rep)
+                    true_stack = arena.buf2(
+                        "batch.true_awake", (R, n), np.bool_)
+                    np.copyto(true_stack, awake_stack)
+                    for k in tx_skewed.tolist():
+                        aw = true_list[k].awake_at(t)
+                        true_by_rep[k] = aw
+                        true_stack[k] = False
+                        true_stack[k, aw] = True
+                    miss = ~true_stack.reshape(-1).take(kk * n + rr)
+                    c_misses += np.bincount(kk[miss], minlength=R)
             if prof is not None:
                 _now = perf_counter()
                 prof.note("validate", _now - _tprev)
                 _tprev = _now
 
             # Validation just proved per-replication sender uniqueness,
-            # so the resolver's duplicate-guard bincount is folded away
-            # (the serial engine passes assume_unique_senders likewise).
+            # so the resolver needs no duplicate guard.
             outcome = link.resolve_reps(
-                kk, ss, rr, pp, topo, awake_by_rep, rngs, config.radio,
-                dynamics=batch_dyn, awake_stack=awake_stack, arena=arena,
-                profiler=prof,
+                kk, ss, rr, pp, topo, true_by_rep, rngs, config.radio,
+                dynamics=batch_dyn, awake_stack=true_stack, arena=arena,
+                profiler=prof, collect_collision_rows=want_coll_rows,
             )
             if prof is not None:
                 _now = perf_counter()
                 prof.note("resolve", _now - _tprev)
                 _tprev = _now
+            if traffic_obs:
+                _dispatch_traffic(
+                    t, traffic_obs, observers_list, kk, ss, rr, pp, outcome,
+                    miss, has_stack, covered, completed_at, eligible,
+                    need_count,
+                )
 
             # Counters + energy: retained for the end-of-run bincounts
             # (kk/ss and the outcome arrays are fresh per slot).
@@ -543,10 +751,16 @@ def run_flood_batch(
                 prof.note("observe", _now - _tprev)
                 _tprev = _now
 
-        # Fast-forward bookkeeping — the serial loop's skip-attempt
-        # policy, vectorized: the frontier targets are clamped against
-        # the pending-injection and horizon arrays in two ``minimum``
-        # passes instead of a per-replication Python loop.
+        # Fast-forward: after an idle slot the protocol's quiescence
+        # contract bounds the next slot with possible traffic; nothing
+        # can change in between (no receptions, no belief updates, no
+        # randomness), so the replication jumps there — clamped to its
+        # next pending injection and its horizon. Skip-attempt policy: a
+        # frontier query costs about as much as an idle slot, so idle
+        # slots always attempt one, while traffic slots attempt one only
+        # when a long jump landed here — the sparse-regime signature,
+        # where each wake event is an island and the query routinely
+        # buys a period-length jump.
         has_rows[:] = False
         if kk.size:
             has_rows[kk] = True
@@ -575,6 +789,10 @@ def run_flood_batch(
             jump = eff > t1
             t_next[qids] = np.where(jump, eff, t1)
             long_jump[qids] = jump & (eff - t1 >= _LONG_JUMP)
+            if obs_idle:
+                for k, end in zip(qids[jump].tolist(), eff[jump].tolist()):
+                    for ob in obs_idle.get(k, ()):
+                        ob.on_idle_span(t1, end)
 
         fin = exec_reps[
             (t_next[exec_reps] >= horizons[exec_reps])
@@ -611,7 +829,6 @@ def run_flood_batch(
     if acc_over:
         c_overhears += np.bincount(np.concatenate(acc_over), minlength=R)
 
-    # Per-replication result assembly, shaped exactly like run_flood's.
     results: List[FloodResult] = []
     for k in range(R):
         ledger = EnergyLedger(n)
@@ -633,8 +850,7 @@ def run_flood_batch(
             overhears=int(c_overhears[k]),
             elapsed_slots=int(elapsed[k]),
             coverage_per_packet=covered[k] / n_eligible,
-            transmission_delay=None,
-            sleep_misses=0,
+            sleep_misses=int(c_misses[k]),
         )
         results.append(
             FloodResult(
@@ -646,4 +862,62 @@ def run_flood_batch(
                 completed=bool(n_pending[k] == 0),
             )
         )
-    return results
+    return results, dyn_clock
+
+
+def _dispatch_traffic(t, reps, observers_list, kk, ss, rr, pp, outcome, miss,
+                      has_stack, covered, completed_at, eligible, need_count):
+    """Per-frame observer hooks of one traffic slot, from the flat arrays.
+
+    Runs before the slot's receptions are applied, so possession and
+    coverage are still the pre-slot state. Per observed replication the
+    order is ``on_tx``, then each reception in outcome order with
+    ``on_complete`` before the reception that completed a packet.
+    """
+    rep_of_row = kk.tolist()
+    starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
+    bounds = dict(zip(kk[starts].tolist(),
+                      zip(starts.tolist(), np.r_[starts[1:], kk.size].tolist())))
+    coll_rows = (outcome.coll_rows.tolist()
+                 if outcome.coll_rows is not None else [])
+    for k in sorted(reps.intersection(bounds)):
+        lo, hi = bounds[k]
+        batch = TxBatch(ss[lo:hi], rr[lo:hi], pp[lo:hi])
+        txs = batch.to_transmissions()
+        row_of_sender = {tx.sender: i for i, tx in enumerate(txs)}
+        receptions = [
+            Reception(receiver=r, sender=s, packet=p, overheard=o)
+            for r, s, p, o in zip(
+                *(arr[outcome.rec_rep == k].tolist() for arr in (
+                    outcome.rec_receiver, outcome.rec_sender,
+                    outcome.rec_packet, outcome.rec_overheard)))
+        ]
+        slot = SlotOutcome(
+            receptions=receptions,
+            failures=[txs[row_of_sender[s]]
+                      for s in outcome.fail_sender[outcome.fail_rep == k]
+                      .tolist()],
+            collisions=[txs[row - lo] for row in coll_rows
+                        if rep_of_row[row] == k],
+        )
+        observers = observers_list[k]
+        misses = int(miss[lo:hi].sum()) if miss is not None else 0
+        for ob in overriders_of(observers, "on_tx"):
+            ob.on_tx(t, batch, slot, misses)
+        on_rx = overriders_of(observers, "on_reception")
+        on_complete = overriders_of(observers, "on_complete")
+        has = has_stack[k]
+        cov: Dict[int, int] = {}
+        for rec in receptions:
+            if has[rec.packet, rec.receiver]:
+                for ob in on_rx:
+                    ob.on_reception(t, rec, True)
+                continue
+            if eligible[rec.receiver]:
+                p = rec.packet
+                cov[p] = cov.get(p, int(covered[k, p])) + 1
+                if completed_at[k, p] < 0 and cov[p] == need_count:
+                    for ob in on_complete:
+                        ob.on_complete(t, p)
+            for ob in on_rx:
+                ob.on_reception(t, rec, False)

@@ -49,14 +49,6 @@ class EnergyLedger:
     def note_rx(self, receiver: int) -> None:
         self.rx_successes[receiver] += 1
 
-    def note_tx_batch(self, senders: np.ndarray) -> None:
-        """Record one attempt per entry of ``senders`` (may repeat ids)."""
-        np.add.at(self.tx_attempts, senders, 1)
-
-    def note_failure_batch(self, senders: np.ndarray) -> None:
-        """Record one failure per entry of ``senders`` (may repeat ids)."""
-        np.add.at(self.tx_failures, senders, 1)
-
     def note_elapsed(self, slots: int) -> None:
         if slots < 0:
             raise ValueError("elapsed slots must be non-negative")

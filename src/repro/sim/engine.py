@@ -1,78 +1,47 @@
-"""The slot-stepped low-duty-cycle flooding simulator.
+"""The slot-stepped low-duty-cycle flooding simulator, one flood at a time.
 
-One :func:`run_flood` call simulates the paper's Sec. V setup end to end.
-The engine is a staged slot pipeline over batched transmissions: every
-original-time slot it
-
-1. **injects** packets whose generation slot arrived,
-2. determines the **wake sets** (believed vs actual active slots),
-3. asks the protocol to **propose** a transmission batch
-   (:class:`~repro.net.radio.TxBatch`, structure-of-arrays),
-4. **validates** the batch against the model's hard constraints
-   (possession, one TX per sender, receiver awake) with vectorized mask
-   checks,
-5. **resolves** the channel (collisions, capture, Bernoulli loss,
-   overhearing) through :func:`repro.net.radio.resolve_slot`,
-6. **applies** receptions to the possession state and dispatches the
-   slot to the observer layer (:mod:`repro.sim.observers`), then lets
-   the protocol observe the outcome (ACK/overhearing learning).
-
+One :func:`run_flood` call simulates the paper's Sec. V setup end to
+end: per original-time slot, packets are injected, the protocol
+proposes a transmission batch over the waking receivers, the batch is
+validated against the model's hard constraints, the channel is resolved
+(collisions, capture, loss, overhearing), and possession and protocol
+beliefs are updated; provably quiescent slots are skipped in one jump.
 The run ends when every packet has reached the coverage target (the
 paper's 99% rule) or the horizon expires.
 
-Instrumentation — counters, the energy ledger, the optional event log —
-lives entirely in observers; the engine's own loop only advances state.
-Extra observers plug in via ``run_flood(..., observers=[...])``.
-
-Hot-loop note (per the HPC guides): possession and arrival state live in
-two preallocated NumPy arrays; per-slot work touches only the waking
-nodes (``O(N/T)`` of them), and proposals travel as int64 arrays rather
-than per-frame Python objects.
+:func:`run_flood` is :func:`~repro.sim.batch.run_flood_batch` at R = 1 —
+one engine serves single floods and replication stacks alike. Counters
+and the energy ledger are engine state; everything that merely watches
+a flood — the optional event log, tracing, user metrics — is an
+observer (:mod:`repro.sim.observers`), plugged in via
+``run_flood(..., observers=[...])``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..net.mac import LinkModel
 from ..net.packet import FloodWorkload
-from ..net.mac import IdealCsmaLink, LinkModel
-from ..net.radio import RadioModel, SlotOutcome, Transmission, TxBatch
+from ..net.radio import RadioModel
 from ..net.schedule import ScheduleTable
-from ..net.topology import SOURCE, Topology
-from ..protocols.base import FloodingProtocol, SimView
+from ..net.topology import Topology
+from ..protocols.base import FloodingProtocol
 from .energy import EnergyLedger
 from .events import EventLog
-from .metrics import FloodCounters, FloodMetrics, PacketDelays, coverage_threshold
-from .observers import (
-    CounterObserver,
-    EnergyObserver,
-    EventLogObserver,
-    SimObserver,
-    overriders_of,
-)
+from .metrics import FloodMetrics
+from .observers import SimObserver
 
-__all__ = ["ENGINE_VERSION", "SimConfig", "FloodResult", "run_flood",
-           "run_single_packet_floods"]
+__all__ = ["ENGINE_VERSION", "SimConfig", "FloodResult", "run_flood"]
 
 #: Simulation-semantics version, folded into every
 #: :mod:`repro.exec.store` cache key. Bump whenever a change alters
 #: simulated trajectories (RNG consumption order, channel resolution,
 #: metric definitions, ...) so stale cached results can never be served.
 ENGINE_VERSION = "2011.1"
-
-#: Span length (in slots) above which a fast-forward jump marks the
-#: landing slot as "sparse regime": the slot attempts another skip even
-#: if it carried traffic. Purely a performance heuristic — it changes
-#: where frontier queries run, never the trajectory.
-_LONG_JUMP = 4
-
-#: Shared default link model: the paper's idealized slot radio. Stateless
-#: across runs, so one instance serves every flood.
-_IDEAL_LINK = IdealCsmaLink()
 
 
 @dataclass(frozen=True)
@@ -95,7 +64,7 @@ class SimConfig:
         Skip provably-quiescent slots in one jump (the paper's compact
         time scale, Sec. IV-A): after an idle slot the engine asks the
         protocol's quiescence contract
-        (:meth:`~repro.protocols.base.FloodingProtocol.next_action_slot`)
+        (:meth:`~repro.protocols.base.FloodingProtocol.next_action_slots`)
         for the next slot with possible traffic and fast-forwards to it,
         advancing link dynamics and energy accounting exactly.
         Trajectories are bit-identical either way — this is purely a
@@ -134,380 +103,6 @@ class FloodResult:
         return self.has
 
 
-def _default_horizon(topo: Topology, schedules: ScheduleTable, M: int) -> int:
-    """Generous default simulation horizon.
-
-    Scales with the Theorem-2 upper bound inflated by the network's mean
-    k-class (loss) plus slack for collision-heavy baselines.
-    """
-    m = max(int(math.ceil(math.log2(1 + topo.n_sensors))), 1)
-    k = max(topo.mean_k_class(), 1.0)
-    bound = schedules.period * (2 * m + M) * k
-    return int(32 * bound) + 2048
-
-
-def _raise_invalid_proposal(
-    protocol: FloodingProtocol,
-    t: int,
-    proposals: List[Transmission],
-    has: np.ndarray,
-    awake_mask: np.ndarray,
-) -> None:
-    """Cold path: re-run the per-frame checks to raise the precise error.
-
-    The hot path only detects *that* a batch violates a constraint; this
-    loop reproduces the historical per-transmission check order so the
-    exception (message and which violation wins) is identical to the
-    pre-batching engine.
-    """
-    seen: set = set()
-    for tx in proposals:
-        if tx.sender in seen:
-            raise ValueError(
-                f"protocol {protocol.name!r} scheduled two transmissions "
-                f"for node {tx.sender} at slot {t}"
-            )
-        seen.add(tx.sender)
-        if not has[tx.packet, tx.sender]:
-            raise ValueError(
-                f"protocol {protocol.name!r} made node {tx.sender} send "
-                f"packet {tx.packet} it does not hold (slot {t})"
-            )
-        if not awake_mask[tx.receiver]:
-            raise ValueError(
-                f"protocol {protocol.name!r} targeted sleeping node "
-                f"{tx.receiver} at slot {t}"
-            )
-    raise AssertionError(
-        "batch validation flagged a proposal the per-frame checks accept"
-    )
-
-
-class _SlotPipeline:
-    """Mutable per-run state plus the staged slot loop of one flood.
-
-    Stage methods mutate the pipeline state and dispatch to the observer
-    layer; :meth:`run` strings them together. Only simulation state lives
-    here — instrumentation is the observers' business.
-    """
-
-    def __init__(
-        self,
-        topo: Topology,
-        schedules: ScheduleTable,
-        actual_schedules: ScheduleTable,
-        workload: FloodWorkload,
-        protocol: FloodingProtocol,
-        rng: np.random.Generator,
-        config: SimConfig,
-        dynamics,
-        link: LinkModel,
-        observers: Sequence[SimObserver],
-    ):
-        self.topo = topo
-        self.schedules = schedules
-        self.actual_schedules = actual_schedules
-        self.protocol = protocol
-        self.rng = rng
-        self.config = config
-        self.dynamics = dynamics
-        self.link = link
-
-        n_nodes = topo.n_nodes
-        M = workload.n_packets
-        self.eligible = topo.reachable_from_source()
-        self.eligible[SOURCE] = False  # coverage counts sensors only
-        self.n_eligible = int(self.eligible.sum())
-        if self.n_eligible == 0:
-            raise ValueError("no sensor is reachable from the source")
-        self.need_count = coverage_threshold(
-            self.n_eligible, config.coverage_target
-        )
-
-        self.has = np.zeros((M, n_nodes), dtype=bool)
-        self.arrival = np.full((M, n_nodes), -1, dtype=np.int64)
-        self.covered = np.zeros(M, dtype=np.int64)  # eligible sensors holding p
-        self.generated = workload.generation_slots()
-        # Injection cursor: packets sorted by (generation slot, index) —
-        # generation slots are nondecreasing, so injection consumes this
-        # list monotonically instead of rescanning all M packets per slot.
-        order = np.argsort(self.generated, kind="stable")
-        self._inject_order = [int(p) for p in order]
-        self._inject_slots = [int(s) for s in self.generated[order]]
-        self._inject_cursor = 0
-        self.first_tx = np.full(M, -1, dtype=np.int64)
-        self.completed_at = np.full(M, -1, dtype=np.int64)
-        self.n_pending = M  # packets not yet at coverage target
-        self.elapsed = 0
-
-        self.view = SimView(topo, schedules, workload, self.has, self.arrival)
-
-        # Preallocated wake-mask scratch for proposal validation: an O(1)
-        # boolean lookup per receiver instead of rebuilding a Python set
-        # from the awake array every slot. The sender mask plays the same
-        # role for the duplicate-sender check (no sort, no allocation).
-        self._awake_mask = np.zeros(n_nodes, dtype=bool)
-        self._actual_mask = np.zeros(n_nodes, dtype=bool)
-        self._sender_mask = np.zeros(n_nodes, dtype=bool)
-
-        # Per-phase wall-time profiler, detected by marker attribute so
-        # the loop can time stages directly (observer hooks see events,
-        # not stage boundaries).
-        self._profiler = next(
-            (ob for ob in observers if getattr(ob, "phase_profiler", False)),
-            None,
-        )
-
-        # Per-hook observer fan-out, resolved once: a hook nobody
-        # overrides costs nothing per slot.
-        self._slot_obs = overriders_of(observers, "on_slot")
-        self._idle_obs = overriders_of(observers, "on_idle_span")
-        self._inject_obs = overriders_of(observers, "on_inject")
-        self._tx_obs = overriders_of(observers, "on_tx")
-        self._rx_obs = overriders_of(observers, "on_reception")
-        self._complete_obs = overriders_of(observers, "on_complete")
-
-    # -- stages --------------------------------------------------------
-
-    def inject(self, t: int) -> None:
-        """Stage 1: materialise packets whose generation slot arrived.
-
-        Generation slots are nondecreasing, so a monotone cursor over the
-        slot-sorted packet list replaces the historical O(M) mask scan;
-        ties inject in ascending packet index, exactly as the scan did.
-        """
-        cur = self._inject_cursor
-        slots = self._inject_slots
-        if cur >= len(slots) or slots[cur] > t:
-            return
-        order = self._inject_order
-        while cur < len(slots) and slots[cur] <= t:
-            p = order[cur]
-            self.has[p, SOURCE] = True
-            self.arrival[p, SOURCE] = t
-            for ob in self._inject_obs:
-                ob.on_inject(t, p)
-            cur += 1
-        self._inject_cursor = cur
-        # Source possession changed: invalidate frontier-offer caches.
-        self.view.state_version += 1
-
-    def wake_sets(self, t: int):
-        """Stage 2: believed and actual wake sets for this slot."""
-        awake = self.schedules.awake_at(t)
-        actually_awake = (
-            awake if self.actual_schedules is self.schedules
-            else self.actual_schedules.awake_at(t)
-        )
-        return awake, actually_awake
-
-    def propose(self, t: int, awake: np.ndarray) -> TxBatch:
-        """Stage 3: the protocol commits this slot's transmission batch."""
-        if awake.size:
-            return self.protocol.propose_batch(t, awake, self.view)
-        return TxBatch.empty()
-
-    def validate(self, t: int, batch: TxBatch, awake: np.ndarray) -> None:
-        """Stage 4: batch mask checks of the model's hard constraints.
-
-        Violations divert to a cold path that replays the per-frame
-        checks for an exact, historically-ordered error message.
-        """
-        mask = self._awake_mask
-        mask[awake] = True
-        senders = batch.senders
-        smask = self._sender_mask
-        smask[senders] = True
-        no_dups = int(np.count_nonzero(smask)) == len(batch)
-        smask[senders] = False
-        ok = (
-            no_dups
-            and self.has[batch.packets, batch.senders].all()
-            and mask[batch.receivers].all()
-        )
-        if not ok:
-            try:
-                _raise_invalid_proposal(
-                    self.protocol, t, batch.to_transmissions(), self.has, mask
-                )
-            finally:
-                mask[awake] = False
-        mask[awake] = False
-
-    def count_sleep_misses(self, batch: TxBatch, actually_awake) -> int:
-        """Clock skew: transmissions whose receiver is really dormant."""
-        if self.actual_schedules is self.schedules:
-            return 0
-        mask = self._actual_mask
-        mask[actually_awake] = True
-        misses = int(np.count_nonzero(~mask[batch.receivers]))
-        mask[actually_awake] = False
-        return misses
-
-    def resolve(self, batch: TxBatch, actually_awake) -> SlotOutcome:
-        """Stage 5: channel resolution (against reality).
-
-        Delegates to the run's :class:`~repro.net.mac.LinkModel` — the
-        MAC layer owns contention, delivery and acknowledgment for the
-        slot. The validate stage already proved per-sender uniqueness,
-        so the resolver's own duplicate guard is folded away.
-        """
-        return self.link.resolve(
-            batch, self.topo, actually_awake, self.rng, self.config.radio,
-            dynamics=self.dynamics, assume_unique_senders=True,
-            profiler=self._profiler,
-        )
-
-    def apply(
-        self, t: int, batch: TxBatch, outcome: SlotOutcome, sleep_misses: int
-    ) -> None:
-        """Stage 6: update possession/coverage state, dispatch observers."""
-        for ob in self._tx_obs:
-            ob.on_tx(t, batch, outcome, sleep_misses)
-
-        src_rows = np.flatnonzero(batch.senders == SOURCE)
-        if src_rows.size:  # at most one row: one TX per sender
-            p = int(batch.packets[src_rows[0]])
-            if self.first_tx[p] < 0:
-                self.first_tx[p] = t
-
-        has = self.has
-        arrival = self.arrival
-        for rec in outcome.receptions:
-            if has[rec.packet, rec.receiver]:
-                for ob in self._rx_obs:
-                    ob.on_reception(t, rec, True)
-                continue
-            has[rec.packet, rec.receiver] = True
-            arrival[rec.packet, rec.receiver] = t
-            if self.eligible[rec.receiver]:
-                self.covered[rec.packet] += 1
-                if (
-                    self.completed_at[rec.packet] < 0
-                    and self.covered[rec.packet] >= self.need_count
-                ):
-                    self.completed_at[rec.packet] = t
-                    self.n_pending -= 1
-                    for ob in self._complete_obs:
-                        ob.on_complete(t, rec.packet)
-            for ob in self._rx_obs:
-                ob.on_reception(t, rec, False)
-
-        self.protocol.observe(t, outcome, self.view)
-        # Possession and protocol beliefs may have changed: invalidate
-        # frontier-offer caches keyed on the state version.
-        self.view.state_version += 1
-
-    # -- loop ----------------------------------------------------------
-
-    def run(self, horizon: int) -> None:
-        """The slot loop, with compact-time fast-forward over idle gaps.
-
-        After a slot whose proposal came back empty, the protocol's
-        quiescence contract (:meth:`FloodingProtocol.next_action_slot`)
-        bounds the next slot that could carry traffic; nothing can change
-        in between (no receptions, no belief updates, no randomness), so
-        the engine jumps there directly — clamped to the next pending
-        injection (injected packets change the frontier) and the horizon.
-        Link dynamics advance through the gap with the bit-identical
-        block form (:meth:`GilbertElliott.advance`) and observers get one
-        ``on_idle_span`` event, so trajectories, counters and energy are
-        exactly those of the slot-by-slot loop.
-
-        Skip-attempt policy: a frontier query costs about as much as an
-        idle slot, so it must not run where it cannot pay off. Idle slots
-        always attempt one (the protocol just proved quiescence cheaply);
-        traffic slots attempt one only when a long jump landed here — the
-        signature of the sparse regime, where each wake event is an
-        island and the query routinely buys a period-length jump. In
-        dense phases (every slot has traffic, jumps are short or absent)
-        traffic slots therefore pay nothing.
-        """
-        t = 0
-        dynamics = self.dynamics
-        protocol = self.protocol
-        fast_forward = self.config.fast_forward
-        inject_slots = self._inject_slots
-        n_inject = len(inject_slots)
-        long_jump = False  # did a span of >= _LONG_JUMP slots land here?
-        prof = self._profiler
-        if prof is not None:
-            from time import perf_counter
-
-            _tprev = perf_counter()
-        while t < horizon and self.n_pending > 0:
-            if dynamics is not None:
-                dynamics.step()  # links fade regardless of traffic
-            self.inject(t)
-            awake, actually_awake = self.wake_sets(t)
-            for ob in self._slot_obs:
-                ob.on_slot(t, awake)
-            if prof is not None:
-                _now = perf_counter()
-                prof.note("inject", _now - _tprev)
-                _tprev = _now
-            batch = self.propose(t, awake)
-            if prof is not None:
-                _now = perf_counter()
-                prof.note("propose", _now - _tprev)
-                _tprev = _now
-            t += 1
-            if len(batch):
-                self.validate(t - 1, batch, awake)
-                sleep_misses = self.count_sleep_misses(batch, actually_awake)
-                if prof is not None:
-                    _now = perf_counter()
-                    prof.note("validate", _now - _tprev)
-                    _tprev = _now
-                outcome = self.resolve(batch, actually_awake)
-                if prof is not None:
-                    _now = perf_counter()
-                    prof.note("resolve", _now - _tprev)
-                    _tprev = _now
-                self.apply(t - 1, batch, outcome, sleep_misses)
-                if prof is not None:
-                    _now = perf_counter()
-                    prof.note("apply", _now - _tprev)
-                    _tprev = _now
-                    prof.note_slot()
-                if not long_jump:
-                    continue
-            elif prof is not None:
-                prof.note_slot()
-            long_jump = False
-            if not fast_forward or t >= horizon or self.n_pending == 0:
-                continue
-            target = protocol.next_action_slot(t - 1, awake, self.view)
-            if target <= t:
-                if prof is not None:
-                    _now = perf_counter()
-                    prof.note("fastforward", _now - _tprev)
-                    _tprev = _now
-                continue
-            cur = self._inject_cursor
-            if cur < n_inject and inject_slots[cur] < target:
-                target = inject_slots[cur]  # > t - 1: inject(t-1) drained
-                if target <= t:
-                    if prof is not None:
-                        _now = perf_counter()
-                        prof.note("fastforward", _now - _tprev)
-                        _tprev = _now
-                    continue
-            if target > horizon:
-                target = horizon
-            if dynamics is not None:
-                dynamics.advance(target - t)
-            for ob in self._idle_obs:
-                ob.on_idle_span(t, target)
-            long_jump = target - t >= _LONG_JUMP
-            t = target
-            if prof is not None:
-                _now = perf_counter()
-                prof.note("fastforward", _now - _tprev)
-                _tprev = _now
-        self.elapsed = t
-
-
 def run_flood(
     topo: Topology,
     schedules: ScheduleTable,
@@ -520,7 +115,6 @@ def run_flood(
     true_schedules: Optional[ScheduleTable] = None,
     observers: Sequence[SimObserver] = (),
     link: Optional[LinkModel] = None,
-    _transmission_delay: Optional[np.ndarray] = None,
 ) -> FloodResult:
     """Simulate one flood of ``workload.n_packets`` packets.
 
@@ -537,7 +131,7 @@ def run_flood(
     measure_transmission_delay:
         Additionally flood each packet in isolation (same substrate,
         forked loss streams) to measure the queueing-free transmission
-        delay — the Fig. 9 decomposition. Roughly doubles the run cost.
+        delay — the Fig. 9 decomposition.
     dynamics:
         Optional :class:`~repro.net.dynamics.GilbertElliott` bursty-link
         state, stepped once per slot and consulted on every success draw.
@@ -551,147 +145,27 @@ def run_flood(
         locally-synchronized model.
     observers:
         Extra :class:`~repro.sim.observers.SimObserver` instances hooked
-        into the slot pipeline after the built-in counter/energy/event
-        observers. Observers watch; they must not mutate simulation
-        state.
+        into the slot loop after the built-in event log. Observers
+        watch; they must not mutate simulation state. A
+        :class:`~repro.sim.observers.PhaseProfiler` among them times the
+        engine's phases.
     link:
         The :class:`~repro.net.mac.LinkModel` resolving every traffic
         slot. Default: :class:`~repro.net.mac.IdealCsmaLink`, the
-        paper's one-winner CSMA oracle (bit-identical to the
-        pre-layering engine).
+        paper's one-winner CSMA oracle.
     """
-    if len(schedules) != topo.n_nodes:
-        raise ValueError(
-            f"schedule table covers {len(schedules)} nodes but topology "
-            f"has {topo.n_nodes}"
-        )
-    config = config or SimConfig()
-    if true_schedules is not None and len(true_schedules) != topo.n_nodes:
-        raise ValueError("true_schedules does not match the topology")
-    actual_schedules = true_schedules if true_schedules is not None else schedules
-    M = workload.n_packets
-    horizon = config.max_slots or _default_horizon(topo, schedules, M)
+    from .batch import run_flood_batch
 
-    counters = FloodCounters()
-    ledger = EnergyLedger(topo.n_nodes)
-    log_observer = EventLogObserver() if config.track_events else None
-    all_observers: List[SimObserver] = [
-        CounterObserver(counters), EnergyObserver(ledger)
-    ]
-    if log_observer is not None:
-        all_observers.append(log_observer)
-    all_observers.extend(observers)
-
-    if link is None:
-        link = _IDEAL_LINK
-    pipeline = _SlotPipeline(
-        topo, schedules, actual_schedules, workload, protocol, rng, config,
-        dynamics, link, all_observers,
+    observers = list(observers)
+    profiler = next(
+        (ob for ob in observers if getattr(ob, "phase_profiler", False)),
+        None,
     )
-    protocol.prepare(topo, schedules, workload, rng)
-    pipeline.run(horizon)
-
-    ledger.note_elapsed(pipeline.elapsed)
-    ledger.validate()
-
-    transmission_delay = _transmission_delay
-    if measure_transmission_delay and transmission_delay is None:
-        # Probe floods reconstruct the protocol from its recorded
-        # constructor kwargs. ``init_kwargs`` is guaranteed to exist:
-        # ``make_protocol`` records it uniformly and the base class
-        # carries an empty default, so a protocol's configuration is
-        # never silently dropped on the Fig. 9 decomposition path.
-        transmission_delay = run_single_packet_floods(
-            topo, schedules, workload, type(protocol), rng, config,
-            protocol_kwargs=protocol.init_kwargs,
-            dynamics=dynamics, true_schedules=true_schedules, link=link,
-        )
-
-    metrics = FloodMetrics(
-        delays=PacketDelays(
-            generated=pipeline.generated,
-            first_tx=pipeline.first_tx,
-            completed=pipeline.completed_at,
-        ),
-        tx_attempts=counters.tx_attempts,
-        tx_failures=counters.tx_failures,
-        collisions=counters.collisions,
-        duplicates=counters.duplicates,
-        overhears=counters.overhears,
-        elapsed_slots=pipeline.elapsed,
-        coverage_per_packet=pipeline.covered / pipeline.n_eligible,
-        transmission_delay=transmission_delay,
-        sleep_misses=counters.sleep_misses,
+    (result,) = run_flood_batch(
+        topo, [schedules], workload, protocol, [rng], config,
+        dynamics_list=None if dynamics is None else [dynamics],
+        profiler=profiler, link=link,
+        true_schedules_list=[true_schedules], observers_list=[observers],
+        measure_transmission_delay=measure_transmission_delay,
     )
-    result = FloodResult(
-        metrics=metrics,
-        has=pipeline.has,
-        arrival=pipeline.arrival,
-        ledger=ledger,
-        events=log_observer.log if log_observer is not None else None,
-        completed=bool(pipeline.n_pending == 0),
-    )
-    for ob in overriders_of(all_observers, "on_finish"):
-        ob.on_finish(result)
     return result
-
-
-def run_single_packet_floods(
-    topo: Topology,
-    schedules: ScheduleTable,
-    workload: FloodWorkload,
-    protocol_cls,
-    rng: np.random.Generator,
-    config: Optional[SimConfig] = None,
-    protocol_kwargs: Optional[dict] = None,
-    n_probes: Optional[int] = None,
-    dynamics=None,
-    true_schedules: Optional[ScheduleTable] = None,
-    link: Optional[LinkModel] = None,
-) -> np.ndarray:
-    """Queueing-free per-packet delay: flood packets in isolation.
-
-    Used for the Fig. 9 decomposition: the same substrate floods a single
-    packet at a time (independent channel draws per run), yielding the
-    pure transmission delay the blocking analysis subtracts out. Isolated
-    floods are i.i.d. across packets, so ``n_probes`` (default
-    ``min(M, 8)``) actual runs are cycled over the ``M`` packet slots
-    instead of running all ``M``.
-
-    ``dynamics`` and ``true_schedules`` mirror :func:`run_flood`: probes
-    must measure the same channel the parent flood ran on. Each probe
-    gets an independent fork of the Gilbert-Elliott state (same burst
-    statistics, fresh randomness) so probes stay i.i.d.; the skewed
-    ``true_schedules`` are shared as-is because skew is deterministic.
-    """
-    from ..net.packet import FloodWorkload as _WL
-
-    M = workload.n_packets
-    if n_probes is None:
-        n_probes = min(M, 8)
-    if not (1 <= n_probes <= M):
-        raise ValueError(f"n_probes must be in [1, {M}], got {n_probes}")
-    kwargs = protocol_kwargs or {}
-    probes = np.full(n_probes, -1, dtype=np.int64)
-    for i in range(n_probes):
-        sub_rng = np.random.default_rng(rng.integers(0, 2**63))
-        probe_dynamics = None
-        if dynamics is not None:
-            # Drawn only on the dynamics path so burst-free runs consume
-            # the parent stream exactly as they always have.
-            probe_dynamics = dynamics.fork(
-                np.random.default_rng(rng.integers(0, 2**63))
-            )
-        result = run_flood(
-            topo,
-            schedules,
-            _WL(1),
-            protocol_cls(**kwargs),
-            sub_rng,
-            config,
-            dynamics=probe_dynamics,
-            true_schedules=true_schedules,
-            link=link,
-        )
-        probes[i] = result.metrics.delays.total_delay()[0]
-    return probes[np.arange(M) % n_probes]

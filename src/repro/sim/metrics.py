@@ -11,12 +11,12 @@ the pure transmission component the way Fig. 9 does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["coverage_threshold", "FloodCounters", "PacketDelays", "FloodMetrics"]
+__all__ = ["coverage_threshold", "PacketDelays", "FloodMetrics"]
 
 
 def coverage_threshold(n_eligible: int, coverage_target: float) -> int:
@@ -26,22 +26,6 @@ def coverage_threshold(n_eligible: int, coverage_target: float) -> int:
     if not (0.0 < coverage_target <= 1.0):
         raise ValueError(f"coverage target must be in (0, 1], got {coverage_target}")
     return max(int(math.ceil(coverage_target * n_eligible)), 1)
-
-
-@dataclass
-class FloodCounters:
-    """Mutable aggregate counters accumulated while a flood runs.
-
-    Maintained by :class:`repro.sim.observers.CounterObserver`; the final
-    values feed the corresponding :class:`FloodMetrics` fields.
-    """
-
-    tx_attempts: int = 0
-    tx_failures: int = 0
-    collisions: int = 0
-    duplicates: int = 0
-    overhears: int = 0
-    sleep_misses: int = 0
 
 
 @dataclass

@@ -1,22 +1,24 @@
-"""Observer layer: instrumentation hooks for the slot pipeline.
+"""Observer layer: instrumentation hooks for the flood engine.
 
-The engine's job is to advance simulation state; everything that merely
-*watches* a flood — counters, the energy ledger, the event log, and any
-future tracing or metrics — implements :class:`SimObserver` and is
-dispatched at fixed points of each slot. This replaces the scattered
-inline bookkeeping the engine used to carry and gives external code a
-sanctioned hook point (``run_flood(..., observers=[...])``) instead of
-forking the loop.
+The engine's job is to advance simulation state and count what it must
+report (counters, the energy ledger). Everything else that merely
+*watches* a flood — the event log, tracing, user metrics — implements
+:class:`SimObserver` and is dispatched at fixed points of each slot,
+per replication (``run_flood(..., observers=[...])`` or
+``run_flood_batch(..., observers_list=[...])``), instead of forking the
+loop.
 
 Hook order within one executed slot with traffic::
 
     on_inject(t, packet)              # per packet injected this slot
     on_slot(t, awake)                 # once, after wake sets are known
     on_tx(t, batch, outcome, misses)  # once, after channel resolution
-    on_reception(t, rec, is_dup)      # per reception, receiver-ascending
+    on_reception(t, rec, is_dup)      # per reception, in outcome order
     on_complete(t, packet)            # before the completing reception
 
-Slots the engine can prove quiescent are not executed at all: a single
+Receptions arrive in the link model's order: ascending receiver for the
+ideal link, micro-round by micro-round for the 802.15.4 MAC. Slots the
+engine can prove quiescent are not executed at all: a single
 ``on_idle_span(t_start, t_end)`` reports each skipped half-open span
 (the compact-time fast-forward), and no per-slot hook fires inside it.
 
@@ -27,27 +29,23 @@ DELIVER/OVERHEAR record). ``on_finish`` fires once with the final
 :class:`~repro.sim.engine.FloodResult`.
 
 Dispatch is pay-for-what-you-use: the engine only calls a hook on
-observers that actually override it (see :func:`overriders_of`), so a
-registered observer with two hooks costs nothing on the other four.
+observers that actually override it (see :func:`overriders_of`), and a
+run whose observers override no per-slot hook runs the plain loop.
 """
 
 from __future__ import annotations
 
 import sys
 import tracemalloc
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..net.radio import Reception, SlotOutcome, TxBatch
-from .energy import EnergyLedger
 from .events import EventKind, EventLog, SimEvent
-from .metrics import FloodCounters
 
 __all__ = [
     "SimObserver",
-    "CounterObserver",
-    "EnergyObserver",
     "EventLogObserver",
     "PhaseProfiler",
     "overriders_of",
@@ -73,7 +71,7 @@ class SimObserver:
         """Slots ``[t_start, t_end)`` were fast-forwarded in one jump.
 
         The engine proved (via the protocol's quiescence contract,
-        :meth:`~repro.protocols.base.FloodingProtocol.next_action_slot`)
+        :meth:`~repro.protocols.base.FloodingProtocol.next_action_slots`)
         that no transmission, injection, or protocol state change could
         occur in the span, so per-slot hooks never fire inside it.
         Observers that count or integrate over time must add the span's
@@ -117,49 +115,6 @@ def overriders_of(
     return [ob for ob in observers if getattr(type(ob), hook) is not base]
 
 
-class CounterObserver(SimObserver):
-    """Accumulates the aggregate :class:`FloodCounters` of a run."""
-
-    def __init__(self, counters: Optional[FloodCounters] = None):
-        self.counters = counters if counters is not None else FloodCounters()
-
-    def on_tx(self, t, batch, outcome, sleep_misses):
-        c = self.counters
-        c.tx_attempts += len(batch)
-        c.tx_failures += len(outcome.failures)
-        c.collisions += len(outcome.collisions)
-        c.sleep_misses += sleep_misses
-
-    def on_reception(self, t, rec, is_duplicate):
-        if is_duplicate:
-            self.counters.duplicates += not rec.overheard
-        else:
-            self.counters.overhears += rec.overheard
-
-
-class EnergyObserver(SimObserver):
-    """Feeds an :class:`EnergyLedger` from the transmission stream."""
-
-    def __init__(self, ledger: EnergyLedger):
-        self.ledger = ledger
-
-    def on_tx(self, t, batch, outcome, sleep_misses):
-        self.ledger.note_tx_batch(batch.senders)
-        n_failed = len(outcome.failures)
-        if n_failed:
-            self.ledger.note_failure_batch(
-                np.fromiter(
-                    (tx.sender for tx in outcome.failures),
-                    np.int64,
-                    count=n_failed,
-                )
-            )
-
-    def on_reception(self, t, rec, is_duplicate):
-        if not is_duplicate:
-            self.ledger.note_rx(rec.receiver)
-
-
 class EventLogObserver(SimObserver):
     """Materialises the full :class:`EventLog` (``track_events`` mode)."""
 
@@ -198,20 +153,20 @@ class PhaseProfiler(SimObserver):
     """Per-phase wall time and allocation metering for the slot pipeline.
 
     Unlike the other observers, the profiler does not watch simulation
-    *events* — it watches the engine itself. Both engines detect it via
-    the ``phase_profiler`` marker attribute and call :meth:`note` with
-    the wall seconds each pipeline phase consumed (``inject``,
-    ``propose``, ``validate``, ``resolve``, ``apply``, ``observe`` —
-    batch only — and ``fastforward``). The link model adds a ``mac``
-    sub-phase *nested inside* ``resolve``: the
-    :class:`~repro.net.mac.LinkModel` reports its own backoff/ack
-    bookkeeping time there, net of the raw resolver calls it makes, so
-    ``resolve`` stays the total and ``mac`` is the layering overhead
-    (recorded at zero for the ideal link). Each engine also calls
-    :meth:`note_slot` once per
-    executed loop slot (the batch engine passes the number of
-    replications that executed, so ``slots`` counts replication-slots
-    while ``loop_slots`` counts loop iterations).
+    *events* — it watches the engine itself. The engine takes it as its
+    ``profiler`` argument (:func:`~repro.sim.engine.run_flood` picks it
+    out of ``observers`` by the ``phase_profiler`` marker attribute) and
+    calls :meth:`note` with the wall seconds each phase consumed
+    (``inject``, ``propose``, ``validate``, ``resolve``, ``apply``,
+    ``observe``, ``fastforward``, and ``probe`` for the Fig. 9 probe
+    floods as a whole). The link model adds a ``mac`` sub-phase
+    *nested inside* ``resolve``: the :class:`~repro.net.mac.LinkModel`
+    reports its own backoff/ack bookkeeping time there, net of the raw
+    resolver calls it makes, so ``resolve`` stays the total and ``mac``
+    is the layering overhead (recorded at zero for the ideal link). The
+    engine also calls :meth:`note_slot` once per executed loop slot
+    with the number of replications that executed, so ``slots`` counts
+    replication-slots while ``loop_slots`` counts loop iterations.
 
     Allocation metering is sampled per loop slot:
 
@@ -223,11 +178,11 @@ class PhaseProfiler(SimObserver):
       (``get_traced_memory`` + ``reset_peak``) — transient churn that
       net block counts cannot see.
 
-    Attach at most one per run; the engines use the first observer
+    Attach at most one per run; ``run_flood`` uses the first observer
     carrying the marker.
     """
 
-    #: Marker the engines look for (kept as a plain attribute so
+    #: Marker ``run_flood`` looks for (kept as a plain attribute so
     #: duck-typed stand-ins work in tests).
     phase_profiler = True
 
@@ -240,7 +195,7 @@ class PhaseProfiler(SimObserver):
         self.phase_calls: Dict[str, int] = {}
         #: Replication-slots executed (loop slots x batch width).
         self.slots = 0
-        #: Loop iterations (== slots for the serial engine).
+        #: Loop iterations (== slots at R = 1).
         self.loop_slots = 0
         self._sample = bool(sample_allocs)
         self._tracing = self._sample and tracemalloc.is_tracing()

@@ -10,14 +10,17 @@ Every entry point normalizes its inputs to
 :class:`~repro.scenario.Scenario` — the serializable scenario layer —
 so one task function (:func:`_scenario_task`) serves direct
 :class:`ExperimentSpec` calls, declarative grids and scenario files
-alike. Execution is pluggable: work decomposes into independent
-:func:`run_replication` tasks mapped through an optional
+alike. Work decomposes into replication *stacks*: runs of consecutive
+replications, possibly spanning several cells that share a
+:func:`scenario_stack_key`, each simulated by one
+:func:`~repro.sim.batch.run_flood_batch` call
+(:func:`run_replication_stack`). Stacks are mapped through an optional
 :class:`repro.exec.Executor` (serial by default, warm process-pool
-parallel on request). Task payloads are ``(scenario_index, rep)`` pairs
-— the fixed topology and the scenario table broadcast once per
-dispatch, the topology zero-copy via shared memory. Each task derives
-its schedule/channel/dynamics/jitter streams from ``(seed, rep)`` alone
-and shares no RNG state, so serial and parallel backends produce
+parallel on request); task payloads are cell/replication ranges — the
+fixed topology and the scenario table broadcast once per dispatch, the
+topology zero-copy via shared memory. Each replication derives its
+schedule/channel/dynamics/jitter streams from ``(seed, rep)`` alone and
+shares no RNG state, so any stacking, chunking or backend produces
 **bit-identical** results. An optional :class:`repro.exec.ResultStore`
 memoizes whole :class:`RunSummary` payloads by content (scenario
 fingerprint + topology fingerprint + engine version), with whole grids
@@ -33,21 +36,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..net.multislot import MultiSlotScheduleTable
 from ..net.packet import FloodWorkload
 from ..net.schedule import ScheduleTable
+from ..net.sync import JitteredSchedules
 from ..net.topology import Topology
 from ..protocols.base import make_protocol
 from ..scenario import Scenario, as_scenario, build_topology
 from .arena import global_arena
-from .batch import run_flood_batch, supports_rep_batching
-from .engine import FloodResult, SimConfig, run_flood
+from .batch import run_flood_batch
+from .engine import FloodResult, SimConfig
 from .rng import RngStreams, derive_seed
 
 __all__ = ["ExperimentSpec", "RunSummary", "run_replication",
            "run_replication_chunk", "run_replication_stack",
-           "scenario_rep_batchable", "scenario_stack_key",
-           "run_experiment", "run_experiments", "run_scenarios",
-           "load_scenario_summaries", "MissingResults",
+           "scenario_stack_key", "run_experiment", "run_experiments",
+           "run_scenarios", "load_scenario_summaries", "MissingResults",
            "run_protocol_sweep"]
 
 #: Widest replication chunk the auto policy hands one task — wide enough
@@ -159,265 +163,148 @@ class RunSummary:
             return np.nanmean(np.vstack(curves), axis=0)
 
 
-def run_replication(topo: Topology, spec, rep: int) -> FloodResult:
-    """Run one replication of ``spec`` — the unit of parallel work.
+def _replication_inputs(topo: Topology, scenario: Scenario,
+                        streams: RngStreams, rep: int):
+    """One replication's believed and true schedules, channel stream and
+    link dynamics, derived from ``(seed, rep)`` alone.
 
-    ``spec`` may be a :class:`~repro.scenario.Scenario`, an
-    :class:`ExperimentSpec`, or a plain dict; everything normalizes
-    through :func:`~repro.scenario.as_scenario`. Streams are derived
-    from ``(seed, rep)`` only (the name-keyed :class:`RngStreams`
-    derivation is order-independent), so a task is a pure function of
-    its arguments: dispatching replications across processes, in any
-    order, reproduces the serial trajectory bit for bit.
+    The name-keyed :class:`RngStreams` derivation is order-independent,
+    so a replication's inputs never depend on which task, stack or
+    process builds them.
     """
-    scenario = as_scenario(spec)
-    config = scenario.sim_config()
-    period = scenario.period
-    streams = RngStreams(scenario.seed)
     schedule_rng = streams.get(f"schedule/{rep}")
-    channel_rng = streams.get(f"channel/{rep}")
     if scenario.wake_slots == 1:
-        schedules = ScheduleTable.random(topo.n_nodes, period, schedule_rng)
+        schedules = ScheduleTable.random(
+            topo.n_nodes, scenario.period, schedule_rng)
     else:
-        from ..net.multislot import MultiSlotScheduleTable
-
         schedules = MultiSlotScheduleTable.random(
-            topo.n_nodes, period, scenario.wake_slots, schedule_rng
+            topo.n_nodes, scenario.period, scenario.wake_slots, schedule_rng
         )
     true_schedules = None
     if scenario.schedule_jitter > 0.0:
-        from ..net.sync import JitteredSchedules
-
         jitter_seed = int(
             derive_seed(scenario.seed, f"jitter/{rep}").generate_state(1)[0]
         )
         true_schedules = JitteredSchedules(
             schedules, scenario.schedule_jitter, jitter_seed
         )
-    dynamics = scenario.make_dynamics(topo, streams.get(f"dynamics/{rep}"))
-    workload = FloodWorkload(scenario.n_packets, scenario.generation_interval)
-    protocol = make_protocol(scenario.protocol, **scenario.protocol_kwargs)
-    return run_flood(
-        topo,
+    return (
         schedules,
-        workload,
-        protocol,
-        channel_rng,
-        config,
-        measure_transmission_delay=scenario.measure_transmission_delay,
-        dynamics=dynamics,
-        true_schedules=true_schedules,
-        link=scenario.make_link_model(),
+        true_schedules,
+        streams.get(f"channel/{rep}"),
+        scenario.make_dynamics(topo, streams.get(f"dynamics/{rep}")),
     )
 
 
-#: Memo for :func:`scenario_rep_batchable`: batchability depends only on
-#: the protocol (name + constructor kwargs) and the event-log switch, so
-#: grid sweeps — thousands of cells over a handful of protocols — skip
-#: the throwaway protocol construction after the first probe per key.
-_BATCHABLE_CACHE: Dict[Tuple, bool] = {}
-_BATCHABLE_CACHE_CAP = 4096
-
-
-def scenario_rep_batchable(scenario) -> bool:
-    """Whether a scenario's replications can share one batched engine run.
-
-    The batched path covers the paper's core configuration: one wake
-    slot per period, no clock skew, no Fig. 9 probe floods, and a
-    protocol whose proposal logic batches over the replication axis
-    (:meth:`~repro.protocols.base.FloodingProtocol.rep_batchable`).
-    Everything else falls back to replication-by-replication
-    :func:`run_replication` — same results, serial throughput.
-
-    The verdict is memoized per ``(protocol, protocol_kwargs,
-    track_events)`` — the only inputs it depends on.
-    """
-    scenario = as_scenario(scenario)
-    if (
-        scenario.wake_slots != 1
-        or scenario.schedule_jitter > 0.0
-        or scenario.measure_transmission_delay
-    ):
-        return False
-    config = scenario.sim_config()
-    key: Optional[Tuple]
-    key = (scenario.protocol,
-           tuple(sorted(scenario.protocol_kwargs.items())),
-           bool(config.track_events))
-    try:
-        hit = _BATCHABLE_CACHE.get(key)
-    except TypeError:  # unhashable kwargs value: probe directly
-        key, hit = None, None
-    if hit is not None:
-        return hit
-    protocol = make_protocol(scenario.protocol, **scenario.protocol_kwargs)
-    out = supports_rep_batching(protocol, config)
-    if key is not None and len(_BATCHABLE_CACHE) < _BATCHABLE_CACHE_CAP:
-        _BATCHABLE_CACHE[key] = out
-    return out
-
-
-def scenario_stack_key(scenario) -> Optional[str]:
-    """Grouping key for cross-cell replication stacking, or ``None``.
+def scenario_stack_key(scenario) -> str:
+    """Grouping key for cross-cell replication stacking.
 
     Two scenarios with the same key can run their replications in one
     stacked ``(R_total, …)`` engine batch: they share the substrate
     contract, protocol (with kwargs), packet count and engine
-    configuration, and differ only in the axes the batched engine
-    carries per replication — duty ratio (wake period), seed (schedule /
-    channel / dynamics streams) and generation interval (workload).
-    Non-batchable scenarios return ``None`` and never stack.
+    configuration, and differ only in the axes the engine carries per
+    replication — duty ratio (wake period), seed (schedule / channel /
+    dynamics / jitter streams) and generation interval (workload).
     """
     scenario = as_scenario(scenario)
-    if not scenario_rep_batchable(scenario):
-        return None
     return replace(
         scenario, duty_ratio=1.0, seed=0, n_replications=1,
         generation_interval=0,
     ).fingerprint()
 
 
-def run_replication_chunk(
-    topo: Topology, spec, rep_start: int, n_reps: int, profiler=None
-) -> List[FloodResult]:
-    """Run replications ``rep_start .. rep_start + n_reps - 1`` of ``spec``.
-
-    The chunked unit of parallel work behind ``--reps-per-task``: when
-    the scenario is replication-batchable (see
-    :func:`scenario_rep_batchable`), all ``n_reps`` floods run as one
-    ``(R, …)`` :func:`~repro.sim.batch.run_flood_batch` invocation —
-    against the process-global scratch arena, so consecutive chunks
-    reuse warm buffers; otherwise the chunk degrades to a loop of
-    :func:`run_replication` calls. Either way each replication's streams
-    are derived from ``(seed, rep)`` exactly as the single-replication
-    task derives them, so results are bit-identical to
-    ``[run_replication(topo, spec, rep) for rep in ...]`` regardless of
-    chunking or backend.
-
-    ``profiler`` (an optional
-    :class:`~repro.sim.observers.PhaseProfiler`) is threaded into the
-    batched engine — the ``repro profile`` hook.
-    """
-    if n_reps < 1:
-        raise ValueError(f"chunk must cover at least one replication, got {n_reps}")
-    scenario = as_scenario(spec)
-    reps = range(rep_start, rep_start + n_reps)
-    if n_reps == 1 or not scenario_rep_batchable(scenario):
-        return [run_replication(topo, scenario, rep) for rep in reps]
-    config = scenario.sim_config()
-    period = scenario.period
-    streams = RngStreams(scenario.seed)
-    schedules_list = [
-        ScheduleTable.random(topo.n_nodes, period, streams.get(f"schedule/{rep}"))
-        for rep in reps
-    ]
-    channel_rngs = [streams.get(f"channel/{rep}") for rep in reps]
-    dynamics_list = [
-        scenario.make_dynamics(topo, streams.get(f"dynamics/{rep}"))
-        for rep in reps
-    ]
-    workload = FloodWorkload(scenario.n_packets, scenario.generation_interval)
-    protocol = make_protocol(scenario.protocol, **scenario.protocol_kwargs)
-    return run_flood_batch(
-        topo, schedules_list, workload, protocol, channel_rngs, config,
-        dynamics_list=dynamics_list, arena=global_arena(),
-        profiler=profiler, link=scenario.make_link_model(),
-    )
-
-
 def run_replication_stack(
-    topo: Topology, cells: Sequence[Tuple]
+    topo: Topology, cells: Sequence[Tuple], profiler=None
 ) -> List[List[FloodResult]]:
-    """Run several scenarios' replication chunks as ONE batched engine call.
+    """Run several scenarios' replication ranges as ONE engine call.
 
     ``cells`` is a sequence of ``(spec, rep_start, n_reps)`` triples
-    whose scenarios share a :func:`scenario_stack_key` — same substrate
-    contract, protocol and engine configuration, differing only in the
-    per-replication axes (duty ratio, seed, generation interval). Their
-    replications concatenate into one ``(R_total, …)``
-    :func:`~repro.sim.batch.run_flood_batch` invocation with
-    per-replication schedule, stream and workload rows: a whole Fig. 10
-    duty column becomes a single engine run. Each cell's streams are
-    derived from its own ``(seed, rep)`` exactly as
-    :func:`run_replication_chunk` derives them, so every extracted
-    replication is bit-identical to its standalone run.
+    whose scenarios share a :func:`scenario_stack_key`; ``spec`` may be
+    a :class:`~repro.scenario.Scenario`, an :class:`ExperimentSpec`, or
+    a plain dict. Their replications concatenate into one
+    ``(R_total, …)`` :func:`~repro.sim.batch.run_flood_batch` invocation
+    with per-replication schedule, stream and workload rows — a whole
+    Fig. 10 duty column becomes a single engine run — against the
+    process-global scratch arena, so consecutive stacks reuse warm
+    buffers. ``profiler`` (an optional
+    :class:`~repro.sim.observers.PhaseProfiler`) is threaded into the
+    engine — the ``repro profile`` hook.
 
-    Returns one result list per cell, index-aligned with ``cells``.
+    Returns one result list per cell, index-aligned with ``cells``; each
+    replication is bit-identical to its standalone run.
     """
     if not cells:
         raise ValueError("stack must cover at least one cell")
     scenarios = [as_scenario(spec) for spec, _, _ in cells]
     base = scenarios[0]
-    config = base.sim_config()
-    schedules_list: List[ScheduleTable] = []
-    channel_rngs = []
-    dynamics_list = []
+    inputs = []
     workloads: List[FloodWorkload] = []
-    splits: List[int] = []
     for scenario, (_, rep_start, n_reps) in zip(scenarios, cells):
         if n_reps < 1:
             raise ValueError(
                 f"stack cell must cover at least one replication, got {n_reps}"
             )
-        period = scenario.period
         streams = RngStreams(scenario.seed)
         workload = FloodWorkload(
             scenario.n_packets, scenario.generation_interval
         )
         for rep in range(rep_start, rep_start + n_reps):
-            schedules_list.append(
-                ScheduleTable.random(
-                    topo.n_nodes, period, streams.get(f"schedule/{rep}")
-                )
-            )
-            channel_rngs.append(streams.get(f"channel/{rep}"))
-            dynamics_list.append(
-                scenario.make_dynamics(topo, streams.get(f"dynamics/{rep}"))
-            )
+            inputs.append(_replication_inputs(topo, scenario, streams, rep))
             workloads.append(workload)
-        splits.append(n_reps)
-    protocol = make_protocol(base.protocol, **base.protocol_kwargs)
-    # The stack key folds ``mac``/``mac_kwargs`` in (they are part of the
-    # fingerprint), so every stacked cell shares the base's link model.
+    schedules, true_schedules, channel_rngs, dynamics = zip(*inputs)
+    # The stack key folds everything but the per-replication axes in
+    # (the link model and probe switch included), so every stacked cell
+    # shares the base's engine configuration.
     results = run_flood_batch(
-        topo, schedules_list, workloads, protocol, channel_rngs, config,
-        dynamics_list=dynamics_list, arena=global_arena(),
-        link=base.make_link_model(),
+        topo, schedules, workloads,
+        make_protocol(base.protocol, **base.protocol_kwargs), channel_rngs,
+        base.sim_config(), dynamics_list=dynamics, arena=global_arena(),
+        profiler=profiler, link=base.make_link_model(),
+        true_schedules_list=true_schedules,
+        measure_transmission_delay=base.measure_transmission_delay,
     )
     out: List[List[FloodResult]] = []
     pos = 0
-    for n_reps in splits:
+    for _, _, n_reps in cells:
         out.append(results[pos:pos + n_reps])
         pos += n_reps
     return out
 
 
-def _scenario_task(topo: Topology, scenarios: Sequence[Scenario], task):
+def run_replication_chunk(
+    topo: Topology, spec, rep_start: int, n_reps: int, profiler=None
+) -> List[FloodResult]:
+    """Replications ``rep_start .. rep_start + n_reps - 1`` of ``spec``,
+    as one engine batch (a one-cell :func:`run_replication_stack`)."""
+    if n_reps < 1:
+        raise ValueError(
+            f"chunk must cover at least one replication, got {n_reps}")
+    return run_replication_stack(
+        topo, [(spec, rep_start, n_reps)], profiler=profiler)[0]
+
+
+def run_replication(topo: Topology, spec, rep: int) -> FloodResult:
+    """One replication of ``spec``: a pure function of its arguments."""
+    return run_replication_chunk(topo, spec, rep, 1)[0]
+
+
+def _scenario_task(topo: Topology, scenarios: Sequence[Scenario], cells):
     """The one broadcast-style task adapter for
     :meth:`repro.exec.Executor.map`.
 
-    The task payload is ``(scenario_index, rep)`` for a single
-    replication, ``(scenario_index, rep_start, n_reps)`` for a
-    replication chunk, or ``("stack", ((scenario_index, rep_start,
-    n_reps), ...))`` for a cross-cell stack — the topology and the
-    scenario table broadcast once per dispatch (the topology zero-copy
-    via shared memory), so a Monte Carlo grid's per-task pickle cost is
-    a couple of ints instead of megabytes of substrate. Scenarios are
-    pure data, so this single adapter replaces the old per-call-shape
-    task functions.
+    The payload is a stack: ``((scenario_index, rep_start, n_reps),
+    ...)``. The topology and the scenario table broadcast once per
+    dispatch (the topology zero-copy via shared memory), so a Monte
+    Carlo grid's per-task pickle cost is a few ints instead of megabytes
+    of substrate.
     """
-    if task[0] == "stack":
-        cells = [(scenarios[i], start, count) for i, start, count in task[1]]
-        return run_replication_stack(topo, cells)
-    if len(task) == 3:
-        i, rep_start, n_reps = task
-        return run_replication_chunk(topo, scenarios[i], rep_start, n_reps)
-    i, rep = task
-    return run_replication(topo, scenarios[i], rep)
+    return run_replication_stack(
+        topo, [(scenarios[i], start, count) for i, start, count in cells]
+    )
 
 
 def _auto_reps_per_task(n_reps: int, jobs: int) -> int:
-    """Default chunk width for a batchable scenario.
+    """Default stack width for ``n_reps`` stackable replications.
 
     Wide chunks amortize the batched engine's per-slot dispatch, but a
     parallel backend still needs at least one chunk per worker to keep
@@ -481,23 +368,19 @@ def run_experiments(
     ``executor.map`` call (so a parallel backend sees the whole grid at
     once, not one spec at a time), and results are regrouped per spec.
 
-    ``reps_per_task`` controls how many replications ride in one task.
-    ``None`` (auto) chunks replication-batchable scenarios up to
-    ``min(128, ceil(n_reps / jobs))`` wide — each chunk runs as one
-    ``(R, …)`` batched engine invocation — and keeps one-replication
-    tasks for everything else. An explicit value forces that chunk
-    width for every scenario (non-batchable ones loop serially inside
-    the task); ``1`` restores per-replication dispatch.
+    ``reps_per_task`` controls how many replications ride in one task —
+    one engine batch. ``None`` (auto) makes stacks up to
+    ``min(128, ceil(n_reps / jobs))`` wide; an explicit value forces
+    that width, and ``1`` runs one replication per task.
 
-    Batchable scenarios sharing a :func:`scenario_stack_key` (same
-    protocol and engine configuration, differing only in duty ratio,
-    seed or generation interval) additionally *stack*: their
-    replication streams concatenate and chunks may span cell
-    boundaries, so a whole duty column dispatches as a handful of
-    ``("stack", …)`` tasks — one engine invocation each — instead of
-    one task per cell. Chunking and stacking are execution policy: they
-    never change results, only throughput, so they are deliberately
-    *not* part of the scenario fingerprint.
+    Scenarios sharing a :func:`scenario_stack_key` (same protocol and
+    engine configuration, differing only in duty ratio, seed or
+    generation interval) *stack*: their replication streams concatenate
+    and a task may span cell boundaries, so a whole duty column
+    dispatches as a handful of tasks — one engine invocation each —
+    instead of one task per cell. Stacking is execution policy: it never
+    changes results, only throughput, so it is deliberately *not* part
+    of the scenario fingerprint.
     """
     scenarios = tuple(as_scenario(spec) for spec in specs)
     if reps_per_task is not None and reps_per_task < 1:
@@ -510,34 +393,16 @@ def run_experiments(
         summaries = [cached.get(key) for key in keys]
 
     jobs = getattr(executor, "jobs", 1) if executor is not None else 1
-    tasks: List[Tuple] = []
+    tasks: List[Tuple[Tuple[int, int, int], ...]] = []
     widths: List[int] = []
 
-    # Cross-cell stacking: pending batchable scenarios group by stack
-    # key; each group's replications form one concatenated stream, cut
-    # into width-bounded chunks that may span cell boundaries. Fallback
-    # scenarios (key None) keep per-replication tasks.
+    # Cross-cell stacking: pending scenarios group by stack key; each
+    # group's replications form one concatenated stream, cut into
+    # width-bounded stacks that may span cell boundaries.
     stack_groups: Dict[str, List[int]] = {}
     for i, scenario in enumerate(scenarios):
-        if summaries[i] is not None:
-            continue
-        skey = scenario_stack_key(scenario)
-        if skey is None or (reps_per_task is not None and reps_per_task == 1):
-            if reps_per_task is not None and reps_per_task > 1:
-                # Forced chunking of a non-batchable scenario: the task
-                # loops run_replication serially inside.
-                n_reps = scenario.n_replications
-                width = min(reps_per_task, n_reps)
-                for start in range(0, n_reps, width):
-                    count = min(width, n_reps - start)
-                    tasks.append((i, start, count))
-                    widths.append(count)
-            else:
-                n_reps = scenario.n_replications
-                tasks.extend((i, rep) for rep in range(n_reps))
-                widths.extend([1] * n_reps)
-            continue
-        stack_groups.setdefault(skey, []).append(i)
+        if summaries[i] is None:
+            stack_groups.setdefault(scenario_stack_key(scenario), []).append(i)
 
     for indices in stack_groups.values():
         total = sum(scenarios[i].n_replications for i in indices)
@@ -556,15 +421,12 @@ def run_experiments(
                 start += take
                 room -= take
                 if room == 0:
-                    tasks.append(chunk[0] if len(chunk) == 1
-                                 else ("stack", tuple(chunk)))
+                    tasks.append(tuple(chunk))
                     widths.append(width)
                     chunk, room = [], width
         if chunk:
-            tail = sum(c[2] for c in chunk)
-            tasks.append(chunk[0] if len(chunk) == 1
-                         else ("stack", tuple(chunk)))
-            widths.append(tail)
+            tasks.append(tuple(chunk))
+            widths.append(width - room)
 
     if tasks:
         if executor is None:
@@ -575,31 +437,24 @@ def run_experiments(
             results = executor.map(
                 _scenario_task, tasks, broadcast=(topo, scenarios)
             )
-            # Dispatch metering: stacked tasks + the cells they merged,
-            # and the global arena's borrow/grow deltas (meaningful for
+            # Dispatch metering: tasks that merged several cells, and the
+            # global arena's borrow/grow deltas (meaningful for
             # in-process backends; pool workers keep their own arenas).
-            n_stacks = sum(1 for task in tasks if task[0] == "stack")
-            n_cells = sum(len(task[1]) for task in tasks
-                          if task[0] == "stack")
+            merged = [len(task) for task in tasks if len(task) > 1]
             arena1 = global_arena().counters()
             for stats in (executor.stats, executor.last):
                 if stats is None:
                     continue
                 stats.note_rep_batches(widths)
-                if n_stacks:
-                    stats.note_stacks(n_stacks, n_cells)
+                if merged:
+                    stats.note_stacks(len(merged), sum(merged))
                 stats.note_arena(
                     arena1[0] - arena0[0], arena1[1] - arena0[1]
                 )
         grouped: Dict[int, List[FloodResult]] = {}
         for task, result in zip(tasks, results):
-            if task[0] == "stack":
-                for (i, _, _), cell_results in zip(task[1], result):
-                    grouped.setdefault(i, []).extend(cell_results)
-            elif len(task) == 3:
-                grouped.setdefault(task[0], []).extend(result)
-            else:
-                grouped.setdefault(task[0], []).append(result)
+            for (i, _, _), cell_results in zip(task, result):
+                grouped.setdefault(i, []).extend(cell_results)
         fresh: Dict[str, RunSummary] = {}
         for i, flood_results in grouped.items():
             # The summary keeps the *caller's* spec object (ExperimentSpec

@@ -1,4 +1,4 @@
-"""Tests for the protocol interface, registry, and SimView."""
+"""Tests for the protocol interface, registry, and RepSimView."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.base import (
     FloodingProtocol,
-    SimView,
+    RepSimView,
     available_protocols,
     make_protocol,
     register_protocol,
@@ -34,16 +34,12 @@ class TestRegistry:
         class Dup(FloodingProtocol):
             name = "opt"
 
-            def propose(self, t, awake, view):
-                return []
-
         with pytest.raises(ValueError, match="already registered"):
             register_protocol(Dup)
 
     def test_empty_name_rejected(self):
         class NoName(FloodingProtocol):
-            def propose(self, t, awake, view):
-                return []
+            pass
 
         with pytest.raises(ValueError, match="non-empty name"):
             register_protocol(NoName)
@@ -80,9 +76,6 @@ class TestInitKwargsRecording:
             def __init__(self, knob=1):
                 self.knob = knob  # deliberately no self.init_kwargs
 
-            def propose(self, t, awake, view):
-                return []
-
         proto = make_protocol("_test_forgetful", knob=7)
         assert proto.knob == 7
         assert proto.init_kwargs == {"knob": 7}
@@ -105,8 +98,12 @@ class TestInitKwargsRecording:
                 constructed.append(knob)
                 self.knob = knob  # again: no self.init_kwargs
 
-            def propose(self, t, awake, view):
-                return []
+            def prepare_reps(self, topo, schedules_list, workload, rngs):
+                pass
+
+            def propose_reps(self, t, rep_ids, awake_by_rep, view):
+                empty = np.empty(0, dtype=np.int64)
+                return empty, empty, empty, empty
 
         topo = line_topology(3, prr=1.0)
         rng = np.random.default_rng(0)
@@ -124,123 +121,108 @@ class TestInitKwargsRecording:
 def view(line5, rng):
     schedules = ScheduleTable.random(5, 5, rng)
     workload = FloodWorkload(3)
-    has = np.zeros((3, 5), dtype=bool)
-    arrival = np.full((3, 5), -1, dtype=np.int64)
+    has = np.zeros((1, 3, 5), dtype=bool)
+    arrival = np.full((1, 3, 5), -1, dtype=np.int64)
     # Source has all three; node 1 has packet 1 (arrived slot 4).
-    has[:, 0] = True
-    arrival[:, 0] = [0, 1, 2]
-    has[1, 1] = True
-    arrival[1, 1] = 4
-    return SimView(line5, schedules, workload, has, arrival)
+    has[0, :, 0] = True
+    arrival[0, :, 0] = [0, 1, 2]
+    has[0, 1, 1] = True
+    arrival[0, 1, 1] = 4
+    return RepSimView(line5, [schedules], workload, has, arrival)
 
 
 class TestSimView:
+    """The protocols' window onto one replication (R = 1)."""
+
     def test_holds(self, view):
-        assert view.holds(0, 0)
-        assert view.holds(1, 1)
-        assert not view.holds(1, 0)  # wait: node 1, packet 0
+        # The engine-maintained possession bitmask: packet m -> bit m.
+        assert int(view.has_packed[0, 0]) == 0b111
+        assert int(view.has_packed[0, 1]) == 0b010
+        assert int(view.has_packed[0, 3]) == 0
 
     def test_held_packets(self, view):
-        assert view.held_packets(0).tolist() == [0, 1, 2]
-        assert view.held_packets(1).tolist() == [1]
-        assert view.held_packets(3).tolist() == []
+        assert view.held_counts[0].tolist() == [3, 1, 0, 0, 0]
+        pairs = view.held_counts_pairs(np.asarray([0, 0]), np.asarray([1, 3]))
+        assert pairs.tolist() == [1, 0]
 
     def test_arrival_slot(self, view):
-        assert view.arrival_slot(0, 2) == 2
-        assert view.arrival_slot(1, 1) == 4
-        assert view.arrival_slot(3, 0) == -1
+        # Earliest arrival wins among the candidate packets.
+        cand = np.asarray([[False, True, True], [False, True, False]])
+        heads = view.fcfs_heads_masked(
+            np.asarray([0, 0]), np.asarray([0, 1]), cand)
+        assert heads.tolist() == [1, 1]
 
     def test_fcfs_head_uses_arrival_order(self, view):
         needed = np.asarray([True, True, True])
-        assert view.fcfs_head(0, needed) == 0  # earliest arrival at source
+        assert view.fcfs_head(0, 0, needed) == 0  # earliest arrival at source
         needed = np.asarray([False, True, True])
-        assert view.fcfs_head(0, needed) == 1
+        assert view.fcfs_head(0, 0, needed) == 1
 
     def test_fcfs_head_none(self, view):
-        assert view.fcfs_head(3, np.asarray([True, True, True])) is None
-        assert view.fcfs_head(0, np.zeros(3, dtype=bool)) is None
+        assert view.fcfs_head(0, 3, np.asarray([True, True, True])) is None
+        assert view.fcfs_head(0, 0, np.zeros(3, dtype=bool)) is None
 
     def test_candidate_senders(self, view):
         needed = np.asarray([True, False, False])
         nbs = np.asarray([0, 2])  # in-neighbors of node 1
-        cands = view.candidate_senders(nbs, needed)
+        cands = view.candidate_senders(0, nbs, needed)
         assert cands.tolist() == [0]
 
     def test_candidate_senders_empty(self, view):
-        assert view.candidate_senders(np.asarray([], dtype=np.int64),
+        assert view.candidate_senders(0, np.asarray([], dtype=np.int64),
                                       np.ones(3, bool)).size == 0
-        assert view.candidate_senders(np.asarray([0]),
+        assert view.candidate_senders(0, np.asarray([0]),
                                       np.zeros(3, bool)).size == 0
 
     def test_oracle_accessors(self, view):
-        needed = view.oracle_needed(1)
-        assert needed.tolist() == [True, False, True]
-        possession = view.oracle_possession()
-        assert possession.shape == (3, 5)
-        with pytest.raises(ValueError):
-            possession[0, 0] = False  # read-only view
+        # OPT serves receivers by their true needs, read off the
+        # possession stack, through the batched FCFS query.
+        needed = ~view.has_stack[0][:, [1, 3]].T
+        assert needed[0].tolist() == [True, False, True]
+        heads, valid = view.fcfs_heads_pairs(
+            np.asarray([0, 0]), np.asarray([0, 1]), needed)
+        assert valid.tolist() == [True, True]
+        assert heads.tolist() == [0, 1]
+        # Node 1 can offer node 3 nothing once node 3 holds packet 1.
+        _, valid = view.fcfs_heads_pairs(
+            np.asarray([0]), np.asarray([1]),
+            np.asarray([[True, False, True]]))
+        assert valid.tolist() == [False]
 
 
 class TestBatchContract:
-    """Either proposal method may be overridden; each adapts the other."""
-
-    def test_list_protocol_gets_batch_adapter(self, view):
-        from repro.net.radio import Transmission, TxBatch
-
-        class ListProto(FloodingProtocol):
-            name = ""
-
-            def propose(self, t, awake, view):
-                return [Transmission(sender=0, receiver=1, packet=0)]
-
-        batch = ListProto().propose_batch(0, np.asarray([1]), view)
-        assert isinstance(batch, TxBatch)
-        assert batch.senders.tolist() == [0]
-        assert batch.receivers.tolist() == [1]
-        assert batch.packets.tolist() == [0]
-
-    def test_batch_protocol_gets_list_adapter(self, view):
-        from repro.net.radio import TxBatch
-
-        class BatchProto(FloodingProtocol):
-            name = ""
-
-            def propose_batch(self, t, awake, view):
-                return TxBatch(
-                    np.asarray([0], dtype=np.int64),
-                    np.asarray([1], dtype=np.int64),
-                    np.asarray([2], dtype=np.int64),
-                )
-
-        txs = BatchProto().propose(0, np.asarray([1]), view)
-        assert [(tx.sender, tx.receiver, tx.packet) for tx in txs] == [(0, 1, 2)]
+    """Every protocol speaks the replication-batched interface."""
 
     def test_overriding_neither_raises(self, view):
         class Neither(FloodingProtocol):
             name = ""
 
         with pytest.raises(NotImplementedError, match="must override"):
-            Neither().propose(0, np.asarray([1]), view)
+            Neither().prepare_reps(view.topo, view.schedules_list,
+                                   view.workload, [None])
         with pytest.raises(NotImplementedError, match="must override"):
-            Neither().propose_batch(0, np.asarray([1]), view)
+            Neither().propose_reps(0, np.asarray([0]), [np.asarray([1])],
+                                   view)
 
-    def test_all_registered_protocols_emit_batches(self, view):
-        # The engine only ever consumes batches: every registered
-        # protocol must produce a TxBatch through propose_batch
-        # (natively or via the adapter).
-        from repro.net.radio import TxBatch
+    def test_all_registered_protocols_emit_batches(self):
+        # The engine consumes flat (replication, sender, receiver,
+        # packet) int arrays, grouped by ascending replication.
         from repro.net.generators import line_topology
-        from repro.sim.engine import SimConfig, run_flood
 
         topo = line_topology(4, prr=1.0)
         for name in available_protocols():
             proto = make_protocol(name)
-            rng = np.random.default_rng(3)
-            schedules = ScheduleTable.random(5, 4, np.random.default_rng(4))
-            proto.prepare(topo, schedules, FloodWorkload(2), rng)
-            has = np.zeros((2, 5), dtype=bool)
-            has[:, 0] = True
+            rngs = [np.random.default_rng(3), np.random.default_rng(5)]
+            schedules = [ScheduleTable(4, [0, 0, 0, 0, 0])] * 2
+            proto.prepare_reps(topo, schedules, FloodWorkload(2), rngs)
+            has = np.zeros((2, 2, 5), dtype=bool)
+            has[:, :, 0] = True
             arrival = np.where(has, 0, -1).astype(np.int64)
-            v = SimView(topo, schedules, FloodWorkload(2), has, arrival)
-            batch = proto.propose_batch(0, schedules.awake_at(0), v)
-            assert isinstance(batch, TxBatch)
+            v = RepSimView(topo, schedules, FloodWorkload(2), has, arrival)
+            awake = [s.awake_at(0) for s in schedules]
+            kk, ss, rr, pp = proto.propose_reps(0, np.arange(2), awake, v)
+            assert len(kk) == len(ss) == len(rr) == len(pp)
+            for arr in (kk, ss, rr, pp):
+                assert arr.dtype == np.int64
+            assert (np.diff(kk) >= 0).all()
+            assert set(ss.tolist()) <= {0}  # only the source holds packets

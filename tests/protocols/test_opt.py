@@ -46,7 +46,7 @@ class TestDesignatedServers:
         proto = OptOracle()
         rng = np.random.default_rng(0)
         schedules = ScheduleTable.random(small_rgg.n_nodes, 10, rng)
-        proto.prepare(small_rgg, schedules, FloodWorkload(1), rng)
+        proto.prepare_reps(small_rgg, [schedules], FloodWorkload(1), [rng])
         tree = build_etx_tree(small_rgg, 10)
         designated = proto._designated
         for r in range(1, small_rgg.n_nodes):

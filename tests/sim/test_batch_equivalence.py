@@ -1,12 +1,13 @@
-"""Batch <-> serial equivalence across every registered protocol.
+"""Replication-width equivalence across every registered protocol.
 
 The replication axis is a pure throughput device: a replication
 extracted from a :func:`run_replication_chunk` batch must be
-**bit-identical** to the same replication run alone through
+**bit-identical** to the same replication run alone (R = 1) through
 :func:`run_replication` — same possession matrices, arrival slots,
-counters, energy ledgers and completion flags — for every protocol
-(batched engine where the protocol supports it, serial fallback
-otherwise), with fast-forward on and off, on static and bursty links.
+counters, energy ledgers and completion flags — for every protocol,
+with fast-forward on and off, on static and bursty links, with clock
+skew, two wake slots per period and probe floods. The golden suite pins
+both widths to frozen trajectories.
 """
 
 import numpy as np
@@ -20,15 +21,12 @@ from repro.sim.runner import (
     run_replication,
     run_replication_chunk,
     run_replication_stack,
-    scenario_rep_batchable,
     scenario_stack_key,
 )
 
 N_REPS = 3
 
-#: Protocols whose proposal path runs batch-native over the replication
-#: axis — every paper-era flood; anything non-batchable (e.g. OPT's
-#: "any" server policy) must still work through the serial fallback.
+#: Every registered protocol runs batch-native over the replication axis.
 BATCH_NATIVE = {"naive", "of", "dca", "flash", "crosslayer", "opt", "dbao"}
 
 
@@ -106,27 +104,25 @@ class TestChunkEquivalence:
         for s, c in zip(serial, chunked):
             assert_results_identical(s, c)
 
-    def test_batchability_gate(self, topo):
-        assert scenario_rep_batchable(_scenario("opt"))
-        assert scenario_rep_batchable(_scenario("dbao"))
-        # Probe floods, multi-slot wake and clock skew force the serial
-        # fallback; the event log does too.
-        assert not scenario_rep_batchable(
-            Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                     measure_transmission_delay=True)
+    @pytest.mark.parametrize("features", [
+        {"wake_slots": 2},
+        {"schedule_jitter": 0.3, "measure_transmission_delay": True},
+        {"link_model": "gilbert_elliott", "measure_transmission_delay": True},
+    ], ids=["2slot", "skew-probes", "bursty-probes"])
+    def test_formerly_serial_features(self, topo, features):
+        scenario = Scenario(
+            protocol="dbao", duty_ratio=0.1, n_packets=3, seed=2011,
+            n_replications=N_REPS, sim={"max_slots": 4000}, **features,
         )
-        assert not scenario_rep_batchable(
-            Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                     wake_slots=2)
-        )
-        assert not scenario_rep_batchable(
-            Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                     schedule_jitter=0.3)
-        )
-        assert not scenario_rep_batchable(
-            Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                     sim={"track_events": True})
-        )
+        single = [run_replication(topo, scenario, rep)
+                  for rep in range(N_REPS)]
+        chunked = run_replication_chunk(topo, scenario, 0, N_REPS)
+        for s, c in zip(single, chunked):
+            assert_results_identical(s, c)
+            if scenario.measure_transmission_delay:
+                np.testing.assert_array_equal(
+                    s.metrics.transmission_delay,
+                    c.metrics.transmission_delay)
 
     def test_invalid_chunk_rejected(self, topo):
         with pytest.raises(ValueError):
@@ -148,8 +144,8 @@ class TestRunnerChunking:
             assert_results_identical(s, c)
 
     def test_mixed_grid_regroups_in_rep_order(self, topo):
-        # A batchable and a fallback scenario in one dispatch: results
-        # regroup per spec in ascending replication order either way.
+        # Two stacks in one dispatch: results regroup per spec in
+        # ascending replication order at any width.
         specs = [_scenario("dbao"), _scenario("of")]
         base = run_experiments(topo, specs, reps_per_task=1)
         chunked = run_experiments(topo, specs, reps_per_task=2)
@@ -178,23 +174,27 @@ class TestRunnerChunking:
     def test_auto_policy_chunks_batchable_only(self, topo):
         from repro.exec import SerialExecutor
 
-        # Every paper-era flood is batch-native now: OF chunks too.
         executor = SerialExecutor()
         run_experiments(topo, [_scenario("of")], executor=executor)
         assert executor.stats.rep_batches == 1  # one 3-wide chunk
         assert executor.stats.batched_reps == N_REPS
         assert executor.stats.tasks == 1
 
-        # The event log still forces the per-replication fallback — and
-        # the stats meter the fallback replications as serial.
+        # Every scenario batches: the event log rides along per
+        # replication, and only width-1 tasks meter as serial.
         executor = SerialExecutor()
         tracked = Scenario(
             protocol="of", duty_ratio=0.1, n_packets=3, seed=2011,
             n_replications=N_REPS,
             sim={"track_events": True, "max_slots": 4000},
         )
-        run_experiments(topo, [tracked], executor=executor)
-        assert executor.stats.rep_batches == 0
+        (summary,) = run_experiments(topo, [tracked], executor=executor)
+        assert executor.stats.rep_batches == 1
+        assert executor.stats.serial_reps == 0
+        assert executor.stats.tasks == 1
+        assert all(r.events is not None for r in summary.results)
+        executor = SerialExecutor()
+        run_experiments(topo, [tracked], executor=executor, reps_per_task=1)
         assert executor.stats.serial_reps == N_REPS
         assert executor.stats.tasks == N_REPS
         assert "batch coverage" in str(executor.stats)
@@ -205,8 +205,8 @@ class TestCrossCellStacking:
 
     def test_stack_key_gates(self):
         # Duty ratio, seed and generation interval are per-replication
-        # axes: they share a key. Protocol or engine config changes (and
-        # non-batchable scenarios) split or drop the key.
+        # axes: they share a key. Protocol or engine config changes
+        # split the key.
         base = _scenario("of")
         assert scenario_stack_key(base) is not None
         assert scenario_stack_key(_scenario("of", duty_ratio=0.05,
@@ -218,7 +218,7 @@ class TestCrossCellStacking:
             != scenario_stack_key(base)
         tracked = Scenario(protocol="of", duty_ratio=0.1, n_packets=3,
                            sim={"track_events": True})
-        assert scenario_stack_key(tracked) is None
+        assert scenario_stack_key(tracked) != scenario_stack_key(base)
 
     def test_stack_matches_standalone_chunks(self, topo):
         # One engine invocation over a whole duty column (plus a seed

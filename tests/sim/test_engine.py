@@ -5,11 +5,11 @@ import pytest
 
 from repro.net.generators import line_topology, star_topology
 from repro.net.packet import FloodWorkload
-from repro.net.radio import RadioModel, Transmission
+from repro.net.radio import RadioModel
 from repro.net.schedule import ScheduleTable
 from repro.protocols.base import FloodingProtocol
 from repro.protocols.opt import OptOracle, opt_radio_model
-from repro.sim.engine import SimConfig, run_flood, run_single_packet_floods
+from repro.sim.engine import SimConfig, run_flood
 from repro.sim.events import EventKind
 
 
@@ -120,36 +120,49 @@ class TestHorizon:
         assert result.completed
 
 
+class _RowProtocol(FloodingProtocol):
+    """Test helper: per-replication ``rows(t, awake, has)`` proposals."""
+
+    def prepare_reps(self, topo, schedules_list, workload, rngs):
+        self.n_nodes = topo.n_nodes
+
+    def propose_reps(self, t, rep_ids, awake_by_rep, view):
+        out = [(k, s, r, p) for k in rep_ids.tolist()
+               for s, r, p in self.rows(t, awake_by_rep[k], view.has_stack[k])]
+        arr = np.asarray(out, dtype=np.int64).reshape(-1, 4)
+        return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+
+
 class TestValidationOfProtocols:
-    class BadTwoTx(FloodingProtocol):
+    class BadTwoTx(_RowProtocol):
         name = "bad-two-tx"
 
-        def propose(self, t, awake, view):
-            if awake.size and view.holds(0, 0):
+        def rows(self, t, awake, has):
+            if awake.size and has[0, 0]:
                 r = int(awake[0])
                 if r != 0:
-                    return [Transmission(0, r, 0), Transmission(0, r, 0)]
+                    return [(0, r, 0), (0, r, 0)]
             return []
 
-    class BadUnheld(FloodingProtocol):
+    class BadUnheld(_RowProtocol):
         name = "bad-unheld"
 
-        def propose(self, t, awake, view):
+        def rows(self, t, awake, has):
             # Sensor 1 "forwards" a packet it never received.
             for r in awake.tolist():
-                if r not in (0, 1) and not view.holds(1, 0):
-                    return [Transmission(1, r, 0)]
+                if r not in (0, 1) and not has[0, 1]:
+                    return [(1, r, 0)]
             return []
 
-    class BadSleeping(FloodingProtocol):
+    class BadSleeping(_RowProtocol):
         name = "bad-sleeping"
 
-        def propose(self, t, awake, view):
-            if view.holds(0, 0):
-                sleeping = [v for v in range(1, view.n_nodes)
+        def rows(self, t, awake, has):
+            if has[0, 0]:
+                sleeping = [v for v in range(1, self.n_nodes)
                             if v not in set(awake.tolist())]
                 if sleeping:
-                    return [Transmission(0, sleeping[0], 0)]
+                    return [(0, sleeping[0], 0)]
             return []
 
     def _run_with(self, protocol):
@@ -192,25 +205,16 @@ class TestTransmissionDelayProbes:
         topo = line_topology(3, prr=1.0)
         rng = np.random.default_rng(1)
         schedules = ScheduleTable.random(4, 5, rng)
-        probes = run_single_packet_floods(
-            topo, schedules, FloodWorkload(10), OptOracle, rng,
+        result = run_flood(
+            topo, schedules, FloodWorkload(10), OptOracle(), rng,
             SimConfig(radio=opt_radio_model(lossless=True)),
-            n_probes=3,
+            measure_transmission_delay=True,
         )
+        probes = result.metrics.transmission_delay
         assert probes.shape == (10,)
         assert np.all(probes > 0)
-        # Cycled probes repeat with period 3.
-        assert np.array_equal(probes[:3], probes[3:6])
-
-    def test_probe_validation(self):
-        topo = line_topology(3, prr=1.0)
-        rng = np.random.default_rng(1)
-        schedules = ScheduleTable.random(4, 5, rng)
-        with pytest.raises(ValueError):
-            run_single_packet_floods(
-                topo, schedules, FloodWorkload(2), OptOracle, rng,
-                n_probes=5,
-            )
+        # min(M, 8) = 8 probes, cycled over the 10 packet slots.
+        assert np.array_equal(probes[:2], probes[8:10])
 
 
 class TestConfigValidation:

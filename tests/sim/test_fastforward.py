@@ -127,11 +127,8 @@ class TestNextActionSlotContract:
         class Minimal(FloodingProtocol):
             name = "minimal-test"
 
-            def propose_batch(self, t, awake, view):  # pragma: no cover
-                from repro.net.radio import TxBatch
-                return TxBatch.empty()
-
-        assert Minimal().next_action_slot(10, np.arange(2), None) == 11
+        bounds = Minimal().next_action_slots(10, np.arange(2), None)
+        assert bounds.tolist() == [11, 11]
 
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
     def test_bound_is_sound_mid_flood(self, small_rgg, name):

@@ -590,39 +590,49 @@ def test_golden_trajectory(name):
 
 
 @pytest.mark.parametrize("rep_index", [0, 2])
-@pytest.mark.parametrize("name", ["opt", "dbao", "dbao-bursty"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_trajectory_extracted_from_batch(name, rep_index):
-    """A replication extracted from an (R, ...) batch matches its serial
-    golden pin bit for bit, regardless of its position in the batch.
+    """A replication extracted from an (R, ...) batch matches its golden
+    pin bit for bit, regardless of its position in the batch.
 
-    This is the acceptance gate for the replication axis: the batched
-    engine is a pure throughput device, and decoy replications seeded
-    differently around the pinned one must not perturb its trajectory.
+    ``run_flood`` is the engine at R = 1; this is the R-wide half of the
+    contract. Decoy replications seeded differently around the pinned
+    one (channel, link dynamics and clock-skew streams) must not
+    perturb its trajectory, its probes or its event stream.
     """
     spec = dict(SCENARIOS[name])
     protocol = spec.pop("protocol")
-    bursty = spec.pop("dynamics", False)
-    assert not spec, "batch pins only cover plain/bursty floods"
-    topo, schedules = _substrate()
+    topo, schedules = _substrate(spec.get("wake_slots", 1))
     n_reps = 3
 
-    def _channel(rep):
-        return np.random.default_rng(42 if rep == rep_index else 1000 + rep)
+    def _seed(rep, pinned, decoy_base):
+        return pinned if rep == rep_index else decoy_base + rep
 
-    def _dyn(rep):
-        seed = 123 if rep == rep_index else 2000 + rep
-        return GilbertElliott(topo, rng=np.random.default_rng(seed))
-
+    dynamics_list = true_list = None
+    if spec.get("dynamics"):
+        dynamics_list = [
+            GilbertElliott(topo, rng=np.random.default_rng(_seed(r, 123, 2000)))
+            for r in range(n_reps)
+        ]
+    if spec.get("skew"):
+        true_list = [
+            JitteredSchedules(schedules, 0.3, seed=_seed(r, 99, 3000))
+            for r in range(n_reps)
+        ]
     results = run_flood_batch(
         topo,
         [schedules] * n_reps,
         FloodWorkload(M),
         make_protocol(protocol),
-        [_channel(rep) for rep in range(n_reps)],
-        _config(protocol),
-        dynamics_list=[_dyn(rep) for rep in range(n_reps)] if bursty else None,
+        [np.random.default_rng(_seed(r, 42, 1000)) for r in range(n_reps)],
+        _config(protocol, track_events=spec.get("track_events", False)),
+        dynamics_list=dynamics_list,
+        link=make_link_model(spec.get("mac", "ideal")),
+        true_schedules_list=true_list,
+        measure_transmission_delay=spec.get("probes", False),
     )
-    observed = _observe(results[rep_index])
+    result = results[rep_index]
+    observed = _observe(result)
     expected = GOLDEN[name]
     assert set(observed) == set(expected)
     for key in sorted(expected):
@@ -630,6 +640,8 @@ def test_golden_trajectory_extracted_from_batch(name, rep_index):
             f"{name}[rep {rep_index}]: {key} drifted\n"
             f"  expected {expected[key]!r}\n  observed {observed[key]!r}"
         )
+    if name in EVENT_STREAMS:
+        assert _event_stream_sha(result.events) == EVENT_STREAMS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EVENT_STREAMS))

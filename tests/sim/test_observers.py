@@ -9,12 +9,7 @@ from repro.protocols.dbao import Dbao
 from repro.protocols.opt import OptOracle, opt_radio_model
 from repro.sim.engine import SimConfig, run_flood
 from repro.sim.events import EventKind
-from repro.sim.observers import (
-    CounterObserver,
-    EventLogObserver,
-    SimObserver,
-    overriders_of,
-)
+from repro.sim.observers import EventLogObserver, SimObserver, overriders_of
 
 
 class _TxOnly(SimObserver):
@@ -23,6 +18,25 @@ class _TxOnly(SimObserver):
 
     def on_tx(self, t, batch, outcome, sleep_misses):
         self.calls += 1
+
+
+class _Counter(SimObserver):
+    """Re-derives the engine's aggregate counters from the hook stream."""
+
+    def __init__(self):
+        self.tx_attempts = self.tx_failures = self.collisions = 0
+        self.duplicates = self.overhears = 0
+
+    def on_tx(self, t, batch, outcome, sleep_misses):
+        self.tx_attempts += len(batch)
+        self.tx_failures += len(outcome.failures)
+        self.collisions += len(outcome.collisions)
+
+    def on_reception(self, t, rec, is_duplicate):
+        if is_duplicate:
+            self.duplicates += not rec.overheard
+        else:
+            self.overhears += rec.overheard
 
 
 class _Recorder(SimObserver):
@@ -113,12 +127,13 @@ class TestUserObservers:
         assert list(mirror.log) == list(result.events)
 
     def test_counter_observer_standalone(self, line5):
-        extra = CounterObserver()
+        # The hooks carry enough to re-derive every engine counter.
+        extra = _Counter()
         result = self._run(line5, [extra])
         m = result.metrics
-        assert extra.counters.tx_attempts == m.tx_attempts
-        assert extra.counters.tx_failures == m.tx_failures
-        assert extra.counters.duplicates == m.duplicates
+        assert extra.tx_attempts == m.tx_attempts
+        assert extra.tx_failures == m.tx_failures
+        assert extra.duplicates == m.duplicates
 
     def test_observers_see_dbao_collision_stream(self, small_rgg):
         # A contention-prone run: user observers receive the same event
@@ -134,3 +149,5 @@ class TestUserObservers:
         )
         assert list(mirror.log) == list(result.events)
         assert mirror.log.count(EventKind.TX) == result.metrics.tx_attempts
+        assert mirror.log.count(EventKind.COLLISION) \
+            == result.metrics.collisions > 0

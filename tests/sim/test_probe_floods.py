@@ -1,9 +1,9 @@
 """The Fig. 9 probe floods must run on the parent flood's channel.
 
-Regression tests for a dropped-argument bug: ``run_single_packet_floods``
-used to ignore ``dynamics`` and ``true_schedules``, so the decomposition's
-"pure transmission delay" probes measured a clean static channel even
-when the parent flood ran on bursty links or skewed clocks.
+Regression tests for a dropped-argument bug: the probe floods used to
+ignore ``dynamics`` and ``true_schedules``, so the decomposition's "pure
+transmission delay" probes measured a clean static channel even when
+the parent flood ran on bursty links or skewed clocks.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from repro.net.dynamics import GilbertElliott
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.opt import OptOracle, opt_radio_model
-from repro.sim.engine import SimConfig, run_flood, run_single_packet_floods
+from repro.sim.batch import run_flood_batch
+from repro.sim.engine import SimConfig, run_flood
 
 
 def _config(max_slots=300):
@@ -38,39 +39,43 @@ def _blackout(topo):
     return ge
 
 
+def _probes(topo, schedules, n_packets, **kwargs):
+    result = run_flood(
+        topo, schedules, FloodWorkload(n_packets), OptOracle(),
+        np.random.default_rng(0), _config(),
+        measure_transmission_delay=True, **kwargs,
+    )
+    return result.metrics.transmission_delay
+
+
 class TestProbeChannelThreading:
     def test_probes_without_dynamics_complete(self, line5):
         schedules = ScheduleTable(4, [0, 1, 2, 3, 0])
-        probes = run_single_packet_floods(
-            line5, schedules, FloodWorkload(3), OptOracle,
-            np.random.default_rng(0), _config(),
-        )
-        assert (probes >= 0).all()
+        assert (_probes(line5, schedules, 3) >= 0).all()
 
     def test_probes_see_parent_dynamics(self, line5):
         # A permanently-dead channel must also be dead for the probes;
         # the old code dropped `dynamics` and the probes completed.
         schedules = ScheduleTable(4, [0, 1, 2, 3, 0])
-        probes = run_single_packet_floods(
-            line5, schedules, FloodWorkload(3), OptOracle,
-            np.random.default_rng(0), _config(),
-            dynamics=_blackout(line5),
-        )
+        probes = _probes(line5, schedules, 3, dynamics=_blackout(line5))
         assert (probes < 0).all()
 
     def test_probes_see_true_schedules(self, line5):
         # Believed and true schedules are phase-disjoint: every
         # transmission targets a dormant radio, so probes sharing the
-        # parent's skew can never deliver. The old code dropped
-        # `true_schedules` and the probes completed.
+        # parent's skew can never deliver. In a batch, each
+        # replication's probes run on its own clocks: the unskewed
+        # twin's probes complete.
         believed = ScheduleTable(4, [0, 0, 0, 0, 0])
         true = ScheduleTable(4, [0, 2, 2, 2, 2])
-        probes = run_single_packet_floods(
-            line5, believed, FloodWorkload(2), OptOracle,
-            np.random.default_rng(0), _config(),
-            true_schedules=true,
+        skewed, clean = run_flood_batch(
+            line5, [believed, believed], FloodWorkload(2), OptOracle(),
+            [np.random.default_rng(0), np.random.default_rng(1)],
+            _config(), true_schedules_list=[true, None],
+            measure_transmission_delay=True,
         )
-        assert (probes < 0).all()
+        assert (skewed.metrics.transmission_delay < 0).all()
+        assert (clean.metrics.transmission_delay >= 0).all()
 
     def test_measure_transmission_delay_threads_channel(self, line5):
         # End to end through run_flood: the parent tolerates the skew

@@ -108,3 +108,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mean_degree" in out
         assert out_path.exists()
+
+    def test_profile_covers_every_scenario(self, tmp_path, capsys):
+        # Fig. 9 cells measure probe floods. Every cell runs on the one
+        # engine, so even a width-1 profile reports every engine phase.
+        import json
+        from pathlib import Path
+
+        grid = Path(__file__).resolve().parent.parent / "examples" / "fig9.json"
+        report = tmp_path / "profile.json"
+        assert main(["profile", str(grid), "--reps", "1", "--no-allocs",
+                     "--json", str(report)]) == 0
+        assert capsys.readouterr().out.startswith("3 cell(s)")
+        phases = json.loads(report.read_text())["phases"]
+        for phase in ("inject", "propose", "validate", "resolve", "mac",
+                      "apply", "observe", "fastforward", "probe"):
+            assert phases[phase]["calls"] > 0, phase
