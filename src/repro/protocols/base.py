@@ -245,7 +245,7 @@ class RepSimView:
             # each replication's own period.
             per = self.periods[rep_ids][:, None, None]
             wakes = nxt + ((off - nxt) % per)
-        return np.where(offers, wakes.min(axis=2), NEVER).min(axis=1)
+        return np.where(offers[:, :, None], wakes, NEVER).min(axis=(1, 2))
 
 
 class FloodingProtocol(ABC):

@@ -494,13 +494,11 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     # nothing per slot.
     obs_inject = _fanout(observers_list, "on_inject")
     obs_slot = _fanout(observers_list, "on_slot")
-    obs_tx = _fanout(observers_list, "on_tx")
     obs_idle = _fanout(observers_list, "on_idle_span")
-    traffic_obs = (
-        set(obs_tx) | set(_fanout(observers_list, "on_reception"))
-        | set(_fanout(observers_list, "on_complete"))
-    )
-    want_coll_rows = bool(obs_tx)
+    obs_traffic = [_fanout(observers_list, hook)
+                   for hook in ("on_tx", "on_reception", "on_complete")]
+    traffic_reps = set().union(*obs_traffic)
+    want_coll_rows = bool(obs_traffic[0])
 
     fast_forward = config.fast_forward
     empty64 = np.empty(0, dtype=np.int64)
@@ -661,9 +659,9 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                 _now = perf_counter()
                 prof.note("resolve", _now - _tprev)
                 _tprev = _now
-            if traffic_obs:
+            if traffic_reps:
                 _dispatch_traffic(
-                    t, traffic_obs, observers_list, kk, ss, rr, pp, outcome,
+                    t, traffic_reps, obs_traffic, kk, ss, rr, pp, outcome,
                     miss, has_stack, covered, completed_at, eligible,
                     need_count,
                 )
@@ -865,59 +863,62 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     return results, dyn_clock
 
 
-def _dispatch_traffic(t, reps, observers_list, kk, ss, rr, pp, outcome, miss,
+def _dispatch_traffic(t, reps, obs_traffic, kk, ss, rr, pp, outcome, miss,
                       has_stack, covered, completed_at, eligible, need_count):
     """Per-frame observer hooks of one traffic slot, from the flat arrays.
 
-    Runs before the slot's receptions are applied, so possession and
-    coverage are still the pre-slot state. Per observed replication the
-    order is ``on_tx``, then each reception in outcome order with
-    ``on_complete`` before the reception that completed a packet.
+    ``obs_traffic`` holds the ``on_tx``, ``on_reception`` and
+    ``on_complete`` fan-outs. Runs before the slot's receptions are
+    applied, so possession and coverage are still the pre-slot state.
+    Per observed replication the order is ``on_tx``, then each reception
+    in outcome order, with ``on_complete`` before the reception that
+    completed a packet.
     """
-    rep_of_row = kk.tolist()
+    on_tx, on_rx, on_complete = obs_traffic
     starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
     bounds = dict(zip(kk[starts].tolist(),
                       zip(starts.tolist(), np.r_[starts[1:], kk.size].tolist())))
-    coll_rows = (outcome.coll_rows.tolist()
-                 if outcome.coll_rows is not None else [])
     for k in sorted(reps.intersection(bounds)):
         lo, hi = bounds[k]
         batch = TxBatch(ss[lo:hi], rr[lo:hi], pp[lo:hi])
         txs = batch.to_transmissions()
         row_of_sender = {tx.sender: i for i, tx in enumerate(txs)}
+        mine = outcome.rec_rep == k
         receptions = [
             Reception(receiver=r, sender=s, packet=p, overheard=o)
             for r, s, p, o in zip(
-                *(arr[outcome.rec_rep == k].tolist() for arr in (
-                    outcome.rec_receiver, outcome.rec_sender,
-                    outcome.rec_packet, outcome.rec_overheard)))
+                outcome.rec_receiver[mine].tolist(),
+                outcome.rec_sender[mine].tolist(),
+                outcome.rec_packet[mine].tolist(),
+                outcome.rec_overheard[mine].tolist(),
+            )
         ]
-        slot = SlotOutcome(
-            receptions=receptions,
-            failures=[txs[row_of_sender[s]]
-                      for s in outcome.fail_sender[outcome.fail_rep == k]
-                      .tolist()],
-            collisions=[txs[row - lo] for row in coll_rows
-                        if rep_of_row[row] == k],
-        )
-        observers = observers_list[k]
-        misses = int(miss[lo:hi].sum()) if miss is not None else 0
-        for ob in overriders_of(observers, "on_tx"):
-            ob.on_tx(t, batch, slot, misses)
-        on_rx = overriders_of(observers, "on_reception")
-        on_complete = overriders_of(observers, "on_complete")
+        if k in on_tx:
+            slot = SlotOutcome(
+                receptions=receptions,
+                failures=[txs[row_of_sender[s]] for s in
+                          outcome.fail_sender[outcome.fail_rep == k].tolist()],
+                # Collision rows keep the link model's (receiver-major)
+                # order.
+                collisions=[txs[row - lo] for row in outcome.coll_rows[
+                    (outcome.coll_rows >= lo) & (outcome.coll_rows < hi)
+                ].tolist()],
+            )
+            misses = int(miss[lo:hi].sum()) if miss is not None else 0
+            for ob in on_tx[k]:
+                ob.on_tx(t, batch, slot, misses)
         has = has_stack[k]
         cov: Dict[int, int] = {}
         for rec in receptions:
             if has[rec.packet, rec.receiver]:
-                for ob in on_rx:
+                for ob in on_rx.get(k, ()):
                     ob.on_reception(t, rec, True)
                 continue
             if eligible[rec.receiver]:
                 p = rec.packet
                 cov[p] = cov.get(p, int(covered[k, p])) + 1
                 if completed_at[k, p] < 0 and cov[p] == need_count:
-                    for ob in on_complete:
+                    for ob in on_complete.get(k, ()):
                         ob.on_complete(t, p)
-            for ob in on_rx:
+            for ob in on_rx.get(k, ()):
                 ob.on_reception(t, rec, False)

@@ -68,7 +68,7 @@ def _config(protocol: str, **kwargs) -> SimConfig:
 
 
 def _flood(protocol: str, *, track_events=False, probes=False, dynamics=None,
-           skew=False, wake_slots=1, mac="ideal"):
+           skew=False, wake_slots=1, mac="ideal", kwargs=None):
     topo, schedules = _substrate(wake_slots)
     true_schedules = (
         JitteredSchedules(schedules, 0.3, seed=99) if skew else None
@@ -78,7 +78,7 @@ def _flood(protocol: str, *, track_events=False, probes=False, dynamics=None,
         topo,
         schedules,
         FloodWorkload(M),
-        make_protocol(protocol),
+        make_protocol(protocol, **(kwargs or {})),
         np.random.default_rng(42),
         _config(protocol, track_events=track_events),
         measure_transmission_delay=probes,
@@ -162,6 +162,7 @@ SCENARIOS = {
     "of-bursty-probes": dict(protocol="of", dynamics=True, probes=True),
     "dbao-skew-probes": dict(protocol="dbao", skew=True, probes=True),
     "dbao-events": dict(protocol="dbao", track_events=True),
+    "opt-any": dict(protocol="opt", kwargs={"server_policy": "any"}),
 }
 
 #: Event-stream hashes (see :func:`_event_stream_sha`) of the
@@ -169,8 +170,9 @@ SCENARIOS = {
 EVENT_STREAMS = {'dbao-events': 'b8426f6c65f27fb0', 'opt-events': 'a957b90c3d0b8e5c'}
 
 # Generated against the seed engine (pre-refactor) via the __main__ helper;
-# the ``-2slot``, ``-csma``, ``-probes`` and ``-events`` additions against
-# the serial slot pipeline before the batched engine replaced it.
+# the ``-2slot``, ``-csma``, ``-probes``, ``-events`` and ``-any``
+# additions against the serial slot pipeline before the batched engine
+# replaced it.
 GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                 'collisions': 6,
                 'completed': True,
@@ -540,6 +542,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                'sleep_misses': 0,
                'tx_attempts': 73,
                'tx_failures': 1},
+ 'opt-any': {'arrival_sha': '77b237ce414347ab',
+             'collisions': 0,
+             'completed': True,
+             'completed_at': [18, 23, 28],
+             'coverage': [1.0, 1.0, 1.0],
+             'delays': [19, 19, 19],
+             'duplicates': 0,
+             'elapsed': 29,
+             'energy_total': 363.3,
+             'first_tx': [0, 5, 10],
+             'ledger_failures': [13, 108],
+             'ledger_rx': [72, 972],
+             'ledger_tx': [85, 975],
+             'overhears': 0,
+             'sleep_misses': 0,
+             'tx_attempts': 85,
+             'tx_failures': 13},
  'opt-events': {'arrival_sha': '26659e4992609e87',
                 'collisions': 0,
                 'completed': True,
@@ -623,7 +642,7 @@ def test_golden_trajectory_extracted_from_batch(name, rep_index):
         topo,
         [schedules] * n_reps,
         FloodWorkload(M),
-        make_protocol(protocol),
+        make_protocol(protocol, **spec.get("kwargs", {})),
         [np.random.default_rng(_seed(r, 42, 1000)) for r in range(n_reps)],
         _config(protocol, track_events=spec.get("track_events", False)),
         dynamics_list=dynamics_list,
