@@ -17,7 +17,7 @@ import numpy as np
 
 from ..net.topology import SOURCE
 
-__all__ = ["flatten_sender_lists", "candidate_rows"]
+__all__ = ["flatten_sender_lists", "frontier_pairs", "candidate_rows"]
 
 
 def flatten_sender_lists(
@@ -42,6 +42,21 @@ def flatten_sender_lists(
     else:
         flat = np.empty(0, dtype=np.int64)
     return sizes, starts, flat
+
+
+def frontier_pairs(
+    sender_lists: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(senders, receivers)`` over every non-source receiver.
+
+    Receiver ``r``'s candidates (in list order) pair with ``r``,
+    receivers ascending: the static pair set a protocol's quiescence
+    frontier scans for offers.
+    """
+    sizes, _, flat = flatten_sender_lists(sender_lists)
+    receivers = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    keep = receivers != SOURCE
+    return flat[keep], receivers[keep]
 
 
 def candidate_rows(

@@ -31,7 +31,7 @@ from ..core.tradeoff import EnergyModel, GainWeights, TradeoffPoint, optimal_dut
 from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
 from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists
+from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
 from .base import (
     FloodingProtocol,
     RepSimView,
@@ -100,19 +100,7 @@ class CrossLayerFlooding(FloodingProtocol):
         # Quiescence frontier: all (clique member, receiver) pairs, like
         # DBAO's — the opportunistic ranking only reorders senders, it
         # never adds pairs beyond the cliques.
-        s_parts = []
-        r_parts = []
-        for r, fwd in enumerate(forwarders):
-            if r == SOURCE or fwd.size == 0:
-                continue
-            s_parts.append(fwd)
-            r_parts.append(np.full(fwd.size, r, dtype=np.int64))
-        if s_parts:
-            self._frontier_s = np.concatenate(s_parts)
-            self._frontier_r = np.concatenate(r_parts)
-        else:
-            self._frontier_s = np.empty(0, dtype=np.int64)
-            self._frontier_r = np.empty(0, dtype=np.int64)
+        self._frontier_s, self._frontier_r = frontier_pairs(forwarders)
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list))
         self._rep_schedules = list(schedules_list)

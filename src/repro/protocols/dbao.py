@@ -47,6 +47,7 @@ import numpy as np
 from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE
 from ._belief import RepNeighborBelief
+from ._repbatch import frontier_pairs
 from .base import (
     FloodingProtocol,
     RepSimView,
@@ -122,19 +123,7 @@ class Dbao(FloodingProtocol):
         # Quiescence frontier: every (clique member, receiver) pair of
         # the whole network, flattened once — next_action_slots scans
         # them in one batched belief query.
-        s_parts = []
-        r_parts = []
-        for r, fwd in enumerate(fwd_arrays):
-            if r == SOURCE or fwd.size == 0:
-                continue
-            s_parts.append(fwd)
-            r_parts.append(np.full(fwd.size, r, dtype=np.int64))
-        if s_parts:
-            self._frontier_s = np.concatenate(s_parts)
-            self._frontier_r = np.concatenate(r_parts)
-        else:
-            self._frontier_s = np.empty(0, dtype=np.int64)
-            self._frontier_r = np.empty(0, dtype=np.int64)
+        self._frontier_s, self._frontier_r = frontier_pairs(fwd_arrays)
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list)
         )

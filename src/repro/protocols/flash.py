@@ -26,7 +26,7 @@ import numpy as np
 
 from ..net.topology import SOURCE
 from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists
+from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
 from .base import (
     FloodingProtocol,
     RepSimView,
@@ -86,20 +86,9 @@ class FlashFlooding(FloodingProtocol):
         # only *shrink* a slot's batch — ignoring them keeps the bound
         # conservative (a bounded slot may still execute empty, never the
         # reverse).
-        s_parts, r_parts = [], []
-        for r in range(n):
-            if r == SOURCE:
-                continue
-            nbs = topo.in_neighbors(r)
-            if nbs.size:
-                s_parts.append(nbs)
-                r_parts.append(np.full(nbs.size, r, dtype=np.int64))
-        if s_parts:
-            self._frontier_s = np.concatenate(s_parts)
-            self._frontier_r = np.concatenate(r_parts)
-        else:
-            self._frontier_s = np.empty(0, dtype=np.int64)
-            self._frontier_r = np.empty(0, dtype=np.int64)
+        self._frontier_s, self._frontier_r = frontier_pairs(
+            [topo.in_neighbors(r) for r in range(n)]
+        )
         self._off_frontier = None
 
     def _rep_rows(self, t: int):

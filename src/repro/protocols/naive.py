@@ -17,9 +17,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..net.topology import SOURCE
 from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists
+from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
 from .base import (
     FloodingProtocol,
     RepSimView,
@@ -62,9 +61,9 @@ class NaiveFlooding(FloodingProtocol):
         n = topo.n_nodes
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list))
+        in_lists = [topo.in_neighbors(r) for r in range(n)]
         self._in_sizes, self._in_starts, self._in_flat = flatten_sender_lists(
-            [topo.in_neighbors(r) for r in range(n)]
-        )
+            in_lists)
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
         # Quiescence frontier: the proposal considers every (in-neighbor,
@@ -72,20 +71,7 @@ class NaiveFlooding(FloodingProtocol):
         # believing holder could serve. Exact for naive: options (and
         # hence persistence draws — the RNG-quiescence requirement) are
         # nonempty iff an offering link has a waking receiver.
-        s_parts, r_parts = [], []
-        for r in range(n):
-            if r == SOURCE:
-                continue
-            nbs = topo.in_neighbors(r)
-            if nbs.size:
-                s_parts.append(nbs)
-                r_parts.append(np.full(nbs.size, r, dtype=np.int64))
-        if s_parts:
-            self._frontier_s = np.concatenate(s_parts)
-            self._frontier_r = np.concatenate(r_parts)
-        else:
-            self._frontier_s = np.empty(0, dtype=np.int64)
-            self._frontier_r = np.empty(0, dtype=np.int64)
+        self._frontier_s, self._frontier_r = frontier_pairs(in_lists)
         self._off_frontier = None
 
     def _rep_rows(self, t: int):

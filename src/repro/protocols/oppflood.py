@@ -27,9 +27,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..net.radio import csma_select_reps
-from ..net.topology import SOURCE
 from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists
+from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
 from .base import (
     FloodingProtocol,
     RepSimView,
@@ -100,9 +99,9 @@ class OpportunisticFlooding(FloodingProtocol):
         self._tree_edge = tree_edge
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list))
+        in_lists = [topo.in_neighbors(r) for r in range(n)]
         self._in_sizes, self._in_starts, self._in_flat = flatten_sender_lists(
-            [topo.in_neighbors(r) for r in range(n)]
-        )
+            in_lists)
         self._rep_cache_period = phase_cache_period(schedules_list)
         self._rep_phase_cache: Dict[int, Tuple] = {}
         # Quiescence frontier: every believed in-neighbor link with a
@@ -111,20 +110,7 @@ class OpportunisticFlooding(FloodingProtocol):
         # conservative superset — crucially it also bounds the back-off
         # permutation draw: choices (and the RNG consumption) are empty
         # whenever no link offers.
-        s_parts, r_parts = [], []
-        for r in range(n):
-            if r == SOURCE:
-                continue
-            nbs = topo.in_neighbors(r)
-            if nbs.size:
-                s_parts.append(nbs)
-                r_parts.append(np.full(nbs.size, r, dtype=np.int64))
-        if s_parts:
-            self._frontier_s = np.concatenate(s_parts)
-            self._frontier_r = np.concatenate(r_parts)
-        else:
-            self._frontier_s = np.empty(0, dtype=np.int64)
-            self._frontier_r = np.empty(0, dtype=np.int64)
+        self._frontier_s, self._frontier_r = frontier_pairs(in_lists)
         self._off_frontier = None
 
     def _rep_rows(self, t: int):
