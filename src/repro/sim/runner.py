@@ -276,9 +276,6 @@ def run_replication_chunk(
 ) -> List[FloodResult]:
     """Replications ``rep_start .. rep_start + n_reps - 1`` of ``spec``,
     as one engine batch (a one-cell :func:`run_replication_stack`)."""
-    if n_reps < 1:
-        raise ValueError(
-            f"chunk must cover at least one replication, got {n_reps}")
     return run_replication_stack(
         topo, [(spec, rep_start, n_reps)], profiler=profiler)[0]
 
