@@ -41,7 +41,7 @@ __all__ = ["ENGINE_VERSION", "SimConfig", "FloodResult", "run_flood"]
 #: :mod:`repro.exec.store` cache key. Bump whenever a change alters
 #: simulated trajectories (RNG consumption order, channel resolution,
 #: metric definitions, ...) so stale cached results can never be served.
-ENGINE_VERSION = "2011.1"
+ENGINE_VERSION = "2011.2"
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments import run_experiment_by_id
 from repro.experiments.skew import JitteredSchedules
 from repro.net.generators import line_topology
+from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols import make_protocol
@@ -21,6 +22,15 @@ class TestJitteredSchedules:
     def test_zero_jitter_matches_advertised(self, advertised):
         truth = JitteredSchedules(advertised, 0.0, seed=1)
         for t in range(30):
+            assert np.array_equal(truth.awake_at(t), advertised.awake_at(t))
+
+    @pytest.mark.parametrize("wake_slots", [1, 2])
+    def test_zero_jitter_keeps_every_wake_slot(self, wake_slots, rng):
+        # Every active slot of a multi-slot table jitters, so at jitter 0
+        # the true wake sets equal the advertised ones at every phase.
+        advertised = MultiSlotScheduleTable.random(5, 20, wake_slots, rng)
+        truth = JitteredSchedules(advertised, 0.0, seed=1)
+        for t in range(40):
             assert np.array_equal(truth.awake_at(t), advertised.awake_at(t))
 
     def test_deterministic_in_seed(self, advertised):
@@ -50,7 +60,7 @@ class TestJitteredSchedules:
         moved = total = 0
         for k in range(400):
             offs = truth._offsets_for_period(k)
-            moved += int((offs != advertised.offsets).sum())
+            moved += int((offs != advertised.offsets_matrix).sum())
             total += len(advertised)
         # Shifts of ±1 can coincide with the advertised slot only via
         # wraparound in tiny periods; period=10 keeps this clean.
