@@ -62,7 +62,6 @@ def execution_context() -> ExecutionContext:
 
 
 def configure_execution(
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[os.PathLike] = None,
     reps_per_task: Optional[int] = None,
@@ -70,8 +69,8 @@ def configure_execution(
 ) -> ExecutionContext:
     """Install (and return) a new process-wide context.
 
-    ``backend``/``jobs`` follow :func:`~repro.exec.executor.resolve_executor`
-    (``jobs > 1`` alone selects the parallel backend); ``cache_dir``
+    ``jobs > 1`` selects the parallel backend (see
+    :func:`~repro.exec.executor.resolve_executor`); ``cache_dir``
     upgrades the store from in-memory to persistent; ``reps_per_task``
     sets the replication-chunking width (``None`` = auto). A
     pre-constructed ``store`` (e.g. one shard's directory opened by a
@@ -81,7 +80,7 @@ def configure_execution(
     if store is not None and cache_dir is not None:
         raise ValueError("pass either store or cache_dir, not both")
     _DEFAULT = ExecutionContext(
-        executor=resolve_executor(backend, jobs),
+        executor=resolve_executor(jobs),
         store=store if store is not None else ResultStore(cache_dir),
         reps_per_task=reps_per_task,
     )
@@ -103,7 +102,6 @@ def reset_execution() -> ExecutionContext:
 
 @contextlib.contextmanager
 def use_execution(
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[os.PathLike] = None,
     reps_per_task: Optional[int] = None,
@@ -118,14 +116,13 @@ def use_execution(
     """
     global _DEFAULT
     previous = _DEFAULT
-    if (backend is None and jobs is None and cache_dir is None
-            and reps_per_task is None and store is None):
+    if (jobs is None and cache_dir is None and reps_per_task is None
+            and store is None):
         yield previous
         return
     ctx = None
     try:
-        ctx = configure_execution(backend=backend, jobs=jobs,
-                                  cache_dir=cache_dir,
+        ctx = configure_execution(jobs=jobs, cache_dir=cache_dir,
                                   reps_per_task=reps_per_task,
                                   store=store)
         yield ctx

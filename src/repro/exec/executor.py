@@ -312,20 +312,13 @@ class ParallelExecutor(Executor):
         job (or one task) the pool is skipped entirely and tasks run
         in-process — the 1-core fallback costs nothing beyond the serial
         path.
-    chunksize:
-        Tasks handed to a worker per dispatch. Default: enough chunks
-        for ~4 rounds per worker (``ceil(n / (4 * jobs))``), which
-        amortizes per-chunk payload pickling without starving the pool
-        on skewed task durations.
-    warm:
-        Keep the pool alive between ``map`` calls (the default). A cold
-        executor tears the pool down after every dispatch — the pre-warm
-        behavior, kept for benchmarking and for callers that dispatch
-        once in a long-lived process.
-    shared_memory:
-        Transport ``to_shared()``-capable broadcast items (topologies)
-        via shared-memory segments. Off, or when segment creation fails,
-        they fall back to once-per-chunk pickle payloads.
+
+    Each dispatch cuts its tasks into enough chunks for ~4 rounds per
+    worker (``ceil(n / (4 * jobs))`` tasks per chunk), which amortizes
+    per-chunk payload pickling without starving the pool on skewed task
+    durations. Broadcast items exposing ``to_shared()`` (topologies)
+    travel via shared-memory segments; when segment creation fails they
+    fall back to once-per-chunk pickle payloads.
 
     ``fn`` and every task must be picklable (module-level functions and
     plain data); the runner's replication task satisfies this. The pool
@@ -335,42 +328,23 @@ class ParallelExecutor(Executor):
     whose pool died with :class:`WorkerCrashError`.
     """
 
-    def __init__(self, jobs: Optional[int] = None,
-                 chunksize: Optional[int] = None,
-                 warm: bool = True, shared_memory: bool = True):
+    def __init__(self, jobs: Optional[int] = None):
         super().__init__()
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.jobs = int(jobs) if jobs is not None else (os.cpu_count() or 1)
-        self.chunksize = chunksize
-        self.warm = bool(warm)
-        self.shared_memory = bool(shared_memory)
         self._pool = None
         self._handles = {}  # broadcast token -> SharedTopologyHandle
         self._refs = {}     # broadcast token -> picklable ref
         _LIVE_EXECUTORS.add(self)
 
-    # -- chunking ------------------------------------------------------
-
     def _chunksize_for(self, n_tasks: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
         return max(1, math.ceil(n_tasks / (4 * self.jobs)))
 
-    def _chunk_policy(self) -> str:
-        if self.chunksize is not None:
-            return str(self.chunksize)
-        return f"auto:ceil(n/{4 * self.jobs})"
-
     def __repr__(self) -> str:
-        mode = "warm" if self.warm else "cold"
-        transport = "shm" if self.shared_memory else "pickle"
         return (
             f"{type(self).__name__}(jobs={self.jobs}, "
-            f"chunksize={self._chunk_policy()}, {mode}, "
-            f"broadcast={transport})"
+            f"chunksize=ceil(n/{4 * self.jobs}))"
         )
 
     # -- pool lifecycle ------------------------------------------------
@@ -429,19 +403,17 @@ class ParallelExecutor(Executor):
         token = item.fingerprint()
         ref = self._refs.get(token)
         if ref is None:
-            if self.shared_memory:
-                try:
-                    handle = item.to_shared()
-                except Exception:
-                    handle = None  # no /dev/shm etc. -> pickle fallback
-                if handle is not None:
-                    self._handles[token] = handle
-                    dispatch.shared_bytes += handle.nbytes
-                    ref = handle.ref
-            if ref is None:
+            try:
+                handle = item.to_shared()
+            except Exception:
+                # No /dev/shm etc.: ship the item pickled in every chunk.
                 ref = PickledRef(
                     token, pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
                 )
+            else:
+                self._handles[token] = handle
+                dispatch.shared_bytes += handle.nbytes
+                ref = handle.ref
             self._refs[token] = ref
         return ref
 
@@ -489,28 +461,14 @@ class ParallelExecutor(Executor):
                 f"out-of-memory kills and native crashes"
             ) from exc
         finally:
-            if not self.warm:
-                self._discard_pool()
             self.stats.merge(dispatch)
             self.last = dispatch
         return results
 
 
-def resolve_executor(
-    backend: Optional[str] = None, jobs: Optional[int] = None
-) -> Executor:
-    """Build an executor from CLI-ish ``backend``/``jobs`` settings.
-
-    ``backend=None`` picks ``"parallel"`` when ``jobs`` asks for more
-    than one worker and ``"serial"`` otherwise, so ``--jobs 4`` alone is
-    enough to go parallel.
-    """
-    if backend is None:
-        backend = "parallel" if (jobs is not None and jobs > 1) else "serial"
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "parallel":
+def resolve_executor(jobs: Optional[int] = None) -> Executor:
+    """The executor for a ``--jobs`` setting: parallel when ``jobs``
+    asks for more than one worker, serial otherwise."""
+    if jobs is not None and jobs > 1:
         return ParallelExecutor(jobs=jobs)
-    raise ValueError(
-        f"unknown execution backend {backend!r}; choose 'serial' or 'parallel'"
-    )
+    return SerialExecutor()

@@ -31,8 +31,7 @@ and recomputed rather than served. Disk access is batched: a lazily
 built one-scan directory index answers existence probes (a fig10/fig11
 grid costs one ``scandir``, not hundreds of per-key file opens),
 :meth:`ResultStore.get_many`/:meth:`ResultStore.put_many` move whole
-grids at once, and each key's payload digest is verified once per
-process with the verdict memoized.
+grids at once, and every disk load re-checks its payload digest.
 
 Mergeable shard stores
 ----------------------
@@ -230,10 +229,6 @@ class ResultStore:
         # processes after the scan are still found (one extra stat per
         # true miss, instead of a wrong recompute).
         self._index: Optional[Set[str]] = None
-        # Keys whose on-disk payload already passed the digest check in
-        # this process; later loads (e.g. after ``clear()``) skip the
-        # full-payload re-hash.
-        self._verified: Set[str] = set()
 
     # -- counters exposed flat for convenience -------------------------
 
@@ -358,9 +353,7 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        # We computed this digest ourselves: the key is verified, and
-        # the index (if already built) learns the new entry.
-        self._verified.add(key)
+        # The index (if already built) learns the new entry.
         if self._index is not None:
             self._index.add(key)
 
@@ -373,18 +366,13 @@ class ResultStore:
         try:
             head, payload = raw.split(b"\n", 1)
             meta = json.loads(head.decode("utf-8"))
-            if meta.get("format") != _FORMAT or meta.get("key") != key:
+            if (meta.get("format") != _FORMAT or meta.get("key") != key
+                    or meta.get("digest")
+                    != hashlib.sha256(payload).hexdigest()):
                 raise ValueError("integrity check failed")
-            # Hash the payload once per key per process; a key that
-            # already passed keeps its verdict (e.g. across ``clear()``).
-            if key not in self._verified:
-                if meta.get("digest") != hashlib.sha256(payload).hexdigest():
-                    raise ValueError("integrity check failed")
-                self._verified.add(key)
             return pickle.loads(payload)
         except Exception:
             self.stats.rejected += 1
-            self._verified.discard(key)
             return None
 
     def clear(self) -> None:

@@ -99,14 +99,13 @@ def scenario_grid_ids() -> List[str]:
 def run_experiment_by_id(
     experiment_id: str,
     scale: str = "full",
-    backend: Optional[str] = None,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     **kwargs,
 ) -> ExperimentResult:
     """Run one registered experiment.
 
-    ``backend``/``jobs``/``cache_dir`` configure the execution context
+    ``jobs``/``cache_dir`` configure the execution context
     for the duration of the run (see :mod:`repro.exec`): ``jobs > 1``
     fans replications and sweep grids over a process pool, and
     ``cache_dir`` persists result summaries so a repeated invocation
@@ -119,7 +118,7 @@ def run_experiment_by_id(
         raise KeyError(
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    with use_execution(backend=backend, jobs=jobs, cache_dir=cache_dir):
+    with use_execution(jobs=jobs, cache_dir=cache_dir):
         return fn(scale=scale, **kwargs)
 
 

@@ -17,14 +17,13 @@ from .links import (
     prr_to_k_class,
     rssi_to_prr,
 )
-from .packet import FcfsBuffer, FloodWorkload, Packet
+from .packet import FloodWorkload, Packet
 from .radio import (
     RadioModel,
     Reception,
     SlotOutcome,
     Transmission,
     TxBatch,
-    carrier_sense_groups,
     resolve_slot,
 )
 from .schedule import (
@@ -34,7 +33,6 @@ from .schedule import (
     period_to_duty_ratio,
     random_schedules,
 )
-from .sync import LocalSyncService
 from .topology import SOURCE, Topology
 from .trace import (
     GreenOrbsConfig,
@@ -50,12 +48,12 @@ __all__ = [
     "LinkQuality", "RadioParameters", "distance_to_prr",
     "expected_transmissions", "k_class_to_prr", "prr_to_k_class",
     "rssi_to_prr",
-    "FcfsBuffer", "FloodWorkload", "Packet",
+    "FloodWorkload", "Packet",
     "RadioModel", "Reception", "SlotOutcome", "Transmission", "TxBatch",
-    "carrier_sense_groups", "resolve_slot",
+    "resolve_slot",
     "ScheduleTable", "WorkingSchedule", "duty_ratio_to_period",
     "period_to_duty_ratio", "random_schedules",
-    "LocalSyncService", "SOURCE", "Topology",
+    "SOURCE", "Topology",
     "GreenOrbsConfig", "load_trace", "save_trace", "synthesize_greenorbs",
     "trace_statistics",
 ]

@@ -1,22 +1,21 @@
-"""Packets, FCFS buffers, and flood workloads.
+"""Packets and flood workloads.
 
 The paper's queueing discipline (Sec. III-C) is FCFS everywhere: the
 source injects packets sequentially, and every relay forwards the packet
 that *arrived at it* earliest among those the intended receiver still
-needs. :class:`FcfsBuffer` implements exactly that discipline for the
-object-level API; the vectorized simulator keeps the equivalent state in
-arrays (see :mod:`repro.sim.engine`) but is tested against this reference
-implementation.
+needs. The engine keeps that state in arrays (arrival slots per
+replication, packet and node; see :mod:`repro.sim.batch`); this module
+holds the source's side: packets and their injection plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-__all__ = ["Packet", "FcfsBuffer", "FloodWorkload"]
+__all__ = ["Packet", "FloodWorkload"]
 
 
 @dataclass(frozen=True, order=True)
@@ -37,65 +36,6 @@ class Packet:
             raise ValueError(
                 f"generation slot must be non-negative, got {self.generated_at}"
             )
-
-
-class FcfsBuffer:
-    """Arrival-ordered packet buffer of one node.
-
-    Packets are queued in the order they arrived at *this* node. For a
-    given receiver, the head-of-line packet is the earliest-arrived packet
-    the receiver still needs — later packets may not overtake it (the
-    FCFS policy the paper's waiting analysis is built on).
-    """
-
-    def __init__(self):
-        self._order: List[int] = []  # packet indices, arrival order
-        self._arrival: Dict[int, int] = {}
-
-    def __contains__(self, packet_index: int) -> bool:
-        return packet_index in self._arrival
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    @property
-    def packets(self) -> List[int]:
-        """Packet indices in arrival order (a copy)."""
-        return list(self._order)
-
-    def arrival_slot(self, packet_index: int) -> int:
-        """Slot at which the packet arrived here."""
-        try:
-            return self._arrival[packet_index]
-        except KeyError:
-            raise KeyError(f"packet {packet_index} not in buffer") from None
-
-    def add(self, packet_index: int, slot: int) -> bool:
-        """Record arrival of a packet; returns False for duplicates.
-
-        Duplicate receptions (possible via overhearing) are ignored — the
-        first arrival fixes the FCFS position.
-        """
-        if packet_index in self._arrival:
-            return False
-        if self._order and slot < self._arrival[self._order[-1]]:
-            # Arrivals within one slot are fine; going backwards is a bug.
-            if slot < max(self._arrival.values()) - 0:
-                pass  # equal-slot arrivals keep insertion order
-        self._order.append(packet_index)
-        self._arrival[packet_index] = int(slot)
-        return True
-
-    def head_for(self, needed: Iterable[int]) -> Optional[int]:
-        """Earliest-arrived packet among ``needed`` (None if none held).
-
-        ``needed`` is the set of packets the intended receiver lacks.
-        """
-        needed_set = set(needed)
-        for p in self._order:
-            if p in needed_set:
-                return p
-        return None
 
 
 class FloodWorkload:

@@ -21,7 +21,7 @@ one slot and resolves what every awake receiver actually hears:
   suppression machinery relies on this.
 
 Carrier sense is *not* the radio's job: it happens before commitment, in
-the protocols (see :func:`carrier_sense_groups` used by DBAO/OF).
+the protocols (see :func:`csma_select_reps` used by DBAO/OF).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "RepSlotOutcome",
     "resolve_slot",
     "resolve_slot_reps",
-    "carrier_sense_groups",
     "csma_select",
     "csma_select_reps",
 ]
@@ -907,38 +906,3 @@ def csma_select_reps(
         if idx.size:
             idx = idx[~heard[groups[idx], senders[idx]]]
     return win
-
-
-def carrier_sense_groups(
-    senders: Sequence[int], topo: Topology
-) -> List[List[int]]:
-    """Partition would-be senders into mutually-audible groups.
-
-    Two senders belong to the same group when they are connected through a
-    chain of audible (in-range) sender pairs. Within a group, a MAC layer
-    with carrier sense can serialize transmissions; across groups it
-    cannot — those are each other's hidden terminals.
-
-    Returns groups as lists of node ids, each sorted ascending; groups are
-    ordered by their smallest member.
-    """
-    remaining = set(senders)
-    if len(remaining) != len(senders):
-        raise ValueError("duplicate sender ids")
-    audible = lambda a, b: topo.has_link(a, b) or topo.has_link(b, a)
-    groups: List[List[int]] = []
-    while remaining:
-        seed = min(remaining)
-        group = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            cur = frontier.pop()
-            heard = [s for s in remaining if audible(cur, s)]
-            for s in heard:
-                remaining.discard(s)
-                group.add(s)
-                frontier.append(s)
-        groups.append(sorted(group))
-    groups.sort(key=lambda g: g[0])
-    return groups

@@ -12,6 +12,9 @@ recorded), so a sender may waste transmissions on packets the receiver
 already has, but never wrongly skips a needed packet. The DBAO and OF
 implementations both rely on this one-sided-error property for their
 coverage guarantees; a property test enforces it.
+
+:class:`BeliefFlooding` is the protocol half: the observe rule and the
+quiescence frontier every belief-driven protocol shares.
 """
 
 from __future__ import annotations
@@ -19,15 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..net.topology import Topology
+from ._repbatch import executing_rows, frontier_pairs
+from .base import FloodingProtocol, PhaseCache
 
-__all__ = ["RepNeighborBelief"]
-
-
-def _index_array(x) -> np.ndarray:
-    """Normalize an iterable of node/packet ids to an int64 index array."""
-    if isinstance(x, np.ndarray):
-        return x.astype(np.int64, copy=False)
-    return np.fromiter((int(v) for v in x), dtype=np.int64)
+__all__ = ["RepNeighborBelief", "BeliefFlooding"]
 
 
 class RepNeighborBelief:
@@ -97,130 +95,44 @@ class RepNeighborBelief:
             return (words[:, None] & self._pow2[None, :]) == 0
         return ~self._belief4[kk, observers, :, cols]
 
-    def sync_possession(
-        self, rep: int, observer: int, receiver: int, held
-    ) -> None:
-        """Absorb a possession summary advertised by ``receiver``.
-
-        Link-layer ACKs in dissemination protocols piggyback the
-        receiver's packet summary (Deluge-style version vectors); a
-        sender that hears one learns the receiver's *entire* buffer
-        state at once. ``held`` lists the packets the receiver holds;
-        evidence about a non-neighbor is useless and dropped.
-        """
-        col = self._pair_col[observer, receiver]
-        if col < 0:
-            return
-        held_idx = _index_array(held)
-        if self._packed is not None:
-            if held_idx.size:
-                self._packed[rep, observer, col] |= np.bitwise_or.reduce(
-                    self._pow2[held_idx]
-                )
-            return
-        self._belief4[rep, observer, held_idx, col] = True
-
-    def sync_for_witnesses(
-        self, rep: int, witnesses, receiver: int, held
-    ) -> None:
-        """Broadcast one possession summary to several overhearers."""
-        w = _index_array(witnesses)
-        if w.size == 0:
-            return
-        held_idx = _index_array(held)
-        if held_idx.size == 0:
-            return
-        cols = self._pair_col[w, receiver]
-        keep = cols >= 0
-        if not keep.all():
-            w, cols = w[keep], cols[keep]
-            if w.size == 0:
-                return
-        if self._packed is not None:
-            self._packed[rep, w, cols] |= np.bitwise_or.reduce(
-                self._pow2[held_idx]
-            )
-            return
-        self._belief4[rep, w[:, None], held_idx[None, :], cols[:, None]] = True
-
-    def sync_pairs(
+    def sync(
         self,
         kk: np.ndarray,
         observers: np.ndarray,
         receivers: np.ndarray,
-        held_rows: np.ndarray,
+        has_stack: np.ndarray,
+        has_packed: "np.ndarray | None" = None,
     ) -> None:
-        """Batched :meth:`sync_possession` over flat observation tuples.
+        """Absorb possession summaries over flat observation tuples.
 
         Tuple ``i`` has ``observers[i]`` (in replication ``kk[i]``)
-        absorb ``receivers[i]``'s possession summary ``held_rows[i]`` —
-        an ``(M,)`` boolean row. Non-neighbor evidence is dropped, like
-        the scalar form. Updates only ever set bits, so the batched OR
+        learn ``receivers[i]``'s *entire* buffer at once — the summary a
+        link-layer ACK piggybacks in dissemination protocols
+        (Deluge-style version vectors) — read off the ``(R, M, n)``
+        possession stack, or straight from the engine-maintained
+        ``(R, n)`` possession bitmask when the caller supplies it.
+        Evidence about a non-neighbor is useless and dropped. Updates
+        only ever set bits, and any repeated (replication, observer,
+        receiver) tuple carries an identical summary, so the batched OR
         is order-independent and matches any serial application order.
         """
         cols = self._pair_col[observers, receivers]
         keep = cols >= 0
         if not keep.all():
-            kk, observers, cols = kk[keep], observers[keep], cols[keep]
-            held_rows = held_rows[keep]
+            kk, observers, receivers = kk[keep], observers[keep], receivers[keep]
+            cols = cols[keep]
         if kk.size == 0:
             return
-        if self._packed is not None:
-            # Any repeated (rep, observer, col) tuple carries an
-            # identical possession row (one reception per receiver per
-            # slot), so the plain fancy OR is exact.
-            words = (held_rows.astype(np.uint64) * self._pow2).sum(
-                axis=1, dtype=np.uint64
-            )
-            self._packed[kk, observers, cols] |= words
+        if self._packed is None:
+            self._belief4[kk, observers, :, cols] |= has_stack[kk, :, receivers]
             return
-        self._belief4[kk, observers, :, cols] |= held_rows
-
-    def sync_pairs_words(
-        self,
-        kk: np.ndarray,
-        observers: np.ndarray,
-        receivers: np.ndarray,
-        words: np.ndarray,
-    ) -> None:
-        """:meth:`sync_pairs` with possession already packed to words.
-
-        Only callable in the packed (M <= 64) regime — callers holding
-        an engine-maintained possession bitmask skip the (W, M) boolean
-        gather entirely.
-        """
-        cols = self._pair_col[observers, receivers]
-        keep = cols >= 0
-        if not keep.all():
-            kk, observers, cols = kk[keep], observers[keep], cols[keep]
-            words = words[keep]
-        if kk.size == 0:
-            return
-        self._packed[kk, observers, cols] |= words
-
-    def sync_ack_summaries(self, outcome, view) -> None:
-        """Absorb each non-overheard reception's ACK possession summary.
-
-        The shared observe rule of the ACK-summary protocols (OF, naive,
-        FLASH, DCA): the transmitting sender — and only it — learns the
-        receiver's whole buffer from the piggybacked summary. One
-        batched sync per slot over a
-        :class:`~repro.net.radio.RepSlotOutcome`.
-        """
-        sel = ~outcome.rec_overheard
-        if not sel.any():
-            return
-        kk = outcome.rec_rep[sel]
-        observers = outcome.rec_sender[sel]
-        receivers = outcome.rec_receiver[sel]
-        if self._packed is not None and view.has_packed is not None:
-            self.sync_pairs_words(
-                kk, observers, receivers, view.has_packed[kk, receivers]
-            )
+        if has_packed is not None:
+            words = has_packed[kk, receivers]
         else:
-            self.sync_pairs(
-                kk, observers, receivers, view.has_stack[kk, :, receivers]
-            )
+            words = (
+                has_stack[kk, :, receivers].astype(np.uint64) * self._pow2
+            ).sum(axis=1, dtype=np.uint64)
+        self._packed[kk, observers, cols] |= words
 
     def coverage_counts(
         self, kk: np.ndarray, observers: np.ndarray, packets: np.ndarray
@@ -322,3 +234,95 @@ class RepNeighborBelief:
                 & self._pow2[None, :, None]
             ) != 0
         return self._belief4[int(rep)].copy()
+
+
+class BeliefFlooding(FloodingProtocol):
+    """Base of the protocols whose senders act on neighbor beliefs.
+
+    Subclasses call :meth:`_prepare_belief` from ``prepare_reps`` and
+    read their per-slot candidate rows through :meth:`_slot_rows`, which
+    memoises the subclass's ``_phase_rows(t)`` per wake phase. They
+    inherit the shared observe rule and — given each receiver's
+    candidate senders — the shared quiescence frontier.
+    """
+
+    def _prepare_belief(self, topo, schedules_list, workload,
+                        sender_lists=None) -> None:
+        """Per-run belief state; ``sender_lists[r]`` lists receiver
+        ``r``'s candidate senders, whose pairs form the frontier."""
+        self._topo = topo
+        self._rep_schedules = list(schedules_list)
+        self._rep_belief = RepNeighborBelief(
+            topo, workload.n_packets, len(schedules_list))
+        self._phases = PhaseCache(schedules_list)
+        #: ``(kk, senders, receivers)`` of the last proposal's contenders
+        #: that overhear their chosen receiver's ACK, or ``None``.
+        self._witnesses = None
+        self._off_frontier = None
+        if sender_lists is not None:
+            self._frontier_s, self._frontier_r = frontier_pairs(sender_lists)
+
+    def _slot_rows(self, t, rep_ids):
+        """The subclass's ``_phase_rows(t)``, memoised per wake phase and
+        narrowed to the replications executing slot ``t``."""
+        return executing_rows(rep_ids, len(self._rep_schedules),
+                              *self._phases.at(t, self._phase_rows))
+
+    def observe_reps(self, t, outcome, view) -> None:
+        """Absorb each non-overheard reception's ACK possession summary.
+
+        The transmitting sender learns the receiver's whole buffer from
+        the summary its ACK piggybacks, and so does every recorded
+        witness whose chosen receiver was served. An overheard reception
+        updates nobody: the third party now holds the packet, and
+        beliefs are about neighbors.
+        """
+        sel = ~outcome.rec_overheard
+        if not sel.any():
+            return
+        kk = outcome.rec_rep[sel]
+        observers = outcome.rec_sender[sel]
+        receivers = outcome.rec_receiver[sel]
+        if self._witnesses is not None:
+            kk, observers, receivers = self._join_witnesses(
+                kk, observers, receivers, view.n_nodes)
+        self._rep_belief.sync(
+            kk, observers, receivers, view.has_stack, view.has_packed)
+
+    def _join_witnesses(self, kk, observers, receivers, n):
+        """Append the witnesses whose chosen receiver got a reception.
+
+        At most one non-overheard reception lands per (replication,
+        receiver) per slot, so the keys join without ambiguity; a winner
+        is its own witness, and the repeated tuple ORs an identical
+        summary.
+        """
+        wk, ws, wr = self._witnesses
+        wkey = wk * n + wr
+        rkey = np.sort(kk * n + receivers)
+        pos = np.minimum(np.searchsorted(rkey, wkey), rkey.size - 1)
+        match = rkey[pos] == wkey
+        if not match.any():
+            return kk, observers, receivers
+        return (np.concatenate([kk, wk[match]]),
+                np.concatenate([observers, ws[match]]),
+                np.concatenate([receivers, wr[match]]))
+
+    def next_action_slots(self, t, rep_ids, view):
+        """Earliest wake of a receiver some believing holder could serve.
+
+        A frontier pair offers when its sender holds a packet it
+        believes the receiver lacks — the condition under which the
+        proposal could commit a row on it. Per-slot gates (listen rule,
+        back-off, lateness, persistence, concurrency caps) only shrink a
+        slot's batch, so the bound stays sound.
+        """
+        if self._off_frontier is None:
+            self._off_frontier = view.offsets_stack[:, self._frontier_r]
+        offers = self._rep_belief.offer_pairs_reps(
+            rep_ids, self._frontier_s, self._frontier_r, view.has_stack,
+            view.has_packed,
+        )
+        return view.earliest_wakes(
+            t, rep_ids, self._frontier_r, offers, self._off_frontier
+        )

@@ -1,12 +1,14 @@
 """Shared row-building machinery for replication-batched proposals.
 
-The batch-native receiver-driven floods (OF, naive, FLASH, cross-layer)
-all walk the same per-slot structure: for every waking non-source
-receiver, a protocol-specific ordered list of candidate senders. Across
-R replications that flattens to parallel ``(replication, sender,
+The receiver-driven floods (OF, naive, FLASH, cross-layer, DBAO) all
+walk the same per-slot structure: for every waking non-source receiver,
+a protocol-specific ordered list of candidate senders. Across R
+replications that flattens to parallel ``(replication, sender,
 receiver)`` row arrays whose content depends only on the schedule phase,
-so each protocol builds them once per phase (through these helpers) and
-caches the result alongside its own static per-row annotations.
+so each protocol builds them through these helpers once per phase (a
+:class:`~repro.protocols.base.PhaseCache` keeps them, alongside the
+protocol's own static per-row annotations) and narrows them each slot
+to the replications executing it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from ..net.topology import SOURCE
 
-__all__ = ["flatten_sender_lists", "frontier_pairs", "candidate_rows"]
+__all__ = ["flatten_sender_lists", "frontier_pairs", "candidate_rows",
+           "executing_rows"]
 
 
 def flatten_sender_lists(
@@ -112,3 +115,19 @@ def candidate_rows(
     if with_sender_awake:
         return kk, ss, rr, sender_awake
     return kk, ss, rr
+
+
+def executing_rows(rep_ids: np.ndarray, n_reps: int, kk: np.ndarray, *cols):
+    """Keep the phase rows of the replications executing this slot.
+
+    Phase rows cover every replication of the stack; ``rep_ids`` lists
+    those executing slot ``t`` (the others sit out a fast-forward jump).
+    Returns ``(kk, *cols)`` filtered alike, untouched when all execute.
+    """
+    if rep_ids.size < n_reps:
+        active = np.zeros(n_reps, dtype=bool)
+        active[rep_ids] = True
+        keep = active[kk]
+        if not keep.all():
+            return (kk[keep],) + tuple(c[keep] for c in cols)
+    return (kk,) + cols

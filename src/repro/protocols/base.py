@@ -27,7 +27,7 @@ from ..net.topology import Topology
 
 __all__ = ["RepSimView", "FloodingProtocol", "register_protocol",
            "make_protocol", "available_protocols", "NEVER",
-           "phase_cache_period"]
+           "PhaseCache", "PHASE_CACHE_CAP"]
 
 #: Sentinel arrival for absent packets in FCFS computations (hoisted —
 #: ``np.iinfo`` on every call shows up hard in profiles).
@@ -39,22 +39,47 @@ _INT64_MAX = np.iinfo(np.int64).max
 NEVER = _INT64_MAX // 4
 
 
-def phase_cache_period(schedules_list, cap: int = 16384) -> int:
-    """Common wake-phase period across a replication stack's schedules.
+#: Largest wake-phase period a :class:`PhaseCache` memoises; a stack
+#: whose LCM exceeds it rebuilds its rows every slot.
+PHASE_CACHE_CAP = 16384
 
-    Wake sets — and every per-phase row structure derived from them —
-    repeat with the least common multiple of the replications' wake
-    periods, so caches keyed on ``t % period`` stay exact even when a
-    cross-cell stack mixes duty cycles. Returns ``0`` when the LCM
-    exceeds ``cap`` (pathological period mixes); callers must then
-    rebuild rows per slot instead of caching.
+
+class PhaseCache:
+    """Per-phase memo of rows derived from a replication stack's wake sets.
+
+    Wake sets repeat every period (the paper's compact time scale), so
+    every per-slot structure built from them alone — the engine's wake
+    lists, a protocol's candidate rows — repeats with the least common
+    multiple of the replications' wake periods, even when a cross-cell
+    stack mixes duty cycles. :meth:`at` builds such rows once per phase
+    ``t % period`` and serves every later slot of that phase from the
+    memo. ``period`` is 0 when the LCM exceeds :data:`PHASE_CACHE_CAP`
+    (pathological period mixes); every call then rebuilds.
     """
-    period = 1
-    for schedules in schedules_list:
-        period = math.lcm(period, int(schedules.period))
-        if period > cap:
-            return 0
-    return period
+
+    def __init__(self, schedules_list):
+        period = 1
+        for schedules in schedules_list:
+            period = math.lcm(period, int(schedules.period))
+            if period > PHASE_CACHE_CAP:
+                period = 0
+                break
+        self.period = period
+        self._rows: Dict[int, object] = {}
+
+    def at(self, t: int, build):
+        """``build(t)``, memoised on slot ``t``'s phase.
+
+        The builder is passed per call rather than stored, so a protocol
+        holding its own cache forms no reference cycle.
+        """
+        if not self.period:
+            return build(t)
+        key = t % self.period
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = build(t)
+        return rows
 
 
 class RepSimView:
@@ -112,10 +137,6 @@ class RepSimView:
             ).sum(axis=1, dtype=np.uint64)
         else:
             self.has_packed = None
-        #: (R,) per-replication state-change counters: the engine bumps a
-        #: replication's entry whenever its possession/belief inputs may
-        #: have changed, and frontier caches key on it.
-        self.state_version = np.zeros(self.n_reps, dtype=np.int64)
         #: Scratch arena the engine threads through the run; protocols
         #: may borrow hot-path buffers from it (``None`` outside the
         #: batched engine — borrowers fall back to fresh allocation).

@@ -23,21 +23,16 @@ This module implements the sketch:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..core.tradeoff import EnergyModel, GainWeights, TradeoffPoint, optimal_duty_cycle
 from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
-from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
-from .base import (
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._belief import BeliefFlooding
+from ._repbatch import candidate_rows, flatten_sender_lists
+from .base import RepSimView, register_protocol
 
 __all__ = ["CrossLayerFlooding", "recommended_configuration"]
 
@@ -67,7 +62,7 @@ def recommended_configuration(
 
 
 @register_protocol
-class CrossLayerFlooding(FloodingProtocol):
+class CrossLayerFlooding(BeliefFlooding):
     """DBAO mechanics + unsuppressed opportunistic forwarding."""
 
     name = "crosslayer"
@@ -79,8 +74,8 @@ class CrossLayerFlooding(FloodingProtocol):
     # Clique candidate rows per phase like DBAO; the best-link pick per
     # (replication, sender) keeps the earliest traversal row on PRR ties,
     # usefulness is computed on the picked rows (beliefs are static
-    # within a slot), and the observe join mirrors DBAO's contender
-    # matching with the sender sync applied unconditionally.
+    # within a slot), and every contender witnesses its receiver's ACK,
+    # as in DBAO.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
         # No randomness is consumed; the ETX anchor (and so the cliques)
@@ -88,7 +83,6 @@ class CrossLayerFlooding(FloodingProtocol):
         from .dbao import forwarder_clique
         from .tree import build_etx_tree
 
-        self._topo = topo
         tree = build_etx_tree(topo, int(schedules_list[0].period))
         forwarders = [
             np.asarray(
@@ -100,52 +94,24 @@ class CrossLayerFlooding(FloodingProtocol):
         # Quiescence frontier: all (clique member, receiver) pairs, like
         # DBAO's — the opportunistic ranking only reorders senders, it
         # never adds pairs beyond the cliques.
-        self._frontier_s, self._frontier_r = frontier_pairs(forwarders)
-        self._rep_belief = RepNeighborBelief(
-            topo, workload.n_packets, len(schedules_list))
-        self._rep_schedules = list(schedules_list)
-        self._fwd_sizes, self._fwd_starts, self._fwd_flat = (
-            flatten_sender_lists(forwarders)
-        )
+        self._prepare_belief(topo, schedules_list, workload, forwarders)
+        self._fwd_rows = flatten_sender_lists(forwarders)
         self._out_deg = np.asarray(
             [topo.out_neighbors(v).size for v in range(topo.n_nodes)],
             dtype=np.int64,
         )
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: Dict[int, Tuple] = {}
-        self._contender_k = None
-        self._contender_s = None
-        self._contender_r = None
-        self._off_frontier = None
 
-    def _rep_rows(self, t: int):
-        key = t % self._rep_cache_period if self._rep_cache_period else None
-        if key is not None:
-            hit = self._rep_phase_cache.get(key)
-            if hit is not None:
-                return hit
+    def _phase_rows(self, t: int):
         kk, ss, rr, sender_awake = candidate_rows(
-            self._rep_schedules, t, self._fwd_sizes, self._fwd_starts,
-            self._fwd_flat, with_sender_awake=True,
-        )
-        rows = (kk, ss, rr, sender_awake, self._topo.prr[ss, rr])
-        if key is not None:
-            self._rep_phase_cache[key] = rows
-        return rows
+            self._rep_schedules, t, *self._fwd_rows, with_sender_awake=True)
+        return kk, ss, rr, sender_awake, self._topo.prr[ss, rr]
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        self._contender_k = self._contender_s = self._contender_r = None
-        kk, ss, rr, sender_awake, prr = self._rep_rows(t)
+        self._witnesses = None
+        kk, ss, rr, sender_awake, prr = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        if rep_ids.size < len(self._rep_schedules):
-            active = np.zeros(len(self._rep_schedules), dtype=bool)
-            active[rep_ids] = True
-            keep = active[kk]
-            if not keep.all():
-                kk, ss, rr = kk[keep], ss[keep], rr[keep]
-                sender_awake, prr = sender_awake[keep], prr[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         # RX-mode rule: see FlashFlooding.propose_reps.
@@ -184,9 +150,7 @@ class CrossLayerFlooding(FloodingProtocol):
 
         # All contenders (winners and deferrers) hear their receiver's
         # ACK; observe_reps joins them against the slot's receptions.
-        self._contender_k = chosen_k
-        self._contender_s = chosen_s
-        self._contender_r = chosen_r
+        self._witnesses = (chosen_k, chosen_s, chosen_r)
 
         # Deterministic back-off rank: best link first (like DBAO), then
         # most-useful transmission (overhearing turns usefulness into
@@ -200,49 +164,3 @@ class CrossLayerFlooding(FloodingProtocol):
         if rows.size == 0:
             return empty, empty, empty, empty
         return chosen_k[rows], chosen_s[rows], chosen_r[rows], chosen_p[rows]
-
-    def observe_reps(self, t, outcome, view: RepSimView):
-        sel = ~outcome.rec_overheard
-        if not sel.any():
-            return
-        rep_f = outcome.rec_rep[sel]
-        recv_f = outcome.rec_receiver[sel]
-        send_f = outcome.rec_sender[sel]
-        wk, w_obs, w_recv = rep_f, send_f, recv_f
-        if self._contender_k is not None and self._contender_k.size:
-            # Witness audience: contenders whose chosen receiver got a
-            # non-overheard reception (at most one per (replication,
-            # receiver) per slot). Senders already sync above; repeated
-            # (rep, observer, receiver) tuples OR identical words, so
-            # the overlap is harmless.
-            n = view.n_nodes
-            ckey = self._contender_k * n + self._contender_r
-            rkey = rep_f * n + recv_f
-            rkey_sorted = np.sort(rkey)
-            pos = np.searchsorted(rkey_sorted, ckey)
-            pos_c = np.minimum(pos, rkey_sorted.size - 1)
-            match = rkey_sorted[pos_c] == ckey
-            if match.any():
-                wk = np.concatenate([wk, self._contender_k[match]])
-                w_obs = np.concatenate([w_obs, self._contender_s[match]])
-                w_recv = np.concatenate([w_recv, self._contender_r[match]])
-        if (self._rep_belief._packed is not None
-                and view.has_packed is not None):
-            self._rep_belief.sync_pairs_words(
-                wk, w_obs, w_recv, view.has_packed[wk, w_recv]
-            )
-        else:
-            self._rep_belief.sync_pairs(
-                wk, w_obs, w_recv, view.has_stack[wk, :, w_recv]
-            )
-
-    def next_action_slots(self, t, rep_ids, view: RepSimView):
-        if self._off_frontier is None:
-            self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        offers = self._rep_belief.offer_pairs_reps(
-            rep_ids, self._frontier_s, self._frontier_r, view.has_stack,
-            view.has_packed,
-        )
-        return view.earliest_wakes(
-            t, rep_ids, self._frontier_r, offers, self._off_frontier
-        )

@@ -40,20 +40,15 @@ implements.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
 from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE
-from ._belief import RepNeighborBelief
-from ._repbatch import frontier_pairs
-from .base import (
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._belief import BeliefFlooding
+from ._repbatch import candidate_rows, flatten_sender_lists
+from .base import RepSimView, register_protocol
 
 __all__ = ["Dbao", "forwarder_clique"]
 
@@ -89,7 +84,7 @@ def forwarder_clique(topo, receiver: int, anchor: int = -1) -> List[int]:
 
 
 @register_protocol
-class Dbao(FloodingProtocol):
+class Dbao(BeliefFlooding):
     """Deterministic back-off + overhearing flooding."""
 
     name = "dbao"
@@ -111,7 +106,6 @@ class Dbao(FloodingProtocol):
         # with heterogeneous periods too.
         from .tree import build_etx_tree
 
-        self._topo = topo
         tree = build_etx_tree(topo, int(schedules_list[0].period))
         fwd_arrays = [
             np.asarray(
@@ -121,80 +115,23 @@ class Dbao(FloodingProtocol):
             for r in range(topo.n_nodes)
         ]
         # Quiescence frontier: every (clique member, receiver) pair of
-        # the whole network, flattened once — next_action_slots scans
-        # them in one batched belief query.
-        self._frontier_s, self._frontier_r = frontier_pairs(fwd_arrays)
-        self._rep_belief = RepNeighborBelief(
-            topo, workload.n_packets, len(schedules_list)
-        )
-        self._rep_schedules = list(schedules_list)
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: Dict[int, Tuple] = {}
-        # Static forwarder cliques (in clique order) and their link PRRs,
-        # flattened once: per-phase row builds gather ranges out of these
-        # instead of concatenating hundreds of per-receiver arrays.
-        self._fwd_sizes = np.fromiter(
-            (f.size for f in fwd_arrays), np.int64, count=len(fwd_arrays),
-        )
-        self._fwd_starts = np.concatenate(
-            ([0], np.cumsum(self._fwd_sizes))
-        )
-        self._fwd_flat = np.concatenate(fwd_arrays)
-        self._fwd_prr_flat = np.concatenate(
-            [topo.prr[f, r] for r, f in enumerate(fwd_arrays)]
-        )
-        self._contender_k = None
-        self._contender_s = None
-        self._contender_r = None
-        self._off_frontier = None
-        self._nas_vers_reps = None
-        self._nas_offers_reps = None
+        # the whole network. A receiver is actionable when some clique
+        # member holds a packet it believes that receiver lacks — the
+        # offer condition the proposal's gate enforces, minus the
+        # per-slot listen rule and back-off, which only shrink a slot's
+        # batch. The back-off carries no cross-slot state, so schedule
+        # progression alone decides when the frontier can next transmit.
+        self._prepare_belief(topo, schedules_list, workload, fwd_arrays)
+        # Static forwarder cliques (in clique order), flattened once.
+        self._fwd_rows = flatten_sender_lists(fwd_arrays)
 
     def _phase_rows(self, t: int):
-        """All-replication candidate rows for one slot's schedule phase.
-
-        Wake sets repeat every period per replication, so the flat
-        (replication, sender, receiver, prr, sender-awake) concatenation
-        across *all* replications is periodic with the LCM of the
-        per-replication periods — built once per LCM phase and reused
-        for the rest of the run (uncached when the LCM is unreasonable).
-        """
-        ck = t % self._rep_cache_period if self._rep_cache_period else None
-        if ck is not None:
-            hit = self._rep_phase_cache.get(ck)
-            if hit is not None:
-                return hit
-        kk_parts: List[np.ndarray] = []
-        s_parts: List[np.ndarray] = []
-        r_parts: List[np.ndarray] = []
-        p_parts: List[np.ndarray] = []
-        aw_parts: List[np.ndarray] = []
-        awake_mask = np.zeros(self._topo.n_nodes, dtype=bool)
-        for k, sched in enumerate(self._rep_schedules):
-            aw = sched.awake_at(t)
-            if aw.size == 0:
-                continue
-            awake_mask[aw] = True
-            recv = aw[aw != SOURCE]
-            sz = self._fwd_sizes[recv]
-            total = int(sz.sum())
-            if total:
-                seg = np.concatenate(([0], np.cumsum(sz)[:-1]))
-                idx = (np.repeat(self._fwd_starts[recv] - seg, sz)
-                       + np.arange(total))
-                s_part = self._fwd_flat[idx]
-                kk_parts.append(np.full(total, k, dtype=np.int64))
-                s_parts.append(s_part)
-                r_parts.append(np.repeat(recv, sz))
-                p_parts.append(self._fwd_prr_flat[idx])
-                aw_parts.append(awake_mask[s_part])
-            awake_mask[aw] = False
-        if kk_parts:
-            kk = np.concatenate(kk_parts)
-            s_flat = np.concatenate(s_parts)
-            r_flat = np.concatenate(r_parts)
-            prr_flat = np.concatenate(p_parts)
-            sender_awake = np.concatenate(aw_parts)
+        """All-replication candidate rows for one slot's schedule phase,
+        sorted and annotated for the proposal's fused gate."""
+        kk, s_flat, r_flat, sender_awake = candidate_rows(
+            self._rep_schedules, t, *self._fwd_rows, with_sender_awake=True)
+        if kk.size:
+            prr_flat = self._topo.prr[s_flat, r_flat]
             # Unique (replication, sender) pairs with a row inverse: the
             # hold-something / listen gate is per pair, so propose_reps
             # evaluates it on the (much smaller) pair set and broadcasts.
@@ -239,16 +176,14 @@ class Dbao(FloodingProtocol):
             rows = (empty, empty, empty, np.empty(0, dtype=np.float64),
                     empty, empty, empty, np.empty(0, dtype=bool), empty,
                     empty, empty)
-        if ck is not None:
-            self._rep_phase_cache[ck] = rows
         return rows
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        self._contender_k = self._contender_s = self._contender_r = None
+        self._witnesses = None
 
-        (k_srt, s_srt, r_srt, prr_srt, col_srt,
-         u_k, u_s, u_listen, inv_srt, bel_idx, u_idx) = self._phase_rows(t)
+        (k_srt, s_srt, r_srt, prr_srt, col_srt, u_k, u_s, u_listen,
+         inv_srt, bel_idx, u_idx) = self._phases.at(t, self._phase_rows)
         if k_srt.size == 0:
             return empty, empty, empty, empty
 
@@ -357,9 +292,7 @@ class Dbao(FloodingProtocol):
             # Every contender that chose receiver r hears r's link-layer
             # ACK, winner or not; observe_reps joins these against the
             # slot's receptions in one batched sync.
-            self._contender_k = chosen_k
-            self._contender_s = chosen_s
-            self._contender_r = chosen_r
+            self._witnesses = (chosen_k, chosen_s, chosen_r)
 
         # Deterministic back-off rank within each replication (best link
         # first, id tie-break), then one CSMA walk over all
@@ -374,87 +307,3 @@ class Dbao(FloodingProtocol):
         if rows.size == 0:
             return empty, empty, empty, empty
         return chosen_k[rows], chosen_s[rows], chosen_r[rows], chosen_p[rows]
-
-    def observe_reps(self, t, outcome, view: RepSimView):
-        # Transmitting senders always learn from their own ACK, which
-        # piggybacks the receiver's possession summary; deferring group
-        # members pick the same ACK up by overhearing (when enabled). An
-        # overheard reception updates nobody: the third party now holds
-        # the packet, and beliefs are about neighbors.
-        sel = ~outcome.rec_overheard
-        if not sel.any():
-            return
-        rep_f = outcome.rec_rep[sel]
-        recv_f = outcome.rec_receiver[sel]
-        send_f = outcome.rec_sender[sel]
-        n = view.n_nodes
-
-        if self.overhearing and self._contender_k is not None:
-            # Witnesses: every contender whose chosen receiver got a
-            # non-overheard reception this slot. At most one such
-            # reception per (replication, receiver), so the keys join
-            # without ambiguity.
-            ckey = self._contender_k * n + self._contender_r
-            rkey = rep_f * n + recv_f
-            rkey_sorted = np.sort(rkey)
-            pos = np.searchsorted(rkey_sorted, ckey)
-            pos_c = np.minimum(pos, rkey_sorted.size - 1)
-            match = rkey_sorted[pos_c] == ckey
-            wk = self._contender_k[match]
-            w_obs = self._contender_s[match]
-            w_recv = self._contender_r[match]
-            # Receivers no contender chose (the winner always contends,
-            # so this is defensive): the sender alone absorbs the
-            # summary.
-            ckey_sorted = np.sort(ckey)
-            rpos = np.searchsorted(ckey_sorted, rkey)
-            rpos_c = np.minimum(rpos, ckey_sorted.size - 1)
-            lone = ckey_sorted[rpos_c] != rkey
-            if lone.any():
-                wk = np.concatenate([wk, rep_f[lone]])
-                w_obs = np.concatenate([w_obs, send_f[lone]])
-                w_recv = np.concatenate([w_recv, recv_f[lone]])
-        else:
-            wk, w_obs, w_recv = rep_f, send_f, recv_f
-
-        if (self._rep_belief._packed is not None
-                and view.has_packed is not None):
-            self._rep_belief.sync_pairs_words(
-                wk, w_obs, w_recv, view.has_packed[wk, w_recv]
-            )
-        else:
-            self._rep_belief.sync_pairs(
-                wk, w_obs, w_recv, view.has_stack[wk, :, w_recv]
-            )
-
-    def next_action_slots(self, t, rep_ids, view: RepSimView):
-        # A receiver is actionable when some clique member holds a packet
-        # it believes that receiver lacks — the same offer condition the
-        # proposal's needs/FCFS pass enforces, minus the per-slot listen
-        # rule and back-off (which only shrink a slot's batch, keeping
-        # this bound conservative). DBAO's back-off carries no
-        # cross-slot state, so schedule progression alone decides when
-        # the frontier can next transmit.
-        if self._off_frontier is None:
-            self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        # Per-replication offer rows are cached keyed on the engine's
-        # state-version counters: a replication that keeps probing
-        # between state changes (slot-stepping through a quiet stretch)
-        # recomputes nothing but the earliest-wake reduction.
-        if self._nas_offers_reps is None:
-            n_reps = view.n_reps
-            self._nas_offers_reps = np.zeros(
-                (n_reps, self._frontier_r.size), dtype=bool)
-            self._nas_vers_reps = np.full(n_reps, -1, dtype=np.int64)
-        stale = rep_ids[
-            self._nas_vers_reps[rep_ids] != view.state_version[rep_ids]]
-        if stale.size:
-            self._nas_offers_reps[stale] = self._rep_belief.offer_pairs_reps(
-                stale, self._frontier_s, self._frontier_r, view.has_stack,
-                view.has_packed,
-            )
-            self._nas_vers_reps[stale] = view.state_version[stale]
-        offers = self._nas_offers_reps[rep_ids]
-        return view.earliest_wakes(
-            t, rep_ids, self._frontier_r, offers, self._off_frontier
-        )

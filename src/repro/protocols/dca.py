@@ -19,20 +19,14 @@ makes simultaneous same-group sends rare to begin with).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
-from ._belief import RepNeighborBelief
-from .base import (
-    NEVER,
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._belief import BeliefFlooding
+from .base import NEVER, RepSimView, register_protocol
 
 __all__ = ["DutyCycleAwareFlooding", "build_delay_optimal_tree"]
 
@@ -72,7 +66,7 @@ def build_delay_optimal_tree(topo: Topology, offsets: np.ndarray, period: int):
 
 
 @register_protocol
-class DutyCycleAwareFlooding(FloodingProtocol):
+class DutyCycleAwareFlooding(BeliefFlooding):
     """Forward along the schedule-derived delay-optimal tree."""
 
     name = "dca"
@@ -84,7 +78,8 @@ class DutyCycleAwareFlooding(FloodingProtocol):
     # DCA's forwarding structure is *schedule-derived*, so unlike the
     # other floods its per-replication state is a whole tree: one
     # delay-optimal parent vector per replication's offsets. Candidate
-    # rows are one (parent, receiver) pair per waking receiver; the
+    # rows are one (parent, receiver) pair per waking receiver; tree
+    # parents track their children via ACK possession summaries, and the
     # frontier query asks about a different observer per replication
     # (offer_pairs_matrix).
 
@@ -96,23 +91,13 @@ class DutyCycleAwareFlooding(FloodingProtocol):
             parents[k], _ = build_delay_optimal_tree(
                 topo, sched.offsets, sched.period
             )
-        self._topo = topo
+        self._prepare_belief(topo, schedules_list, workload)
         self._rep_parent = parents
-        self._rep_belief = RepNeighborBelief(topo, workload.n_packets, R)
-        self._rep_schedules = list(schedules_list)
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: Dict[int, Tuple] = {}
         # Quiescence frontier: the only candidate pairs are tree edges.
         fr = np.flatnonzero((parents >= 0).any(axis=0))
-        self._rep_frontier_r = fr[fr != SOURCE]
-        self._off_frontier = None
+        self._frontier_r = fr[fr != SOURCE]
 
-    def _rep_rows(self, t: int):
-        key = t % self._rep_cache_period if self._rep_cache_period else None
-        if key is not None:
-            hit = self._rep_phase_cache.get(key)
-            if hit is not None:
-                return hit
+    def _phase_rows(self, t: int):
         kk_parts: List[np.ndarray] = []
         s_parts: List[np.ndarray] = []
         r_parts: List[np.ndarray] = []
@@ -133,30 +118,17 @@ class DutyCycleAwareFlooding(FloodingProtocol):
                 r_parts.append(recv)
                 aw_parts.append(awake_mask[par])
                 awake_mask[aw] = False
-        if kk_parts:
-            rows = (
-                np.concatenate(kk_parts), np.concatenate(s_parts),
-                np.concatenate(r_parts), np.concatenate(aw_parts),
-            )
-        else:
+        if not kk_parts:
             empty = np.empty(0, dtype=np.int64)
-            rows = (empty, empty, empty, np.empty(0, dtype=bool))
-        if key is not None:
-            self._rep_phase_cache[key] = rows
-        return rows
+            return empty, empty, empty, np.empty(0, dtype=bool)
+        return (np.concatenate(kk_parts), np.concatenate(s_parts),
+                np.concatenate(r_parts), np.concatenate(aw_parts))
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr, sender_awake = self._rep_rows(t)
+        kk, ss, rr, sender_awake = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        if rep_ids.size < len(self._rep_schedules):
-            active = np.zeros(len(self._rep_schedules), dtype=bool)
-            active[rep_ids] = True
-            keep = active[kk]
-            if not keep.all():
-                kk, ss, rr = kk[keep], ss[keep], rr[keep]
-                sender_awake = sender_awake[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         # RX-mode rule (see FlashFlooding.propose_reps): a waking
@@ -189,14 +161,10 @@ class DutyCycleAwareFlooding(FloodingProtocol):
             return empty, empty, empty, empty
         return (chosen_k[win], chosen_s[win], chosen_r[win], chosen_p[win])
 
-    def observe_reps(self, t, outcome, view: RepSimView):
-        # Tree parents track their children via ACK possession summaries.
-        self._rep_belief.sync_ack_summaries(outcome, view)
-
     def next_action_slots(self, t, rep_ids, view: RepSimView):
         # The listen rule and sender conflicts only shrink slots further;
         # the tree-edge offer set stays a sound (conservative) frontier.
-        fr = self._rep_frontier_r
+        fr = self._frontier_r
         if fr.size == 0:
             return np.full(len(rep_ids), NEVER, dtype=np.int64)
         if self._off_frontier is None:

@@ -25,20 +25,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..net.topology import SOURCE
-from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
-from .base import (
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._belief import BeliefFlooding
+from ._repbatch import candidate_rows, flatten_sender_lists
+from .base import RepSimView, register_protocol
 
 __all__ = ["FlashFlooding"]
 
 
 @register_protocol
-class FlashFlooding(FloodingProtocol):
+class FlashFlooding(BeliefFlooding):
     """Concurrent-transmission flooding that relies on capture."""
 
     name = "flash"
@@ -65,58 +60,29 @@ class FlashFlooding(FloodingProtocol):
     # Flash consumes no protocol randomness and uses no CSMA.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        self._topo = topo
-        self._rep_schedules = list(schedules_list)
-        n = topo.n_nodes
-        self._rep_belief = RepNeighborBelief(
-            topo, workload.n_packets, len(schedules_list))
         strongest_first = []
-        for r in range(n):
+        for r in range(topo.n_nodes):
             nbs = topo.in_neighbors(r)
             order = np.argsort(-topo.prr[nbs, r], kind="stable")
             strongest_first.append(nbs[order])
-        self._in_sizes, self._in_starts, self._in_flat = flatten_sender_lists(
-            strongest_first
-        )
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: Dict[int, Tuple] = {}
         # Quiescence frontier: candidate senders are exactly the
         # receiver's in-neighbors, so the frontier is every receiver with
         # an offering believed link. The cap and the RX-mode listen rule
         # only *shrink* a slot's batch — ignoring them keeps the bound
         # conservative (a bounded slot may still execute empty, never the
         # reverse).
-        self._frontier_s, self._frontier_r = frontier_pairs(
-            [topo.in_neighbors(r) for r in range(n)]
-        )
-        self._off_frontier = None
+        self._prepare_belief(topo, schedules_list, workload, strongest_first)
+        self._in_rows = flatten_sender_lists(strongest_first)
 
-    def _rep_rows(self, t: int):
-        key = t % self._rep_cache_period if self._rep_cache_period else None
-        if key is not None:
-            hit = self._rep_phase_cache.get(key)
-            if hit is not None:
-                return hit
-        rows = candidate_rows(
-            self._rep_schedules, t, self._in_sizes, self._in_starts,
-            self._in_flat, with_sender_awake=True,
-        )
-        if key is not None:
-            self._rep_phase_cache[key] = rows
-        return rows
+    def _phase_rows(self, t: int):
+        return candidate_rows(self._rep_schedules, t, *self._in_rows,
+                              with_sender_awake=True)
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr, sender_awake = self._rep_rows(t)
+        kk, ss, rr, sender_awake = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        if rep_ids.size < len(self._rep_schedules):
-            active = np.zeros(len(self._rep_schedules), dtype=bool)
-            active[rep_ids] = True
-            keep = active[kk]
-            if not keep.all():
-                kk, ss, rr = kk[keep], ss[keep], rr[keep]
-                sender_awake = sender_awake[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         # A node whose own active slot is now and whose buffer is still
@@ -157,17 +123,3 @@ class FlashFlooding(FloodingProtocol):
             sel.append(int(el[j]))
         rows = np.asarray(sel, dtype=np.int64)
         return kk[rows], ss[rows], rr[rows], heads[rows]
-
-    def observe_reps(self, t, outcome, view: RepSimView):
-        self._rep_belief.sync_ack_summaries(outcome, view)
-
-    def next_action_slots(self, t, rep_ids, view: RepSimView):
-        if self._off_frontier is None:
-            self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        offers = self._rep_belief.offer_pairs_reps(
-            rep_ids, self._frontier_s, self._frontier_r, view.has_stack,
-            view.has_packed,
-        )
-        return view.earliest_wakes(
-            t, rep_ids, self._frontier_r, offers, self._off_frontier
-        )

@@ -13,24 +13,19 @@ check the engine's collision accounting actually bites.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
-from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
-from .base import (
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._belief import BeliefFlooding
+from ._repbatch import candidate_rows, flatten_sender_lists
+from .base import RepSimView, register_protocol
 
 __all__ = ["NaiveFlooding"]
 
 
 @register_protocol
-class NaiveFlooding(FloodingProtocol):
+class NaiveFlooding(BeliefFlooding):
     """Uncoordinated p-persistent flooding.
 
     ``persistence`` is the classic p-persistent knob: a sender with an
@@ -55,50 +50,24 @@ class NaiveFlooding(FloodingProtocol):
     # each replication consumes its channel stream in a fixed order.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
-        self._topo = topo
-        self._rep_rngs = list(rngs)
-        self._rep_schedules = list(schedules_list)
-        n = topo.n_nodes
-        self._rep_belief = RepNeighborBelief(
-            topo, workload.n_packets, len(schedules_list))
-        in_lists = [topo.in_neighbors(r) for r in range(n)]
-        self._in_sizes, self._in_starts, self._in_flat = flatten_sender_lists(
-            in_lists)
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: Dict[int, Tuple] = {}
         # Quiescence frontier: the proposal considers every (in-neighbor,
         # waking receiver) link, so the frontier is every receiver some
         # believing holder could serve. Exact for naive: options (and
         # hence persistence draws — the RNG-quiescence requirement) are
         # nonempty iff an offering link has a waking receiver.
-        self._frontier_s, self._frontier_r = frontier_pairs(in_lists)
-        self._off_frontier = None
+        in_lists = [topo.in_neighbors(r) for r in range(topo.n_nodes)]
+        self._prepare_belief(topo, schedules_list, workload, in_lists)
+        self._rep_rngs = list(rngs)
+        self._in_rows = flatten_sender_lists(in_lists)
 
-    def _rep_rows(self, t: int):
-        key = t % self._rep_cache_period if self._rep_cache_period else None
-        if key is not None:
-            hit = self._rep_phase_cache.get(key)
-            if hit is not None:
-                return hit
-        rows = candidate_rows(
-            self._rep_schedules, t, self._in_sizes, self._in_starts,
-            self._in_flat,
-        )
-        if key is not None:
-            self._rep_phase_cache[key] = rows
-        return rows
+    def _phase_rows(self, t: int):
+        return candidate_rows(self._rep_schedules, t, *self._in_rows)
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr = self._rep_rows(t)
+        kk, ss, rr = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        if rep_ids.size < len(self._rep_schedules):
-            active = np.zeros(len(self._rep_schedules), dtype=bool)
-            active[rep_ids] = True
-            keep = active[kk]
-            if not keep.all():
-                kk, ss, rr = kk[keep], ss[keep], rr[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         if not valid.any():
@@ -135,19 +104,3 @@ class NaiveFlooding(FloodingProtocol):
             return empty, empty, empty, empty
         rows = order[np.asarray(sel, dtype=np.int64)]
         return k_o[rows], s_o[rows], r_o[rows], h_o[rows]
-
-    def observe_reps(self, t, outcome, view: RepSimView):
-        # Even the naive baseline reads the ACK's possession summary —
-        # its problem is contention, not bookkeeping.
-        self._rep_belief.sync_ack_summaries(outcome, view)
-
-    def next_action_slots(self, t, rep_ids, view: RepSimView):
-        if self._off_frontier is None:
-            self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        offers = self._rep_belief.offer_pairs_reps(
-            rep_ids, self._frontier_s, self._frontier_r, view.has_stack,
-            view.has_packed,
-        )
-        return view.earliest_wakes(
-            t, rep_ids, self._frontier_r, offers, self._off_frontier
-        )

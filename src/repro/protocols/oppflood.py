@@ -22,26 +22,19 @@ paper's forwarding-probability threshold); the ablation bench sweeps it.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 from ..net.radio import csma_select_reps
-from ._belief import RepNeighborBelief
-from ._repbatch import candidate_rows, flatten_sender_lists, frontier_pairs
-from .base import (
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._belief import BeliefFlooding
+from ._repbatch import candidate_rows, flatten_sender_lists
+from .base import RepSimView, register_protocol
 from .tree import build_etx_tree
 
 __all__ = ["OpportunisticFlooding"]
 
 
 @register_protocol
-class OpportunisticFlooding(FloodingProtocol):
+class OpportunisticFlooding(BeliefFlooding):
     """ETX-tree flooding with statistically-gated opportunistic links."""
 
     name = "of"
@@ -68,10 +61,17 @@ class OpportunisticFlooding(FloodingProtocol):
         # statistics the opportunistic gate tests scale with the wake
         # period — build those per distinct period so a cross-cell stack
         # mixing duty cycles gates each replication by its own period.
-        self._topo = topo
-        self._rep_rngs = list(rngs)
-        self._rep_schedules = list(schedules_list)
         n = topo.n_nodes
+        in_lists = [topo.in_neighbors(r) for r in range(n)]
+        # Quiescence frontier: every believed in-neighbor link with a
+        # non-source receiver. The statistical lateness gate only
+        # suppresses choices, so this ungated offer set is a
+        # conservative superset — crucially it also bounds the back-off
+        # permutation draw: choices (and the RNG consumption) are empty
+        # whenever no link offers.
+        self._prepare_belief(topo, schedules_list, workload, in_lists)
+        self._rep_rngs = list(rngs)
+        self._in_rows = flatten_sender_lists(in_lists)
         periods = [int(s.period) for s in schedules_list]
         distinct = sorted(set(periods))
         quant = np.empty((len(distinct), n))
@@ -97,36 +97,13 @@ class OpportunisticFlooding(FloodingProtocol):
         kids = np.flatnonzero(parent >= 0)
         tree_edge[parent[kids], kids] = True
         self._tree_edge = tree_edge
-        self._rep_belief = RepNeighborBelief(
-            topo, workload.n_packets, len(schedules_list))
-        in_lists = [topo.in_neighbors(r) for r in range(n)]
-        self._in_sizes, self._in_starts, self._in_flat = flatten_sender_lists(
-            in_lists)
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: Dict[int, Tuple] = {}
-        # Quiescence frontier: every believed in-neighbor link with a
-        # non-source receiver. The statistical lateness gate only
-        # suppresses choices, so this ungated offer set is a
-        # conservative superset — crucially it also bounds the back-off
-        # permutation draw: choices (and the RNG consumption) are empty
-        # whenever no link offers.
-        self._frontier_s, self._frontier_r = frontier_pairs(in_lists)
-        self._off_frontier = None
 
-    def _rep_rows(self, t: int):
-        """Phase-cached candidate rows plus OF's static gate columns."""
-        key = t % self._rep_cache_period if self._rep_cache_period else None
-        if key is not None:
-            hit = self._rep_phase_cache.get(key)
-            if hit is not None:
-                return hit
-        kk, ss, rr = candidate_rows(
-            self._rep_schedules, t, self._in_sizes, self._in_starts,
-            self._in_flat,
-        )
+    def _phase_rows(self, t: int):
+        """Candidate rows plus OF's static gate columns."""
+        kk, ss, rr = candidate_rows(self._rep_schedules, t, *self._in_rows)
         pid = self._pidx[kk]
         own_r = self._own_stack[pid, ss]
-        rows = (
+        return (
             kk, ss, rr,
             self._tree_edge[ss, rr],
             own_r,
@@ -134,23 +111,13 @@ class OpportunisticFlooding(FloodingProtocol):
             self._quant_stack[pid, rr],
             np.isfinite(own_r),
         )
-        if key is not None:
-            self._rep_phase_cache[key] = rows
-        return rows
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr, tree_e, own_r, hop_r, quant_r, fin = self._rep_rows(t)
+        (kk, ss, rr, tree_e, own_r, hop_r, quant_r,
+         fin) = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        if rep_ids.size < len(self._rep_schedules):
-            active = np.zeros(len(self._rep_schedules), dtype=bool)
-            active[rep_ids] = True
-            keep = active[kk]
-            if not keep.all():
-                kk, ss, rr = kk[keep], ss[keep], rr[keep]
-                tree_e, own_r = tree_e[keep], own_r[keep]
-                hop_r, quant_r, fin = hop_r[keep], quant_r[keep], fin[keep]
         needs = self._rep_belief.needs_pairs(kk, ss, rr)
         heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         if not valid.any():
@@ -199,18 +166,3 @@ class OpportunisticFlooding(FloodingProtocol):
         if rows.size == 0:
             return empty, empty, empty, empty
         return chosen_k[rows], chosen_s[rows], chosen_r[rows], chosen_p[rows]
-
-    def observe_reps(self, t, outcome, view: RepSimView):
-        # The receiver's ACK piggybacks its possession summary.
-        self._rep_belief.sync_ack_summaries(outcome, view)
-
-    def next_action_slots(self, t, rep_ids, view: RepSimView):
-        if self._off_frontier is None:
-            self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        offers = self._rep_belief.offer_pairs_reps(
-            rep_ids, self._frontier_s, self._frontier_r, view.has_stack,
-            view.has_packed,
-        )
-        return view.earliest_wakes(
-            t, rep_ids, self._frontier_r, offers, self._off_frontier
-        )

@@ -35,12 +35,8 @@ import numpy as np
 
 from ..net.radio import RadioModel
 from ..net.topology import SOURCE
-from .base import (
-    FloodingProtocol,
-    RepSimView,
-    phase_cache_period,
-    register_protocol,
-)
+from ._repbatch import executing_rows
+from .base import FloodingProtocol, PhaseCache, RepSimView, register_protocol
 
 __all__ = ["OptOracle", "opt_radio_model"]
 
@@ -146,30 +142,19 @@ class OptOracle(FloodingProtocol):
         rs = rs[rs != SOURCE]
         self._frontier_r = rs
         self._frontier_s = designated[rs]
-        self._rep_cache_period = phase_cache_period(schedules_list)
-        self._rep_phase_cache: dict = {}
-        # Per-replication frontier cache for next_action_slots, keyed on
-        # the engine-maintained state versions (see dbao for the pattern).
-        self._nas_vers_reps = None
-        self._nas_offers_reps = None
+        self._rep_schedules = list(schedules_list)
+        self._phases = PhaseCache(schedules_list)
 
-    def _phase_pairs(self, t: int, awake_by_rep):
+    def _phase_rows(self, t: int):
         """Static (replication, server, receiver) request rows per slot.
 
-        Wake sets repeat with the LCM of the per-replication periods,
-        and the designated-server map is static, so the sorted flat
-        request list across all replications only depends on the LCM
-        phase — built once and reused (uncached when the LCM is
-        unreasonable).
+        The designated-server map is static, so the sorted flat request
+        list across all replications depends on the wake phase only.
         """
-        key = t % self._rep_cache_period if self._rep_cache_period else None
-        if key is not None:
-            hit = self._rep_phase_cache.get(key)
-            if hit is not None:
-                return hit
         kk_parts = []
         rr_parts = []
-        for k, aw in enumerate(awake_by_rep):
+        for k, sched in enumerate(self._rep_schedules):
+            aw = sched.awake_at(t)
             ok = aw[(aw != SOURCE) & (self._designated[aw] >= 0)]
             if ok.size:
                 kk_parts.append(np.full(ok.size, k, dtype=np.int64))
@@ -180,12 +165,8 @@ class OptOracle(FloodingProtocol):
             rr_flat = np.concatenate(rr_parts)
             ss_flat = self._designated[rr_flat]
             order = np.lexsort((rr_flat, ss_flat, kk_r))
-            rows = (kk_r[order], ss_flat[order], rr_flat[order])
-        else:
-            rows = (empty, empty, empty)
-        if key is not None:
-            self._rep_phase_cache[key] = rows
-        return rows
+            return kk_r[order], ss_flat[order], rr_flat[order]
+        return empty, empty, empty
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         if self.server_policy == "any":
@@ -196,12 +177,8 @@ class OptOracle(FloodingProtocol):
         # Flat (replication, waking sensor) pairs with a live request,
         # presorted by (replication, server, receiver) from the phase
         # cache; subset gathers preserve that order.
-        kk_r, ss_flat, rr_flat = self._phase_pairs(t, awake_by_rep)
-        if kk_r.size and rep_ids.size < view.n_reps:
-            active = np.zeros(view.n_reps, dtype=bool)
-            active[rep_ids] = True
-            keep = active[kk_r]
-            kk_r, ss_flat, rr_flat = kk_r[keep], ss_flat[keep], rr_flat[keep]
+        kk_r, ss_flat, rr_flat = executing_rows(
+            rep_ids, view.n_reps, *self._phases.at(t, self._phase_rows))
         arena = view.get_arena()
         cand_w = None
         if kk_r.size:
@@ -317,28 +294,14 @@ class OptOracle(FloodingProtocol):
             return view.earliest_wakes(t, rep_ids, self._all_nodes, offers)
         if self._off_frontier is None:
             self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        # Offers depend only on possession: recompute only for
-        # replications whose state version moved since the last probe.
-        if self._nas_offers_reps is None:
-            F = self._frontier_r.size
-            self._nas_offers_reps = np.zeros((view.n_reps, F), dtype=bool)
-            self._nas_vers_reps = np.full(view.n_reps, -1, dtype=np.int64)
-        stale = rep_ids[
-            self._nas_vers_reps[rep_ids] != view.state_version[rep_ids]
-        ]
-        if stale.size:
-            if view.has_packed is not None:
-                hp = view.has_packed[stale]
-                self._nas_offers_reps[stale] = (
-                    hp[:, self._frontier_s] & ~hp[:, self._frontier_r]
-                ) != 0
-            else:
-                has = view.has_stack[stale]
-                self._nas_offers_reps[stale] = (
-                    has[:, :, self._frontier_s] & ~has[:, :, self._frontier_r]
-                ).any(axis=1)
-            self._nas_vers_reps[stale] = view.state_version[stale]
-        offers = self._nas_offers_reps[rep_ids]
+        if view.has_packed is not None:
+            hp = view.has_packed[rep_ids]
+            offers = (hp[:, self._frontier_s] & ~hp[:, self._frontier_r]) != 0
+        else:
+            has = view.has_stack[rep_ids]
+            offers = (
+                has[:, :, self._frontier_s] & ~has[:, :, self._frontier_r]
+            ).any(axis=1)
         return view.earliest_wakes(
             t, rep_ids, self._frontier_r, offers, self._off_frontier
         )

@@ -1,6 +1,5 @@
 """Discrete-event (slot-stepped) simulation engine and instrumentation."""
 
-from .clock import SlottedClock
 from .energy import EnergyLedger, energy_summary
 from .engine import FloodResult, SimConfig, run_flood
 from .events import EventKind, EventLog, SimEvent
@@ -18,7 +17,6 @@ from .runner import (
 )
 
 __all__ = [
-    "SlottedClock",
     "EnergyLedger", "energy_summary",
     "FloodResult", "SimConfig", "run_flood",
     "EventKind", "EventLog", "SimEvent",

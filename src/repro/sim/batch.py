@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from ..net.packet import FloodWorkload
 from ..net.radio import Reception, SlotOutcome, TxBatch
 from ..net.schedule import ScheduleTable
 from ..net.topology import SOURCE, Topology
-from ..protocols.base import FloodingProtocol, RepSimView, phase_cache_period
+from ..protocols.base import FloodingProtocol, PhaseCache, RepSimView
 from .arena import ScratchArena
 from .energy import EnergyLedger
 from .engine import FloodResult, SimConfig
@@ -73,12 +73,6 @@ from .metrics import FloodMetrics, PacketDelays, coverage_threshold
 from .observers import EventLogObserver, overriders_of
 
 __all__ = ["run_flood_batch"]
-
-#: Span length (in slots) above which a fast-forward jump marks the
-#: landing slot as "sparse regime": the slot attempts another skip even
-#: if it carried traffic. Purely a performance heuristic — it changes
-#: where frontier queries run, never the trajectory.
-_LONG_JUMP = 4
 
 #: Shared default link model: the paper's idealized slot radio. Stateless
 #: across runs, so one instance serves every flood.
@@ -436,7 +430,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     # before the sentinel overwrites it.
     t_next = np.zeros(R, dtype=np.int64)
     elapsed = np.zeros(R, dtype=np.int64)
-    long_jump = np.zeros(R, dtype=bool)
     # Last slot each replication's dynamics were stepped through, plus
     # one: lazy catch-up advances exactly the slots a slot-by-slot loop
     # would have stepped or block-advanced.
@@ -457,7 +450,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     view = RepSimView(
         topo, schedules_list, workloads[0], has_stack, arrival_stack)
     view.arena = arena
-    state_version = view.state_version
     pack_pw = (
         np.uint64(1) << np.arange(M, dtype=np.uint64)
         if view.has_packed is not None
@@ -465,25 +457,16 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     )
     protocol.prepare_reps(topo, schedules_list, workloads[0], rngs)
 
-    # Wake sets repeat with the LCM of the replications' wake periods
-    # and are identical across slots with the same phase, so the
-    # per-phase wake lists and the (R, n) wake matrix are built once and
-    # reused for the whole run (rebuilt per slot if the LCM is huge).
-    cache_period = phase_cache_period(schedules_list)
-    phase_cache: Dict[int, Tuple[List[np.ndarray], np.ndarray, np.ndarray]] = {}
+    # The per-phase wake lists and (R, n) wake matrix, built once per
+    # phase of the stack's wake periods.
+    phases = PhaseCache(schedules_list)
 
     def _phase_awake(t: int):
-        key = t % cache_period if cache_period else None
-        entry = phase_cache.get(key) if key is not None else None
-        if entry is None:
-            lists = [s.awake_at(t) for s in schedules_list]
-            stack = np.zeros((R, n), dtype=bool)
-            for ki, aw in enumerate(lists):
-                stack[ki, aw] = True
-            entry = (lists, stack, stack.reshape(-1), stack.any(axis=1))
-            if key is not None:
-                phase_cache[key] = entry
-        return entry
+        lists = [s.awake_at(t) for s in schedules_list]
+        stack = np.zeros((R, n), dtype=bool)
+        for ki, aw in enumerate(lists):
+            stack[ki, aw] = True
+        return lists, stack, stack.reshape(-1), stack.any(axis=1)
 
     # True wake sets of skewed replications are not periodic: they are
     # built per traffic slot, for the replications that transmit.
@@ -503,7 +486,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     fast_forward = config.fast_forward
     empty64 = np.empty(0, dtype=np.int64)
     has_rows = np.zeros(R, dtype=bool)
-    inj_rows = np.zeros(R, dtype=bool)
     # Flat aliases for the validation/apply gathers: one flat-index
     # ``np.take`` into a scratch buffer replaces the 2-/3-axis fancy
     # index (which builds the same flat indices internally but always
@@ -550,8 +532,8 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
         # Inject arrivals and collect wake sets for this slot. The
         # ``next_inject`` probe keeps injection-free slots (most of a
         # flood) out of the per-replication Python loop entirely.
-        awake_by_rep, awake_stack, awake_flat, has_awake = _phase_awake(t)
-        inj_rows[exec_reps] = False
+        awake_by_rep, awake_stack, awake_flat, has_awake = phases.at(
+            t, _phase_awake)
         pending_inject = exec_reps[next_inject[exec_reps] <= t]
         for k in pending_inject:
             ki = int(k)
@@ -573,7 +555,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
             next_inject[ki] = (
                 int(inject_slots[cur]) if cur < n_inject[ki] else _NEVER
             )
-            inj_rows[ki] = True
         if obs_slot:
             for k in exec_reps.tolist():
                 for ob in obs_slot.get(k, ()):
@@ -753,27 +734,18 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
         # contract bounds the next slot with possible traffic; nothing
         # can change in between (no receptions, no belief updates, no
         # randomness), so the replication jumps there — clamped to its
-        # next pending injection and its horizon. Skip-attempt policy: a
-        # frontier query costs about as much as an idle slot, so idle
-        # slots always attempt one, while traffic slots attempt one only
-        # when a long jump landed here — the sparse-regime signature,
-        # where each wake event is an island and the query routinely
-        # buys a period-length jump.
-        has_rows[:] = False
-        if kk.size:
-            has_rows[kk] = True
-        # Possession/belief may have changed for replications that
-        # transmitted or injected this slot; bump their state version so
-        # frontier caches keyed on it recompute.
-        ver = exec_reps[has_rows[exec_reps] | inj_rows[exec_reps]]
-        if ver.size:
-            state_version[ver] += 1
+        # next pending injection and its horizon. A traffic slot never
+        # queries: its successor is a candidate slot anyway, and if it
+        # runs idle, that slot queries.
         t1 = t + 1
         t_next[exec_reps] = t1
-        rest = exec_reps[~has_rows[exec_reps] | long_jump[exec_reps]]
-        long_jump[rest] = False
-        if fast_forward and rest.size:
-            qids = rest[(n_pending[rest] > 0) & (t1 < horizons[rest])]
+        idle = exec_reps
+        if kk.size:
+            has_rows[:] = False
+            has_rows[kk] = True
+            idle = exec_reps[~has_rows[exec_reps]]
+        if fast_forward and idle.size:
+            qids = idle[(n_pending[idle] > 0) & (t1 < horizons[idle])]
         else:
             qids = empty64
         if qids.size:
@@ -786,7 +758,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
             np.minimum(eff, horizons[qids], out=eff)
             jump = eff > t1
             t_next[qids] = np.where(jump, eff, t1)
-            long_jump[qids] = jump & (eff - t1 >= _LONG_JUMP)
             if obs_idle:
                 for k, end in zip(qids[jump].tolist(), eff[jump].tolist()):
                     for ob in obs_idle.get(k, ()):

@@ -1,8 +1,8 @@
 """Tests for shared-memory topology broadcast and executor hygiene.
 
 Covers the transport round trip (zero-copy, read-only, fingerprint
-inheritance), the serial / cold-pool / warm-pool equivalence contract
-with and without shared memory, and the no-leaks guarantee: after
+inheritance), the serial / warm-pool equivalence contract with shared
+memory and with its pickle fallback, and the no-leaks guarantee: after
 ``ExecutionContext.close()`` neither shared segments nor worker
 processes survive.
 """
@@ -47,6 +47,14 @@ def _segment_names(executor):
             if spec is not None:
                 names.append(spec.name)
     return names
+
+
+def _no_shared_memory(monkeypatch):
+    """Make segment creation fail, forcing the pickle fallback."""
+    def refuse(self):
+        raise OSError("no shared memory here")
+
+    monkeypatch.setattr(Topology, "to_shared", refuse)
 
 
 def _assert_unlinked(names):
@@ -128,33 +136,34 @@ class TestTopologyRoundTrip:
 
 
 class TestBackendEquivalence:
-    """Satellite contract: serial vs cold-pool vs warm-pool, with and
-    without shared-memory transport, produce bit-identical summaries."""
+    """Satellite contract: serial vs warm pool, with shared-memory
+    transport and with its pickle fallback, produce bit-identical
+    summaries."""
 
-    def test_all_backends_bit_identical_on_fig10_grid(self, topo):
+    def test_all_backends_bit_identical_on_fig10_grid(self, topo,
+                                                      monkeypatch):
         specs = _fig10_style_specs()
         reference = run_experiments(topo, specs, executor=SerialExecutor())
         ref_blobs = [pickle.dumps(s.results) for s in reference]
-        variants = [
-            ParallelExecutor(jobs=2, warm=True, shared_memory=True),
-            ParallelExecutor(jobs=2, warm=True, shared_memory=False),
-            ParallelExecutor(jobs=2, warm=False, shared_memory=True),
-            ParallelExecutor(jobs=2, warm=False, shared_memory=False),
-        ]
-        for executor in variants:
-            with executor:
-                summaries = run_experiments(topo, specs, executor=executor)
-            blobs = [pickle.dumps(s.results) for s in summaries]
-            assert blobs == ref_blobs, f"payload drift under {executor!r}"
+        with ParallelExecutor(jobs=2) as shared:
+            summaries = run_experiments(topo, specs, executor=shared)
+            assert shared.stats.shared_bytes > 0
+        assert [pickle.dumps(s.results) for s in summaries] == ref_blobs
+        _no_shared_memory(monkeypatch)
+        with ParallelExecutor(jobs=2) as fallback:
+            summaries = run_experiments(topo, specs, executor=fallback)
+            assert fallback.stats.shared_bytes == 0
+        assert [pickle.dumps(s.results) for s in summaries] == ref_blobs
 
-    def test_shared_broadcast_shrinks_pickled_bytes(self):
+    def test_shared_broadcast_shrinks_pickled_bytes(self, monkeypatch):
         big = line_topology(80, prr=0.9)  # large enough that the matrix
         specs = _fig10_style_specs()      # dominates the chunk payloads
-        with ParallelExecutor(jobs=2, shared_memory=False) as fallback:
-            run_experiments(big, specs, executor=fallback)
-        with ParallelExecutor(jobs=2, shared_memory=True) as shared:
+        with ParallelExecutor(jobs=2) as shared:
             run_experiments(big, specs, executor=shared)
             assert shared.stats.shared_bytes > 0
+        _no_shared_memory(monkeypatch)
+        with ParallelExecutor(jobs=2) as fallback:
+            run_experiments(big, specs, executor=fallback)
         # The pickle fallback ships the topology in every chunk payload;
         # the shared path ships segment names.
         assert shared.stats.pickled_bytes * 10 < fallback.stats.pickled_bytes

@@ -185,22 +185,21 @@ class TestBatchedAccess:
         store.clear()  # force the next get through the disk path
         assert store.get(key) is not None
 
-    def test_digest_verified_once_per_key_per_process(
-        self, tmp_path, topo, spec, monkeypatch
-    ):
-        import repro.exec.store as store_mod
+    def test_digest_checked_on_every_disk_load(self, tmp_path):
+        # A payload changed on disk after this process wrote it must be
+        # rejected on the next load, as a fresh store would reject it:
+        # no verdict outlives the bytes it judged.
+        import struct
 
-        run_experiment(topo, spec, store=ResultStore(tmp_path))
-        fresh = ResultStore(tmp_path)
-        key = fresh.key_for(topo, spec)  # computed before counting begins
-
-        calls = []
-        real = store_mod.hashlib.sha256
-        monkeypatch.setattr(store_mod.hashlib, "sha256",
-                            lambda *a: calls.append(1) or real(*a))
-        assert fresh.get(key) is not None  # first disk load hashes payload
-        first = len(calls)
-        assert first >= 1
-        fresh.clear()
-        assert fresh.get(key) is not None  # verdict memoized: no re-hash
-        assert len(calls) == first
+        store = ResultStore(tmp_path)
+        key = "ab" * 32
+        store.put(key, {"mean_delay": 63.0})
+        store.clear()  # the next get goes through the disk path
+        entry = tmp_path / f"{key}.rsum"
+        raw = bytearray(entry.read_bytes())
+        at = raw.index(struct.pack(">d", 63.0))  # pickle's BINFLOAT
+        raw[at] ^= 0x01  # the pickle stays valid: 63.0 -> 4128768.0
+        entry.write_bytes(bytes(raw))
+        assert store.get(key) is None
+        assert store.stats.rejected == 1
+        assert ResultStore(tmp_path).get(key) is None

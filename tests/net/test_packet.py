@@ -1,11 +1,8 @@
-"""Tests for packets, FCFS buffers, and workloads."""
+"""Tests for packets and workloads."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.net.packet import FcfsBuffer, FloodWorkload, Packet
+from repro.net.packet import FloodWorkload, Packet
 
 
 class TestPacket:
@@ -18,65 +15,6 @@ class TestPacket:
             Packet(-1)
         with pytest.raises(ValueError):
             Packet(0, generated_at=-5)
-
-
-class TestFcfsBuffer:
-    def test_arrival_order_preserved(self):
-        buf = FcfsBuffer()
-        buf.add(5, slot=10)
-        buf.add(2, slot=12)
-        buf.add(9, slot=15)
-        assert buf.packets == [5, 2, 9]
-
-    def test_head_for_respects_fcfs_not_index(self):
-        # The head is the earliest *arrived*, not the smallest index.
-        buf = FcfsBuffer()
-        buf.add(7, slot=1)
-        buf.add(3, slot=2)
-        assert buf.head_for({3, 7}) == 7
-        assert buf.head_for({3}) == 3
-
-    def test_head_for_empty_need(self):
-        buf = FcfsBuffer()
-        buf.add(0, slot=0)
-        assert buf.head_for(set()) is None
-        assert buf.head_for({5}) is None
-
-    def test_duplicates_ignored(self):
-        buf = FcfsBuffer()
-        assert buf.add(1, slot=3)
-        assert not buf.add(1, slot=9)
-        assert buf.arrival_slot(1) == 3
-        assert len(buf) == 1
-
-    def test_contains_and_arrival(self):
-        buf = FcfsBuffer()
-        buf.add(4, slot=2)
-        assert 4 in buf
-        assert 5 not in buf
-        with pytest.raises(KeyError):
-            buf.arrival_slot(5)
-
-    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 100)),
-                    min_size=1, max_size=30))
-    @settings(max_examples=60)
-    def test_head_is_earliest_needed(self, arrivals):
-        # Sort by slot so arrivals are time-ordered, dedupe packet ids.
-        arrivals = sorted(arrivals, key=lambda pair: pair[1])
-        buf = FcfsBuffer()
-        first_arrival = {}
-        for pkt, slot in arrivals:
-            if buf.add(pkt, slot):
-                first_arrival[pkt] = slot
-        needed = set(list(first_arrival)[::2])
-        head = buf.head_for(needed)
-        if not needed:
-            assert head is None
-        else:
-            assert head in needed
-            # No needed packet arrived strictly earlier in buffer order.
-            order = buf.packets
-            assert all(order.index(head) <= order.index(p) for p in needed)
 
 
 class TestFloodWorkload:

@@ -8,7 +8,6 @@ from repro.net.radio import (
     RadioModel,
     Transmission,
     TxBatch,
-    carrier_sense_groups,
     csma_select,
     resolve_slot,
 )
@@ -258,20 +257,6 @@ class TestCsmaSelect:
     def test_duplicate_rejected(self, line5):
         with pytest.raises(ValueError):
             csma_select([1, 1], line5)
-
-
-class TestCarrierSenseGroups:
-    def test_chain_is_one_group(self, line5):
-        groups = carrier_sense_groups([0, 1, 2, 3], line5)
-        assert groups == [[0, 1, 2, 3]]
-
-    def test_disconnected_senders_split(self, line5):
-        groups = carrier_sense_groups([0, 3], line5)
-        assert groups == [[0], [3]]
-
-    def test_duplicate_rejected(self, line5):
-        with pytest.raises(ValueError):
-            carrier_sense_groups([2, 2], line5)
 
 
 class TestTxBatch:

@@ -1,5 +1,7 @@
 """Tests for the protocol interface, registry, and RepSimView."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from repro.net.generators import line_topology
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.base import (
+    PHASE_CACHE_CAP,
     FloodingProtocol,
+    PhaseCache,
     RepSimView,
     available_protocols,
     make_protocol,
@@ -115,6 +119,44 @@ class TestInitKwargsRecording:
         )
         assert len(constructed) >= 2  # the original plus >= 1 probe
         assert constructed == [5] * len(constructed)
+
+
+class TestPhaseCache:
+    """Rows built from wake sets are memoised per phase of the LCM."""
+
+    def _periods(self, *periods):
+        # The cache reads nothing but each table's wake period.
+        return [SimpleNamespace(period=p) for p in periods]
+
+    def test_period_is_the_stack_lcm(self):
+        assert PhaseCache(self._periods(4)).period == 4
+        assert PhaseCache(self._periods(4, 6, 4)).period == 12
+
+    def test_builds_once_per_phase(self):
+        cache = PhaseCache(self._periods(4, 6))
+        built = []
+
+        def build(t):
+            built.append(t)
+            return ("rows", t % 12)
+
+        for t in range(40):
+            assert cache.at(t, build) == ("rows", t % 12)
+        assert built == list(range(12))
+
+    def test_rebuilds_every_slot_past_the_cap(self):
+        # 31 * 32 * 33 = 32736 phases exceed the cap: nothing is kept.
+        cache = PhaseCache(self._periods(31, 32, 33))
+        assert cache.period == 0
+        built = []
+        for t in (5, 5, 32741):
+            cache.at(t, lambda t: built.append(t))
+        assert built == [5, 5, 32741]
+
+    def test_cap_is_inclusive(self):
+        assert PhaseCache(self._periods(PHASE_CACHE_CAP)).period \
+            == PHASE_CACHE_CAP
+        assert PhaseCache(self._periods(PHASE_CACHE_CAP + 1)).period == 0
 
 
 @pytest.fixture

@@ -15,6 +15,14 @@ def _believes_has(belief, observer, receiver, packet, rep=0):
     return not bool(needs[0, packet])
 
 
+def _sync(belief, rep, observers, receiver, held, n_packets=3, n_nodes=5):
+    """``observers`` absorb ``receiver``'s summary: it holds ``held``."""
+    has = np.zeros((belief.n_reps, n_packets, n_nodes), dtype=bool)
+    has[rep, list(held), receiver] = True
+    obs = np.atleast_1d(np.asarray(observers, dtype=np.int64))
+    belief.sync(np.full(obs.size, rep), obs, np.full(obs.size, receiver), has)
+
+
 @pytest.fixture
 def belief(line5):
     return RepNeighborBelief(line5, n_packets=3, n_reps=2)
@@ -28,7 +36,7 @@ class TestNeighborBelief:
         assert not belief.rep_state(0).any()
 
     def test_confirm(self, belief):
-        belief.sync_possession(0, 0, 1, [2])
+        _sync(belief, 0, 0, 1, [2])
         assert _believes_has(belief, 0, 1, 2)
         needs = belief.needs_pairs(
             np.asarray([0]), np.asarray([0]), np.asarray([1]))[0]
@@ -42,19 +50,19 @@ class TestNeighborBelief:
                 np.asarray([0]), np.asarray([0]), np.asarray([3]))
 
     def test_confirm_about_non_neighbor_dropped(self, belief):
-        belief.sync_possession(0, 0, 4, [0])  # silently useless
+        _sync(belief, 0, 0, 4, [0])  # silently useless
         counts = belief.coverage_counts(
             np.asarray([0]), np.asarray([0]), np.asarray([0]))
         assert counts.tolist() == [0]
 
     def test_confirm_for_witnesses(self, belief):
-        belief.sync_for_witnesses(0, [0, 2], 1, [1])
+        _sync(belief, 0, [0, 2], 1, [1])
         assert _believes_has(belief, 0, 1, 1)
         assert _believes_has(belief, 2, 1, 1)
 
     def test_coverage_count(self, belief):
-        belief.sync_possession(0, 1, 0, [0])
-        belief.sync_possession(0, 1, 2, [0])
+        _sync(belief, 0, 1, 0, [0])
+        _sync(belief, 0, 1, 2, [0])
         counts = belief.coverage_counts(
             np.asarray([0, 0, 1]), np.asarray([1, 1, 1]),
             np.asarray([0, 1, 0]))
@@ -67,31 +75,62 @@ class TestNeighborBelief:
             RepNeighborBelief(line5, n_packets=3, n_reps=0)
 
     def test_sync_possession_absorbs_summary(self, belief):
-        belief.sync_possession(0, 0, 1, [0, 2])
+        _sync(belief, 0, 0, 1, [0, 2])
         assert _believes_has(belief, 0, 1, 0)
         assert not _believes_has(belief, 0, 1, 1)
         assert _believes_has(belief, 0, 1, 2)
 
     def test_sync_possession_non_neighbor_dropped(self, belief):
-        belief.sync_possession(0, 0, 4, [0])  # not an out-neighbor: no-op
+        _sync(belief, 0, 0, 4, [0])  # not an out-neighbor: no-op
         assert not belief.rep_state(0).any()
 
     def test_sync_for_witnesses(self, belief):
-        # The batched form agrees with per-witness syncs.
-        belief.sync_pairs(
-            np.asarray([1, 1]), np.asarray([0, 2]), np.asarray([1, 1]),
-            np.tile([False, True, False], (2, 1)),
-        )
+        # One batch mixing two witnesses of node 1's summary with a
+        # non-neighbor tuple: the witnesses learn, the stray is dropped.
+        has = np.zeros((2, 3, 5), dtype=bool)
+        has[1, 1, 1] = True
+        belief.sync(np.asarray([1, 1, 1]), np.asarray([0, 2, 0]),
+                    np.asarray([1, 1, 4]), has)
         assert _believes_has(belief, 0, 1, 1, rep=1)
         assert _believes_has(belief, 2, 1, 1, rep=1)
         assert not _believes_has(belief, 0, 1, 0, rep=1)
+        assert not belief.rep_state(0).any()
+
+    @pytest.mark.parametrize("n_packets", [3, 70], ids=["words", "rows"])
+    def test_sync_reads_words_or_rows(self, line5, n_packets):
+        # Packed words (M <= 64) and boolean rows (wider workloads) are
+        # two stores of one belief: the possession stack and the
+        # engine's bitmask must teach them the same summary.
+        rng = np.random.default_rng(5)
+        has = rng.random((2, n_packets, 5)) < 0.5
+        kk = np.asarray([0, 1, 1])
+        obs = np.asarray([0, 2, 3])
+        recv = np.asarray([1, 1, 2])
+        from_rows = RepNeighborBelief(line5, n_packets=n_packets, n_reps=2)
+        from_rows.sync(kk, obs, recv, has)
+        expected = np.zeros((2, 5, n_packets, 2), dtype=bool)
+        for k, o, r in zip(kk, obs, recv):
+            col = int(np.flatnonzero(line5.out_neighbors(o) == r)[0])
+            expected[k, o, :, col] = has[k, :, r]
+        for k in range(2):
+            np.testing.assert_array_equal(from_rows.rep_state(k), expected[k])
+        if n_packets <= 64:
+            pw = np.uint64(1) << np.arange(n_packets, dtype=np.uint64)
+            words = (has.astype(np.uint64) * pw[None, :, None]).sum(
+                axis=1, dtype=np.uint64)
+            from_words = RepNeighborBelief(line5, n_packets=n_packets,
+                                           n_reps=2)
+            from_words.sync(kk, obs, recv, np.zeros_like(has), words)
+            for k in range(2):
+                np.testing.assert_array_equal(
+                    from_words.rep_state(k), expected[k])
 
     def test_sync_is_monotone(self, belief):
         # A later, shorter summary never revokes earlier knowledge (the
         # engine only ever grows possession, so summaries only grow too;
         # the store must not clear bits).
-        belief.sync_possession(0, 0, 1, [0, 1])
-        belief.sync_possession(0, 0, 1, [1])
+        _sync(belief, 0, 0, 1, [0, 1])
+        _sync(belief, 0, 0, 1, [1])
         assert _believes_has(belief, 0, 1, 0)
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=20))
@@ -101,7 +140,7 @@ class TestNeighborBelief:
         belief = RepNeighborBelief(line_topology(4), n_packets=3, n_reps=1)
         confirmed = set()
         for pkt, _ in updates:
-            belief.sync_possession(0, 1, 2, [pkt])
+            _sync(belief, 0, 1, 2, [pkt])
             confirmed.add(pkt)
             for p in range(3):
                 assert _believes_has(belief, 1, 2, p) == (p in confirmed)

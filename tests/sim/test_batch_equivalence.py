@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.net.generators import random_geometric_topology
-from repro.protocols.base import available_protocols
+from repro.protocols.base import PHASE_CACHE_CAP, available_protocols
 from repro.scenario import Scenario
 from repro.sim.runner import (
     run_experiments,
@@ -251,3 +251,19 @@ class TestCrossCellStacking:
             assert b.n_runs == c.n_runs == N_REPS
             for s, r in zip(b.results, c.results):
                 assert_results_identical(s, r)
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_uncached_phase_path(self, topo, protocol):
+        # Periods 31, 32 and 33 stack to an LCM of 32736, past the phase
+        # cache's cap, so the stacked run rebuilds every slot's rows
+        # while each standalone cell (LCM = its own period) memoises
+        # them: both paths must agree bit for bit.
+        assert 31 * 32 * 33 > PHASE_CACHE_CAP
+        cells = [(_scenario(protocol, duty_ratio=1 / period), 0, 2)
+                 for period in (31, 32, 33)]
+        assert [spec.period for spec, _, _ in cells] == [31, 32, 33]
+        stacked = run_replication_stack(topo, cells)
+        for (spec, start, count), cell_results in zip(cells, stacked):
+            standalone = run_replication_chunk(topo, spec, start, count)
+            for s, c in zip(standalone, cell_results):
+                assert_results_identical(s, c)

@@ -38,6 +38,18 @@ class _SpanTally(SimObserver):
         self.skipped += t_end - t_start
 
 
+class _WhereExecuted(SimObserver):
+    def __init__(self):
+        self.slots = []
+        self.traffic = set()
+
+    def on_slot(self, t, awake):
+        self.slots.append(t)
+
+    def on_tx(self, t, batch, outcome, misses):
+        self.traffic.add(t)
+
+
 def _flood(topo, protocol_name, *, fast_forward, period=24, n_packets=2,
            dynamics=False, skew=False, observers=()):
     schedules = ScheduleTable.random(
@@ -107,11 +119,18 @@ class TestBitIdenticalTrajectories:
     def test_skip_engages_in_sparse_regime(self, small_rgg):
         # At 1% duty with one packet, most slots are provably quiescent;
         # the equivalence above would be vacuous if none were skipped.
+        # The engine's one skip rule — query after every idle slot, never
+        # after a traffic slot — executes each traffic slot's successor;
+        # DBAO's one-packet frontier is exact, so every other executed
+        # idle slot is the flood's first and the rest are skipped.
         tally = _SpanTally()
+        where = _WhereExecuted()
         on = _flood(small_rgg, "dbao", fast_forward=True, period=100,
-                    n_packets=1, observers=[tally])
+                    n_packets=1, observers=[tally, where])
         assert on.completed
-        assert tally.skipped > on.metrics.elapsed_slots // 2
+        idle = [t for t in where.slots if t not in where.traffic]
+        assert all(t == 0 or t - 1 in where.traffic for t in idle)
+        assert tally.skipped > len(where.traffic)
         off_tally = _SpanTally()
         off = _flood(small_rgg, "dbao", fast_forward=False, period=100,
                      n_packets=1, observers=[off_tally])

@@ -54,6 +54,37 @@ class TestDesignCoverage:
                 f"scenario grid {gid!r} missing from the DESIGN.md table"
             )
 
+    def test_package_layout_names_every_module(self, docs):
+        # DESIGN.md §4's tree must list exactly the modules under
+        # src/repro (package __init__/__main__ files aside).
+        text = docs["DESIGN.md"]
+        block = text[text.index("## 4. Package layout"):]
+        block = block[block.index("```") + 3:]
+        block = block[:block.index("```")]
+        lines = [line for line in block.splitlines() if line.strip()]
+        assert lines[0].split()[0] == "src/repro/"
+        listed, parents = set(), []
+        for line in lines[1:]:
+            indent = len(line) - len(line.lstrip(" "))
+            if indent == 0:
+                break  # the next top-level tree (tests/, benchmarks/, ...)
+            name = line.split()[0]
+            depth = indent // 2 - 1
+            del parents[depth:]
+            if name.endswith("/"):
+                parents.append(name)
+            else:
+                listed.add("".join(parents) + name)
+        package = Path(repro.__file__).resolve().parent
+        modules = {
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+        }
+        listed.discard("__init__.py")
+        assert sorted(modules - listed) == [], "modules missing from §4"
+        assert sorted(listed - modules) == [], "§4 lists absent modules"
+
     def test_paper_figures_covered(self, docs):
         for artifact in ("fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
                          "table1"):
