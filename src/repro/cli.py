@@ -46,11 +46,10 @@ Commands
     engine runs: runs every cell through
     :class:`repro.sim.observers.PhaseProfiler`, prints the phase table
     (inject/propose/validate/resolve/apply/observe/fastforward, the
-    nested ``mac`` sub-phase, and ``probe`` for Fig. 9 probe floods),
-    the per-slot net allocation-block and traced-peak-byte rates, and
-    the scratch-arena borrow/grow counters. ``--json PATH`` writes the
-    raw report for CI artifacts; ``--no-allocs`` skips the tracemalloc
-    pass.
+    nested ``mac`` sub-phase, and ``probe`` for Fig. 9 probe floods)
+    and the per-slot net allocation-block and traced-peak-byte rates,
+    measured after one warm pass. ``--json PATH`` writes the raw report
+    for CI artifacts; ``--no-allocs`` skips the tracemalloc pass.
 ``trace [--seed N] [--out PATH]``
     Synthesize the GreenOrbs-like trace, print its statistics, optionally
     save it as ``.npz``.
@@ -67,6 +66,18 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for counts: an integer >= 1, checked before any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -81,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
+            "--jobs", type=_positive_int, default=None, metavar="N",
             help="worker processes for simulation tasks (default: serial; "
                  "results are bit-identical across backends; prints an "
                  "[exec] dispatch-stats line on stderr)",
@@ -92,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "with the same spec/topology/engine skip simulation",
         )
         p.add_argument(
-            "--reps-per-task", type=int, default=None, metavar="R",
+            "--reps-per-task", type=_positive_int, default=None, metavar="R",
             help="replications per dispatched task, run as one (R, ...) "
                  "engine call (default: auto, up to 128; 1 restores "
                  "per-replication dispatch; results are bit-identical at "
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the profile report as JSON")
     prof.add_argument("--no-allocs", action="store_true",
                       help="skip the tracemalloc allocation pass")
-    prof.add_argument("--reps", type=int, default=None, metavar="R",
+    prof.add_argument("--reps", type=_positive_int, default=None, metavar="R",
                       help="override n_replications for the profiled run")
 
     trace = sub.add_parser("trace", help="synthesize the GreenOrbs trace")
@@ -447,7 +458,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from .scenario import ScenarioError, as_scenario, build_topology, \
         load_scenario_file
-    from .sim.arena import global_arena
     from .sim.observers import PhaseProfiler
     from .sim.runner import run_replication_chunk
 
@@ -456,9 +466,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scenarios = [as_scenario(s) for s in grid.scenarios()]
     except (OSError, ValueError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
-        return 2
-    if args.reps is not None and args.reps < 1:
-        print(f"--reps must be >= 1, got {args.reps}", file=sys.stderr)
         return 2
     cells = []
     for s in scenarios:
@@ -473,11 +480,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for topo, s, n in cells:
             run_replication_chunk(topo, s, 0, n, profiler=profiler)
 
-    arena = global_arena()
-    run_all()  # warm pass: arena buffers grown, caches primed
+    run_all()  # warm pass: caches primed
     profiler = PhaseProfiler()
     run_all(profiler)
-    report = profiler.report(arena=arena)
+    report = profiler.report()
     if not args.no_allocs:
         tracemalloc.start()
         alloc_prof = PhaseProfiler()
@@ -502,10 +508,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         if "peak_alloc_bytes_per_slot" in report and not args.no_allocs:
             line += f", {report['peak_alloc_bytes_per_slot']} peak bytes"
         print(line)
-    if "arena" in report:
-        a = report["arena"]
-        print(f"arena: {a['borrows']} borrows, {a['grows']} grows, "
-              f"{a['buffers']} buffers, {a['nbytes']} bytes held")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -74,7 +74,9 @@ class ExecutorStats:
     ``pickled_bytes`` counts bytes actually serialized into worker
     payloads (function refs, broadcast refs, task tuples); with
     shared-memory broadcast the substrate does not appear here —
-    ``shared_bytes`` counts what traveled zero-copy instead.
+    ``shared_bytes`` counts what traveled zero-copy instead. The runner
+    adds replication-batch widths and cross-cell stacks; ``str()``
+    renders the lot as the CLI's ``[exec]`` line.
     """
 
     dispatches: int = 0
@@ -102,21 +104,11 @@ class ExecutorStats:
     #: stacking ratio — the fig10-column diagnosis number.
     stack_tasks: int = 0
     stacked_cells: int = 0
-    #: Scratch-arena reuse across the dispatch (in-process backends):
-    #: buffer borrows served and the subset that forced a fresh backing
-    #: allocation. ``arena_grows ≈ 0`` on a warm arena.
-    arena_borrows: int = 0
-    arena_grows: int = 0
 
     def note_stacks(self, n_tasks: int, n_cells: int) -> None:
         """Meter cross-cell stacked tasks and the cells they merged."""
         self.stack_tasks += int(n_tasks)
         self.stacked_cells += int(n_cells)
-
-    def note_arena(self, borrows: int, grows: int) -> None:
-        """Meter scratch-arena borrow/grow deltas for one dispatch."""
-        self.arena_borrows += int(borrows)
-        self.arena_grows += int(grows)
 
     def note_rep_batches(self, widths: Sequence[int]) -> None:
         """Meter replication-batched tasks (``widths`` in reps per task)."""
@@ -161,8 +153,6 @@ class ExecutorStats:
         self.max_batch_width = max(self.max_batch_width, other.max_batch_width)
         self.stack_tasks += other.stack_tasks
         self.stacked_cells += other.stacked_cells
-        self.arena_borrows += other.arena_borrows
-        self.arena_grows += other.arena_grows
 
     def __str__(self) -> str:
         lo, mean, hi = self.task_spread()
@@ -186,11 +176,6 @@ class ExecutorStats:
             parts.append(
                 f"{self.stacked_cells} cell(s) in {self.stack_tasks} "
                 f"stacked task(s) ({ratio:.1f} cells/stack)"
-            )
-        if self.arena_borrows:
-            parts.append(
-                f"arena {self.arena_borrows} borrow(s) / "
-                f"{self.arena_grows} grow(s)"
             )
         if self.pool_spinups:
             parts.append(
@@ -467,8 +452,8 @@ class ParallelExecutor(Executor):
 
 
 def resolve_executor(jobs: Optional[int] = None) -> Executor:
-    """The executor for a ``--jobs`` setting: parallel when ``jobs``
-    asks for more than one worker, serial otherwise."""
-    if jobs is not None and jobs > 1:
-        return ParallelExecutor(jobs=jobs)
-    return SerialExecutor()
+    """The executor for a ``--jobs`` setting: serial when unset or one
+    worker, parallel otherwise; ``jobs < 1`` raises ``ValueError``."""
+    if jobs is None or jobs == 1:
+        return SerialExecutor()
+    return ParallelExecutor(jobs=jobs)

@@ -87,13 +87,6 @@ __all__ = [
 ]
 
 
-def _default_arena():
-    # Lazy import: net must stay importable without sim (mirrors radio).
-    from ..sim.arena import NullArena
-
-    return NullArena()
-
-
 class LinkModel:
     """One slot of medium access: contend → deliver → acknowledge.
 
@@ -140,7 +133,6 @@ class LinkModel:
         radio: RadioModel,
         dynamics=None,
         awake_stack: Optional[np.ndarray] = None,
-        arena=None,
         profiler=None,
         collect_collision_rows: bool = False,
     ) -> RepSlotOutcome:
@@ -182,13 +174,13 @@ class IdealCsmaLink(LinkModel):
         )
 
     def resolve_reps(self, kk, ss, rr, pp, topo, awake_by_rep, rngs, radio,
-                     dynamics=None, awake_stack=None, arena=None,
+                     dynamics=None, awake_stack=None,
                      profiler=None, collect_collision_rows=False):
         if profiler is not None:
             profiler.note("mac", 0.0)
         return resolve_slot_reps(
             kk, ss, rr, pp, topo, awake_by_rep, rngs, radio,
-            dynamics=dynamics, awake_stack=awake_stack, arena=arena,
+            dynamics=dynamics, awake_stack=awake_stack,
             collect_collision_rows=collect_collision_rows,
         )
 
@@ -418,57 +410,44 @@ class Csma802154Link(LinkModel):
     # -- batched path --------------------------------------------------
 
     def resolve_reps(self, kk, ss, rr, pp, topo, awake_by_rep, rngs, radio,
-                     dynamics=None, awake_stack=None, arena=None,
+                     dynamics=None, awake_stack=None,
                      profiler=None, collect_collision_rows=False):
         T = int(ss.size)
         if T == 0:
             return RepSlotOutcome.empty()
-        if arena is None:
-            arena = _default_arena()
         t_mac = perf_counter() if profiler is not None else 0.0
         t_phy = 0.0
         n = topo.n_nodes
 
         # Replication boundaries (kk arrives in ascending groups) and a
         # local group index per frame for the carrier-sense call.
-        is_head = arena.buf("mac.is_head", T, np.bool_)
+        is_head = np.empty(T, dtype=bool)
         is_head[0] = True
         np.not_equal(kk[1:], kk[:-1], out=is_head[1:])
-        local = arena.buf("mac.local", T, np.int64)
-        np.cumsum(is_head, out=local)
-        local -= 1
+        local = np.cumsum(is_head) - 1
         rep_ids = kk[np.flatnonzero(is_head)]
 
         # Slot-long receiver availability, one row per *global* rep id
         # (the raw resolver gathers rows by rep id). Mutated as frames
         # are decoded, so it must be a private copy.
         R = int(rep_ids[-1]) + 1
-        avail = arena.buf2("mac.avail", (R, n), np.bool_)
         if awake_stack is not None:
-            np.copyto(avail, awake_stack[:R])
+            avail = awake_stack[:R].copy()
         else:
-            avail[:] = False
+            avail = np.zeros((R, n), dtype=bool)
             for rep in rep_ids.tolist():
                 avail[rep, awake_by_rep[int(rep)]] = True
         avail[kk, ss] = False  # semi-duplex for the whole slot
 
-        wait = arena.buf("mac.wait", T, np.int64)
-        be = arena.buf("mac.be", T, np.int64)
-        nb = arena.buf("mac.nb", T, np.int64)
-        retries = arena.buf("mac.retries", T, np.int64)
-        alive = arena.buf("mac.alive", T, np.bool_)
-        delivered = arena.buf("mac.delivered", T, np.bool_)
-        collided = arena.buf("mac.collided", T, np.bool_)
-        pending_draw = arena.buf("mac.pending", T, np.bool_)
-        draws = arena.buf("mac.draws", T, np.float64)
-        wait[:] = 0
-        be[:] = self.mac_min_be
-        nb[:] = 0
-        retries[:] = 0
-        alive[:] = True
-        delivered[:] = False
-        collided[:] = False
-        pending_draw[:] = True
+        wait = np.zeros(T, dtype=np.int64)
+        be = np.full(T, self.mac_min_be, dtype=np.int64)
+        nb = np.zeros(T, dtype=np.int64)
+        retries = np.zeros(T, dtype=np.int64)
+        alive = np.ones(T, dtype=bool)
+        delivered = np.zeros(T, dtype=bool)
+        collided = np.zeros(T, dtype=bool)
+        pending_draw = np.ones(T, dtype=bool)
+        draws = np.empty(T, dtype=np.float64)
 
         rec_parts = []  # (rep, receiver, sender, packet, overheard) rounds
 
@@ -503,9 +482,7 @@ class Csma802154Link(LinkModel):
             rounds += 1
             # 2. CCA across replications; within a group the rank order
             # is batch-row order, exactly the serial csma_select input.
-            win_mask = csma_select_reps(
-                local[ready], ss[ready], topo, arena=arena
-            )
+            win_mask = csma_select_reps(local[ready], ss[ready], topo)
             blocked = ready[~win_mask]
             winners = ready[win_mask]
             if blocked.size:
@@ -523,8 +500,7 @@ class Csma802154Link(LinkModel):
                 sub = resolve_slot_reps(
                     kk[winners], ss[winners], rr[winners], pp[winners],
                     topo, awake_by_rep, rngs, radio, dynamics=dynamics,
-                    awake_stack=avail, arena=arena,
-                    collect_collision_rows=True,
+                    awake_stack=avail, collect_collision_rows=True,
                 )
                 if profiler is not None:
                     t_phy += perf_counter() - _phy0
@@ -565,7 +541,6 @@ class Csma802154Link(LinkModel):
             live = np.flatnonzero(alive)
             ticking = live[wait[live] > 0]
             wait[ticking] -= 1
-        alive[:] = False
 
         if rec_parts:
             rec_rep = np.concatenate([p[0] for p in rec_parts])
@@ -584,7 +559,7 @@ class Csma802154Link(LinkModel):
         else:
             rec_rep = rec_recv = rec_send = rec_pack = np.empty(0, np.int64)
             rec_over = np.empty(0, bool)
-        fail_rows = np.flatnonzero(~delivered[:T])
+        fail_rows = np.flatnonzero(~delivered)
         coll_fail = fail_rows[collided[fail_rows]]
         collision_counts: Dict[int, int] = {}
         if coll_fail.size:

@@ -33,21 +33,6 @@ import numpy as np
 
 from .topology import Topology
 
-#: Lazily-built fallback arena (allocates per borrow) for callers that
-#: pass no arena. Imported lazily: ``repro.sim`` imports this module at
-#: package-init time, so a top-level import would be circular.
-_null_arena = None
-
-
-def _default_arena():
-    global _null_arena
-    if _null_arena is None:
-        from ..sim.arena import NullArena
-
-        _null_arena = NullArena()
-    return _null_arena
-
-
 __all__ = [
     "Transmission",
     "TxBatch",
@@ -536,7 +521,6 @@ def resolve_slot_reps(
     model: RadioModel = RadioModel(),
     dynamics=None,
     awake_stack: Optional[np.ndarray] = None,
-    arena=None,
     collect_collision_rows: bool = False,
 ) -> RepSlotOutcome:
     """Resolve one slot's transmissions across R replications at once.
@@ -583,12 +567,10 @@ def resolve_slot_reps(
     if T == 0:
         return RepSlotOutcome.empty()
     n = topo.n_nodes
-    if arena is None:
-        arena = _default_arena()
 
     # kk arrives in ascending replication groups: boundary detection
     # replaces np.unique's sort.
-    is_head = arena.buf("radio.is_head", T, np.bool_)
+    is_head = np.empty(T, dtype=bool)
     is_head[0] = True
     np.not_equal(kk[1:], kk[:-1], out=is_head[1:])
     starts = np.flatnonzero(is_head)
@@ -596,9 +578,7 @@ def resolve_slot_reps(
     blist = starts.tolist()
     blist.append(T)
     n_local = rep_ids.size
-    local = arena.buf("radio.local", T, np.int64)
-    np.cumsum(is_head, out=local)
-    local -= 1
+    local = np.cumsum(is_head) - 1
 
     # CSMA start-phase jitter: the serial resolver draws one block per
     # replication per slot with transmissions, scattered to sender-sorted
@@ -607,7 +587,7 @@ def resolve_slot_reps(
     rep_list = rep_ids.tolist()
     jitter = None
     if model.collisions:
-        draws = arena.buf("radio.draws", T, np.float64)
+        draws = np.empty(T, dtype=np.float64)
         for li in range(n_local):
             lo, hi = blist[li], blist[li + 1]
             rngs[rep_list[li]].random(out=draws[lo:hi])
@@ -615,38 +595,26 @@ def resolve_slot_reps(
         # the same position the serial per-replication scatter used.
         # (rep, sender) rows are duplicate-free, so the fused integer key
         # sorts identically to lexsort((ss, kk)).
-        skey = arena.buf("radio.skey", T, np.int64)
-        np.multiply(kk, n, out=skey)
-        skey += ss
-        jitter = arena.buf("radio.jitter", T, np.float64)
-        jitter[np.argsort(skey, kind="stable")] = draws
+        jitter = np.empty(T, dtype=np.float64)
+        jitter[np.argsort(kk * n + ss, kind="stable")] = draws
 
     # Per-replication receiver eligibility: awake and not transmitting.
-    mask = arena.buf2("radio.mask", (n_local, n), np.bool_)
     if awake_stack is not None:
-        np.take(awake_stack, rep_ids, axis=0, out=mask)
+        mask = awake_stack[rep_ids]
     else:
-        mask[:] = False
+        mask = np.zeros((n_local, n), dtype=bool)
         for li in range(n_local):
             mask[li, awake_by_rep[int(rep_ids[li])]] = True
     mask[local, ss] = False
-    hits = arena.buf2("radio.hits", (T, n), np.bool_)  # (T, n)
-    np.take(topo.adjacency, ss, axis=0, out=hits)
-    mlocal = arena.buf2("radio.mlocal", (T, n), np.bool_)
-    np.take(mask, local, axis=0, out=mlocal)
-    hits &= mlocal
+    hits = topo.adjacency[ss] & mask[local]  # (T, n)
     tx_idx, recv = np.nonzero(hits)
 
-    delivered = arena.buf("radio.delivered", T, np.bool_)
-    delivered[:] = False
+    delivered = np.zeros(T, dtype=bool)
     collision_counts = {}
     coll_rows = np.empty(0, np.int64) if collect_collision_rows else None
 
     if tx_idx.size:
-        key = arena.buf("radio.key", tx_idx.size, np.int64)
-        np.take(local, tx_idx, out=key)
-        key *= n
-        key += recv
+        key = local[tx_idx] * n + recv
         order = np.argsort(key, kind="stable")
         key_s = key[order]
         tx_s = tx_idx[order]
@@ -656,10 +624,7 @@ def resolve_slot_reps(
         np.not_equal(key_s[1:], key_s[:-1], out=g_head[1:])
         start_u = np.flatnonzero(g_head)
         uniq = key_s[start_u]
-        G = start_u.size
-        counts = arena.buf("radio.counts", G, np.int64)
-        np.subtract(start_u[1:], start_u[:-1], out=counts[: G - 1])
-        counts[G - 1] = key_s.size - start_u[G - 1]
+        counts = np.diff(start_u, append=key_s.size)
         grp_rep_local = uniq // n
         grp_recv = uniq % n
         addr_s = rr[tx_s] == recv_s
@@ -700,9 +665,9 @@ def resolve_slot_reps(
             seg_len = (stops_u[hard] - start_u[hard]).astype(np.int64)
             seg_start = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
             total = int(seg_len.sum())
-            offs = arena.arange(total) - np.repeat(seg_start, seg_len)
+            offs = np.arange(total) - np.repeat(seg_start, seg_len)
             flat = np.repeat(start_u[hard], seg_len) + offs
-            gid = np.repeat(arena.arange(hard.size), seg_len)
+            gid = np.repeat(np.arange(hard.size), seg_len)
             rows_f = tx_s[flat]
             r_f = np.repeat(grp_recv[hard], seg_len)
             send_f = ss[rows_f]
@@ -785,18 +750,16 @@ def resolve_slot_reps(
     # receivers, exactly the serial draw, written into one flat buffer so
     # the accept/gather stage runs once across all replications.
     if model.lossless:
-        okd = arena.buf("radio.okd", g_row.size, np.bool_)
-        okd[:] = True
+        okd = np.ones(g_row.size, dtype=bool)
     else:
         pend_starts = np.searchsorted(
-            g_rep_local, arena.arange(n_local + 1)).tolist()
-        rnd = arena.buf("radio.bern", g_row.size, np.float64)
+            g_rep_local, np.arange(n_local + 1)).tolist()
+        rnd = np.empty(g_row.size, dtype=np.float64)
         for li in range(n_local):
             p_lo, p_hi = pend_starts[li], pend_starts[li + 1]
             if p_hi > p_lo:
                 rngs[rep_list[li]].random(out=rnd[p_lo:p_hi])
-        okd = arena.buf("radio.okd", g_row.size, np.bool_)
-        np.less(rnd, prr, out=okd)
+        okd = rnd < prr
     acc_rows = g_row[okd]
     addr_ok = is_addr[okd]
     delivered[acc_rows[addr_ok]] = True
@@ -866,7 +829,7 @@ def csma_select(
 
 
 def csma_select_reps(
-    groups: np.ndarray, senders: np.ndarray, topo: Topology, arena=None
+    groups: np.ndarray, senders: np.ndarray, topo: Topology
 ) -> np.ndarray:
     """Winners-only :func:`csma_select` across independent groups.
 
@@ -880,12 +843,7 @@ def csma_select_reps(
     win = np.zeros(senders.size, dtype=bool)
     if senders.size == 0:
         return win
-    if arena is None:
-        arena = _default_arena()
-    heard = arena.buf2(
-        "radio.csma_heard", (int(groups[-1]) + 1, topo.n_nodes), np.bool_
-    )
-    heard[:] = False
+    heard = np.zeros((int(groups[-1]) + 1, topo.n_nodes), dtype=bool)
     audible = topo.audible
     # Round-based greedy: each round, the earliest-ranked candidate of
     # every group that hears no winner yet transmits. Equivalent to the
@@ -893,7 +851,7 @@ def csma_select_reps(
     # stays deferred and the earliest eligible candidate each round is
     # exactly the scan's next winner — but each round is one vector pass
     # instead of a Python iteration per candidate.
-    idx = arena.arange(senders.size)
+    idx = np.arange(senders.size)
     while idx.size:
         g = groups[idx]
         first = np.empty(idx.size, dtype=bool)

@@ -137,24 +137,6 @@ class RepSimView:
             ).sum(axis=1, dtype=np.uint64)
         else:
             self.has_packed = None
-        #: Scratch arena the engine threads through the run; protocols
-        #: may borrow hot-path buffers from it (``None`` outside the
-        #: batched engine — borrowers fall back to fresh allocation).
-        self.arena = None
-
-    def get_arena(self):
-        """The engine's scratch arena, or a lazily-attached NullArena.
-
-        Protocol hot paths borrow per-slot buffers through this; outside
-        the batched engine (direct test invocations) the NullArena keeps
-        the same API with fresh allocation per borrow.
-        """
-        ar = self.arena
-        if ar is None:
-            from ..sim.arena import NullArena
-
-            ar = self.arena = NullArena()
-        return ar
 
     @property
     def n_reps(self) -> int:

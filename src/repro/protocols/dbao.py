@@ -188,51 +188,31 @@ class Dbao(BeliefFlooding):
             return empty, empty, empty, empty
 
         belief = self._rep_belief
-        arena = view.get_arena()
         if belief._packed is not None and view.has_packed is not None:
             # One fused gate: the pair-level possession word answers both
             # the listen rule (incomplete buffer != full word) and —
             # combined with the per-row belief word — row validity (the
             # sender holds a bit the row's belief lacks, which subsumes
             # "holds at least one packet"). The survivors are then
-            # compressed once via flatnonzero + take into borrowed
-            # scratch, and the FCFS argmin only runs on winner rows.
-            U = u_idx.size
-            hw_u = view.has_packed.take(
-                u_idx, out=arena.buf("dbao.hw_u", U, np.uint64))
-            elig_u = arena.buf("dbao.elig_u", U, np.bool_)
-            np.not_equal(hw_u, belief._full_word, out=elig_u)
-            elig_u &= u_listen
-            np.invert(elig_u, out=elig_u)
+            # compressed once via flatnonzero + take, and the FCFS argmin
+            # only runs on winner rows.
+            hw_u = view.has_packed.take(u_idx)
+            elig_u = ~((hw_u != belief._full_word) & u_listen)
             if rep_ids.size < len(self._rep_schedules):
                 active = np.zeros(len(self._rep_schedules), dtype=bool)
                 active[rep_ids] = True
                 elig_u &= active[u_k]
-            T = inv_srt.size
-            bel_w = belief._packed.take(
-                bel_idx, out=arena.buf("dbao.bel_w", T, np.uint64))
-            np.invert(bel_w, out=bel_w)
-            cand_w = hw_u.take(
-                inv_srt, out=arena.buf("dbao.cand_w", T, np.uint64))
-            cand_w &= bel_w
-            keep = elig_u.take(
-                inv_srt, out=arena.buf("dbao.keep", T, np.bool_))
-            keep &= cand_w != 0
-            sel = np.flatnonzero(keep)
+            cand_w = hw_u.take(inv_srt) & ~belief._packed.take(bel_idx)
+            sel = np.flatnonzero(elig_u.take(inv_srt) & (cand_w != 0))
             if sel.size == 0:
                 return empty, empty, empty, empty
-            E = sel.size
-            k_e = k_srt.take(sel, out=arena.buf("dbao.k_e", E, np.int64))
-            s_e = s_srt.take(sel, out=arena.buf("dbao.s_e", E, np.int64))
 
             # A sender with several waking neighbors in need picks the
             # one it has the best link to, equal links tie-breaking to
             # the smaller receiver id: the first remaining row per
             # (replication, sender); boundaries via the fused pair key.
-            pk = arena.buf("dbao.pk", E, np.int64)
-            np.multiply(k_e, self._topo.n_nodes, out=pk)
-            pk += s_e
-            first = arena.buf("dbao.first", E, np.bool_)
+            pk = k_srt.take(sel) * self._topo.n_nodes + s_srt.take(sel)
+            first = np.empty(sel.size, dtype=bool)
             first[0] = True
             np.not_equal(pk[1:], pk[:-1], out=first[1:])
             fsel = sel[first]
@@ -301,7 +281,7 @@ class Dbao(BeliefFlooding):
         rank = np.lexsort((chosen_s, -chosen_prr, chosen_k))
         win = csma_select_reps(
             np.searchsorted(rep_ids, chosen_k[rank]), chosen_s[rank],
-            self._topo, arena=arena,
+            self._topo,
         )
         rows = rank[win]
         if rows.size == 0:

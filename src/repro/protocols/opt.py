@@ -179,30 +179,21 @@ class OptOracle(FloodingProtocol):
         # cache; subset gathers preserve that order.
         kk_r, ss_flat, rr_flat = executing_rows(
             rep_ids, view.n_reps, *self._phases.at(t, self._phase_rows))
-        arena = view.get_arena()
         cand_w = None
         if kk_r.size:
             hp = view.has_packed
             if hp is not None:
                 # Packed possession words: "receiver still lacks a
                 # packet" and "server holds one of those" are single
-                # uint64 ops per row, gathered through flat takes into
-                # borrowed scratch.
+                # uint64 ops per row, gathered through flat takes.
                 hp_flat = hp.reshape(-1)
                 full = np.uint64((1 << view.n_packets) - 1)
-                idx = arena.buf("opt.idx", kk_r.size, np.int64)
-                np.multiply(kk_r, n, out=idx)
-                idx += rr_flat
-                recv_w = arena.buf("opt.recv_w", kk_r.size, np.uint64)
-                np.take(hp_flat, idx, out=recv_w)
+                recv_w = hp_flat.take(kk_r * n + rr_flat)
                 sel = np.flatnonzero(recv_w != full)
                 kk_r = kk_r.take(sel)
                 ss_flat = ss_flat.take(sel)
                 rr_flat = rr_flat.take(sel)
-                idx2 = idx[: sel.size]
-                np.multiply(kk_r, n, out=idx2)
-                idx2 += ss_flat
-                cand_w = hp_flat.take(idx2) & ~recv_w.take(sel)
+                cand_w = hp_flat.take(kk_r * n + ss_flat) & ~recv_w.take(sel)
             else:
                 needy = ~view.has_stack[kk_r, :, rr_flat].all(axis=1)
                 kk_r, ss_flat, rr_flat = (
@@ -215,8 +206,8 @@ class OptOracle(FloodingProtocol):
         group_start = np.flatnonzero(new_grp)
         G = group_start.size
         L = np.diff(np.append(group_start, P))
-        g = np.repeat(arena.arange(G), L)
-        pos = arena.arange(P) - group_start[g]
+        g = np.repeat(np.arange(G), L)
+        pos = np.arange(P) - group_start[g]
 
         # FCFS head per (server, dependent) pair; round-robin rotation
         # picks each group's first valid head in rotated order.
@@ -231,7 +222,7 @@ class OptOracle(FloodingProtocol):
         rot = (pos - (rotk % L[g])) % L[g]
         big = P + 1
         score = np.where(valid, rot, big)
-        enc = score * big + arena.arange(P)
+        enc = score * big + np.arange(P)
         best = np.minimum.reduceat(enc, group_start)
         has_cand = (best // big) < big
         pick = (best % big)[has_cand]

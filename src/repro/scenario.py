@@ -52,6 +52,7 @@ import difflib
 import hashlib
 import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -129,6 +130,26 @@ def _reject_unknown(given, allowed, what: str) -> None:
         )
 
 
+def _check_number(name: str, value: Any, kind: type) -> None:
+    """Reject a ``value`` for field ``name`` that is not a ``kind``.
+
+    ``kind`` is :class:`numbers.Integral` or :class:`numbers.Real`;
+    booleans are refused either way, although Python counts them as
+    integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ScenarioError(f"{name} must be {noun}, got {value!r}")
+
+
+def _check_object(name: str, value: Any) -> None:
+    """Reject a ``value`` for field ``name`` that is not a JSON object."""
+    if not isinstance(value, Mapping):
+        raise ScenarioError(
+            f"{name} must be an object, got {type(value).__name__}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Topology sources
 # ---------------------------------------------------------------------------
@@ -167,6 +188,7 @@ class TopologySpec:
     transform: Optional[str] = None
 
     def __post_init__(self):
+        _check_number("topology seed", self.seed, numbers.Integral)
         _reject_unknown((self.kind,), _TOPOLOGY_PARAMS, "topology kind")
         _reject_unknown(self.params, _TOPOLOGY_PARAMS[self.kind],
                         f"{self.kind!r} topology parameter")
@@ -180,16 +202,15 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"topology must be an object, got {type(data).__name__}"
-            )
+        _check_object("topology", data)
         _reject_unknown(data, ("kind", "seed", "params", "transform"),
                         "topology field")
+        params = data.get("params", {})
+        _check_object("topology params", params)
         return cls(
             kind=data.get("kind", "greenorbs"),
-            seed=int(data.get("seed", 2011)),
-            params=dict(data.get("params", {})),
+            seed=data.get("seed", 2011),
+            params=dict(params),
             transform=data.get("transform"),
         )
 
@@ -383,6 +404,11 @@ class Scenario:
     def __post_init__(self):
         if not self.protocol or not isinstance(self.protocol, str):
             raise ScenarioError(f"protocol must be a name, got {self.protocol!r}")
+        for name in ("n_packets", "n_replications", "seed",
+                     "generation_interval", "wake_slots"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        for name in ("duty_ratio", "coverage_target", "schedule_jitter"):
+            _check_number(name, getattr(self, name), numbers.Real)
         if not (0.0 < self.duty_ratio <= 1.0):
             raise ScenarioError(
                 f"duty ratio must be in (0, 1], got {self.duty_ratio}"
@@ -820,7 +846,15 @@ class ScenarioGrid:
                 raise ScenarioError("'shard' needs 'index' and 'count'")
             sharding = (int(shard["index"]), int(shard["count"]))
             stamp = shard.get("grid")
-        grid = cls(base=base, axes=data.get("axes", ()),
+        axes = data.get("axes", {})
+        _check_object("'axes'", axes)
+        for field_name, values in axes.items():
+            if not isinstance(values, list):
+                raise ScenarioError(
+                    f"axis {field_name!r} must be a list of values, got "
+                    f"{type(values).__name__}"
+                )
+        grid = cls(base=base, axes=axes,
                    name=data.get("name"), sharding=sharding)
         if stamp is not None and stamp != grid.grid_fingerprint():
             raise ScenarioError(

@@ -1,184 +1,33 @@
-"""Scratch arenas: reusable buffers for the slot pipeline's hot path.
+"""Zero-counter stand-in for the retired scratch arena.
 
-The batched engine executes tens of thousands of slots per second, and
-every slot used to allocate dozens of small NumPy temporaries (gather
-outputs, boolean masks, RNG blocks, lexsort keys). A
-:class:`ScratchArena` replaces those with borrows from preallocated,
-key-addressed backing buffers: after a short warmup every per-slot
-buffer request is served from memory already owned by the arena, so the
-steady-state slot loop performs (approximately) zero heap allocations —
-the property ``repro profile`` measures.
-
-Ownership rules (see DESIGN.md "hot-path memory model"):
-
-* A borrow under key ``k`` is valid **until the next borrow of the same
-  key**. Borrowers that need two live buffers use two keys.
-* Keys are namespaced by borrowing site (``"radio.jitter"``,
-  ``"batch.vkey"``, ...) so independent call sites never alias.
-* Returned views carry arbitrary stale content; borrowers must fully
-  overwrite before reading (``np.take(..., out=...)``, ``out=`` ufunc
-  forms, or explicit fills).
-* An arena is single-threaded state. Engines thread one arena through
-  one run; the runner keeps a process-global arena so consecutive
-  invocations reuse warm buffers (see :func:`global_arena`).
-
-:class:`NullArena` implements the same interface but allocates fresh
-memory on every call — the "arena off" mode the aliasing tests use to
-prove borrows never change trajectories.
+The engine allocates its per-slot temporaries with plain NumPy: pooling
+them behind a scratch arena measured no end-to-end win and was removed.
+This module remains only because the performance harness
+(``perfbench/child.py``) imports :func:`global_arena` and reads its
+``counters()`` on every run; its ``sim.arena.*`` rows therefore read 0.
+The module goes when that harness stops reading it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-import numpy as np
-
-__all__ = ["ScratchArena", "NullArena", "global_arena"]
+__all__ = ["global_arena"]
 
 
-class ScratchArena:
-    """Dtype/shape-keyed pool of reusable scratch buffers.
+class _NoArena:
+    """Counters of an arena that never borrows nor grows."""
 
-    ``borrows`` counts every buffer request; ``grows`` counts the
-    requests that forced a new backing allocation (capacity misses).
-    After warmup ``grows`` stays flat — that delta is the engine's
-    per-slot allocation count for arena-served buffers.
-    """
-
-    __slots__ = ("_store", "_arange", "borrows", "grows")
-
-    def __init__(self) -> None:
-        self._store: Dict[str, np.ndarray] = {}
-        self._arange = np.empty(0, dtype=np.int64)
-        self.borrows = 0
-        self.grows = 0
-
-    def buf(self, key: str, size: int, dtype=np.int64) -> np.ndarray:
-        """Borrow a 1-D scratch view of exactly ``size`` elements.
-
-        The view aliases the arena's backing buffer for ``key`` and is
-        invalidated by the next ``buf``/``buf2`` call with the same key.
-        Contents are unspecified — overwrite before reading.
-        """
-        self.borrows += 1
-        backing = self._store.get(key)
-        if (
-            backing is None
-            or backing.size < size
-            or backing.dtype != dtype
-        ):
-            # Geometric growth: a flood's per-slot batch sizes wander,
-            # so doubling keeps reallocation count logarithmic.
-            cap = max(
-                int(size),
-                2 * (backing.size if backing is not None else 8),
-            )
-            backing = np.empty(cap, dtype=dtype)
-            self._store[key] = backing
-            self.grows += 1
-        return backing[:size]
-
-    def buf2(self, key: str, shape: Tuple[int, int], dtype=np.int64) -> np.ndarray:
-        """Borrow a C-contiguous 2-D scratch view of ``shape``."""
-        rows, cols = shape
-        return self.buf(key, rows * cols, dtype).reshape(rows, cols)
-
-    def arange(self, size: int) -> np.ndarray:
-        """A read-only-by-convention ``0..size-1`` int64 view.
-
-        Hot loops need ascending index ramps constantly; the arena keeps
-        one monotone backing array and hands out prefixes. Callers must
-        never write to the returned view.
-        """
-        if self._arange.size < size:
-            self._arange = np.arange(
-                max(int(size), 2 * self._arange.size, 16), dtype=np.int64
-            )
-            self.grows += 1
-        self.borrows += 1
-        return self._arange[:size]
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by backing buffers."""
-        return sum(b.nbytes for b in self._store.values()) + self._arange.nbytes
+    __slots__ = ()
 
     def counters(self) -> Tuple[int, int]:
-        """Snapshot of ``(borrows, grows)`` for delta metering."""
-        return self.borrows, self.grows
-
-    def snapshot(self) -> Dict[str, int]:
-        """Metering summary (journaled by ``repro profile``)."""
-        return {
-            "borrows": self.borrows,
-            "grows": self.grows,
-            "buffers": len(self._store),
-            "nbytes": self.nbytes,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ScratchArena(buffers={len(self._store)}, "
-            f"borrows={self.borrows}, grows={self.grows}, "
-            f"nbytes={self.nbytes})"
-        )
+        """``(borrows, grows)``: always ``(0, 0)``."""
+        return 0, 0
 
 
-class NullArena:
-    """Allocation-per-borrow stand-in with the :class:`ScratchArena` API.
-
-    Every borrow is a fresh ``np.empty`` — exactly the engine's
-    pre-arena behaviour. Running the same flood under a shared
-    :class:`ScratchArena` and a :class:`NullArena` must produce
-    bit-identical trajectories; the aliasing test suite enforces this.
-    """
-
-    __slots__ = ("borrows", "grows")
-
-    def __init__(self) -> None:
-        self.borrows = 0
-        self.grows = 0
-
-    def buf(self, key: str, size: int, dtype=np.int64) -> np.ndarray:
-        self.borrows += 1
-        self.grows += 1
-        return np.empty(size, dtype=dtype)
-
-    def buf2(self, key: str, shape: Tuple[int, int], dtype=np.int64) -> np.ndarray:
-        self.borrows += 1
-        self.grows += 1
-        return np.empty(shape, dtype=dtype)
-
-    def arange(self, size: int) -> np.ndarray:
-        self.borrows += 1
-        self.grows += 1
-        return np.arange(size, dtype=np.int64)
-
-    @property
-    def nbytes(self) -> int:
-        return 0
-
-    def counters(self) -> Tuple[int, int]:
-        return self.borrows, self.grows
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "borrows": self.borrows,
-            "grows": self.grows,
-            "buffers": 0,
-            "nbytes": 0,
-        }
+_GLOBAL = _NoArena()
 
 
-_GLOBAL: ScratchArena = ScratchArena()
-
-
-def global_arena() -> ScratchArena:
-    """The process-wide arena the runner threads through engine calls.
-
-    Keeping one arena per process means a sweep's second invocation
-    starts fully warm: every buffer the first flood grew is reused, and
-    the steady-state grow count across a whole grid stays at the first
-    cell's warmup.
-    """
+def global_arena() -> _NoArena:
+    """The process-wide zero-counter object the harness meters."""
     return _GLOBAL

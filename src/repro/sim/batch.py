@@ -66,7 +66,6 @@ from ..net.radio import Reception, SlotOutcome, TxBatch
 from ..net.schedule import ScheduleTable
 from ..net.topology import SOURCE, Topology
 from ..protocols.base import FloodingProtocol, PhaseCache, RepSimView
-from .arena import ScratchArena
 from .energy import EnergyLedger
 from .engine import FloodResult, SimConfig
 from .metrics import FloodMetrics, PacketDelays, coverage_threshold
@@ -158,7 +157,6 @@ def run_flood_batch(
     rngs: Sequence[np.random.Generator],
     config: Optional[SimConfig] = None,
     dynamics_list: Optional[Sequence] = None,
-    arena=None,
     profiler=None,
     link=None,
     true_schedules_list: Optional[Sequence] = None,
@@ -197,13 +195,6 @@ def run_flood_batch(
         or none, stacked into one :class:`BatchGilbertElliott`. Each
         instance ends the run in the state it reached at its
         replication's last slot.
-    arena:
-        Optional :class:`~repro.sim.arena.ScratchArena` serving the hot
-        path's per-slot buffers. Defaults to a fresh arena per call; the
-        runner threads :func:`~repro.sim.arena.global_arena` through so
-        consecutive invocations reuse warm buffers. Pass a
-        :class:`~repro.sim.arena.NullArena` to force fresh allocation
-        per borrow (trajectories are bit-identical either way).
     profiler:
         Optional :class:`~repro.sim.observers.PhaseProfiler`; when
         present, the loop records per-phase wall time into it, and the
@@ -293,12 +284,10 @@ def run_flood_batch(
                     "or none"
                 )
             batch_dyn = BatchGilbertElliott.from_instances(list(dynamics_list))
-    if arena is None:
-        arena = ScratchArena()
 
     results, dyn_clock = _simulate(
         topo, list(schedules_list), workloads, protocol, list(rngs), config,
-        batch_dyn, arena, profiler, link, true_list, observers_list,
+        batch_dyn, profiler, link, true_list, observers_list,
     )
     if batch_dyn is not None:
         # Lazy catch-up of a final jump to the horizon, so every instance
@@ -312,7 +301,7 @@ def run_flood_batch(
         t0 = perf_counter()
         delays = _probe_delays(
             topo, schedules_list, true_list, protocol, rngs, config,
-            dynamics_list if batch_dyn is not None else None, arena, link,
+            dynamics_list if batch_dyn is not None else None, link,
             workloads[0].n_packets,
         )
         if profiler is not None:
@@ -328,7 +317,7 @@ def run_flood_batch(
 
 
 def _probe_delays(topo, schedules_list, true_list, protocol, rngs, config,
-                  dynamics_list, arena, link, n_packets) -> np.ndarray:
+                  dynamics_list, link, n_packets) -> np.ndarray:
     """Queueing-free per-packet delays, one ``(M,)`` row per replication.
 
     Each replication floods single packets in isolation on its own
@@ -356,7 +345,7 @@ def _probe_delays(topo, schedules_list, true_list, protocol, rngs, config,
         topo, schedules, [FloodWorkload(1)] * len(schedules), probe_protocol,
         streams, replace(config, track_events=False),
         BatchGilbertElliott.from_instances(forks) if forks else None,
-        arena, None, link, truths, [[]] * len(schedules),
+        None, link, truths, [[]] * len(schedules),
     )
     probes = np.asarray(
         [res.metrics.delays.total_delay()[0] for res in results],
@@ -366,7 +355,7 @@ def _probe_delays(topo, schedules_list, true_list, protocol, rngs, config,
 
 
 def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
-              batch_dyn, arena, profiler, link, true_list, observers_list):
+              batch_dyn, profiler, link, true_list, observers_list):
     """The slot loop over validated inputs.
 
     Returns the per-replication results and, per replication, the slot
@@ -449,7 +438,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
 
     view = RepSimView(
         topo, schedules_list, workloads[0], has_stack, arrival_stack)
-    view.arena = arena
     pack_pw = (
         np.uint64(1) << np.arange(M, dtype=np.uint64)
         if view.has_packed is not None
@@ -487,9 +475,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     empty64 = np.empty(0, dtype=np.int64)
     has_rows = np.zeros(R, dtype=bool)
     # Flat aliases for the validation/apply gathers: one flat-index
-    # ``np.take`` into a scratch buffer replaces the 2-/3-axis fancy
-    # index (which builds the same flat indices internally but always
-    # allocates its result).
+    # ``take`` replaces the 2-/3-axis fancy index.
     has_flat = has_stack.reshape(-1)
     packed_flat = (
         view.has_packed.reshape(-1) if view.has_packed is not None else None
@@ -577,30 +563,14 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
             _tprev = _now
 
         if kk.size:
-            # Validate on borrowed scratch: sender uniqueness via the
-            # sorted fused key; possession and receiver-awake (believed)
-            # via flat-index takes.
-            P = kk.size
-            vkey = arena.buf("batch.vkey", P, np.int64)
-            np.multiply(kk, n, out=vkey)
-            vkey += ss
-            vkey.sort()
-            fidx = arena.buf("batch.fidx", P, np.int64)
-            np.multiply(kk, M, out=fidx)
-            fidx += pp
-            fidx *= n
-            fidx += ss
-            hasv = arena.buf("batch.hasv", P, np.bool_)
-            np.take(has_flat, fidx, out=hasv)
-            aidx = arena.buf("batch.aidx", P, np.int64)
-            np.multiply(kk, n, out=aidx)
-            aidx += rr
-            awakev = arena.buf("batch.awakev", P, np.bool_)
-            np.take(awake_flat, aidx, out=awakev)
+            # Validate: sender uniqueness via the sorted fused key;
+            # possession and receiver-awake (believed) via flat-index
+            # takes.
+            vkey = np.sort(kk * n + ss)
             ok = (
                 bool((vkey[1:] != vkey[:-1]).all())
-                and bool(hasv.all())
-                and bool(awakev.all())
+                and bool(has_flat.take((kk * M + pp) * n + ss).all())
+                and bool(awake_flat.take(kk * n + rr).all())
             )
             if not ok:
                 _raise_invalid_batch(
@@ -614,9 +584,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                 tx_skewed = tx_reps[skewed[tx_reps]]
                 if tx_skewed.size:
                     true_by_rep = list(awake_by_rep)
-                    true_stack = arena.buf2(
-                        "batch.true_awake", (R, n), np.bool_)
-                    np.copyto(true_stack, awake_stack)
+                    true_stack = awake_stack.copy()
                     for k in tx_skewed.tolist():
                         aw = true_list[k].awake_at(t)
                         true_by_rep[k] = aw
@@ -633,7 +601,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
             # so the resolver needs no duplicate guard.
             outcome = link.resolve_reps(
                 kk, ss, rr, pp, topo, true_by_rep, rngs, config.radio,
-                dynamics=batch_dyn, awake_stack=true_stack, arena=arena,
+                dynamics=batch_dyn, awake_stack=true_stack,
                 profiler=prof, collect_collision_rows=want_coll_rows,
             )
             if prof is not None:
@@ -677,11 +645,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                     # Fused duplicate probe: one word gather + bit test
                     # against the possession bitmask instead of the
                     # 3-axis boolean gather.
-                    pidx = arena.buf("batch.pidx", rk.size, np.int64)
-                    np.multiply(rk, n, out=pidx)
-                    pidx += rrv
-                    words = arena.buf("batch.words", rk.size, np.uint64)
-                    np.take(packed_flat, pidx, out=words)
+                    words = packed_flat.take(rk * n + rrv)
                     dup = (words & pack_pw[rpk]) != 0
                 else:
                     dup = has_stack[rk, rpk, rrv]

@@ -223,13 +223,8 @@ class PhaseProfiler(SimObserver):
                     self.peak_alloc_bytes += peak - cur
                 tracemalloc.reset_peak()
 
-    def report(self, arena=None) -> dict:
-        """Summarise the run as a JSON-ready dict.
-
-        ``arena`` (optional) contributes its borrow/grow counters so a
-        steady-state run can show ``grows == 0`` next to the per-slot
-        allocation numbers.
-        """
+    def report(self) -> dict:
+        """Summarise the run as a JSON-ready dict."""
         # Nested sub-phases (e.g. "mac" inside "resolve") are already
         # counted in their parent's wall time.
         total = sum(
@@ -260,6 +255,4 @@ class PhaseProfiler(SimObserver):
                 out["peak_alloc_bytes_per_slot"] = round(
                     self.peak_alloc_bytes / self.loop_slots, 1
                 )
-        if arena is not None:
-            out["arena"] = arena.snapshot()
         return out

@@ -43,7 +43,6 @@ from ..net.sync import JitteredSchedules
 from ..net.topology import Topology
 from ..protocols.base import make_protocol
 from ..scenario import Scenario, as_scenario, build_topology
-from .arena import global_arena
 from .batch import run_flood_batch
 from .engine import FloodResult, SimConfig
 from .rng import RngStreams, derive_seed
@@ -224,11 +223,9 @@ def run_replication_stack(
     a plain dict. Their replications concatenate into one
     ``(R_total, …)`` :func:`~repro.sim.batch.run_flood_batch` invocation
     with per-replication schedule, stream and workload rows — a whole
-    Fig. 10 duty column becomes a single engine run — against the
-    process-global scratch arena, so consecutive stacks reuse warm
-    buffers. ``profiler`` (an optional
-    :class:`~repro.sim.observers.PhaseProfiler`) is threaded into the
-    engine — the ``repro profile`` hook.
+    Fig. 10 duty column becomes a single engine run. ``profiler`` (an
+    optional :class:`~repro.sim.observers.PhaseProfiler`) is threaded
+    into the engine — the ``repro profile`` hook.
 
     Returns one result list per cell, index-aligned with ``cells``; each
     replication is bit-identical to its standalone run.
@@ -258,9 +255,8 @@ def run_replication_stack(
     results = run_flood_batch(
         topo, schedules, workloads,
         make_protocol(base.protocol, **base.protocol_kwargs), channel_rngs,
-        base.sim_config(), dynamics_list=dynamics, arena=global_arena(),
-        profiler=profiler, link=base.make_link_model(),
-        true_schedules_list=true_schedules,
+        base.sim_config(), dynamics_list=dynamics, profiler=profiler,
+        link=base.make_link_model(), true_schedules_list=true_schedules,
         measure_transmission_delay=base.measure_transmission_delay,
     )
     out: List[List[FloodResult]] = []
@@ -430,24 +426,17 @@ def run_experiments(
             results = [_scenario_task(topo, scenarios, task)
                        for task in tasks]
         else:
-            arena0 = global_arena().counters()
             results = executor.map(
                 _scenario_task, tasks, broadcast=(topo, scenarios)
             )
-            # Dispatch metering: tasks that merged several cells, and the
-            # global arena's borrow/grow deltas (meaningful for
-            # in-process backends; pool workers keep their own arenas).
+            # Dispatch metering: tasks that merged several cells.
             merged = [len(task) for task in tasks if len(task) > 1]
-            arena1 = global_arena().counters()
             for stats in (executor.stats, executor.last):
                 if stats is None:
                     continue
                 stats.note_rep_batches(widths)
                 if merged:
                     stats.note_stacks(len(merged), sum(merged))
-                stats.note_arena(
-                    arena1[0] - arena0[0], arena1[1] - arena0[1]
-                )
         grouped: Dict[int, List[FloodResult]] = {}
         for task, result in zip(tasks, results):
             for (i, _, _), cell_results in zip(task, result):

@@ -166,6 +166,11 @@ class TestResolveExecutor:
         assert isinstance(ex, ParallelExecutor)
         assert ex.jobs == 3
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            resolve_executor(jobs=jobs)
+
 
 class TestBackendDeterminism:
     """The hard contract: backends are bit-identical, per replication."""

@@ -60,6 +60,14 @@ class TestValidate:
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["scenario", "validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_malformed_value_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"scenario": {
+            "protocol": "dbao", "duty_ratio": 0.1, "n_packets": "2"}}))
+        assert main(["scenario", "validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "INVALID: n_packets must be an integer, got '2'" in err
+
 
 class TestShow:
     def test_show_prints_normalized_grid(self, grid_file, capsys):

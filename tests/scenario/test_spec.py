@@ -9,6 +9,7 @@ import pytest
 from repro.scenario import (
     Scenario,
     ScenarioError,
+    ScenarioGrid,
     TopologySpec,
     as_scenario,
     default_sim_config,
@@ -165,6 +166,49 @@ class TestValidation:
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioError, match="object"):
             Scenario.from_dict(["not", "a", "scenario"])
+
+
+MINIMAL = {"protocol": "dbao", "duty_ratio": 0.05, "n_packets": 2}
+
+
+class TestFieldTypes:
+    """Malformed values fail with a ScenarioError naming the field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_packets", "2"),
+        ("duty_ratio", "0.05"),
+        ("duty_ratio", None),
+        ("n_replications", "3"),
+        ("wake_slots", "2"),
+        ("n_packets", 2.5),
+        ("n_packets", True),
+        ("seed", "x"),
+    ])
+    def test_scenario_field_type_named(self, field, value):
+        with pytest.raises(ScenarioError, match=f"^{field} must be"):
+            Scenario.from_dict({**MINIMAL, field: value})
+
+    @pytest.mark.parametrize("topology, match", [
+        ({"seed": 2011.7}, "topology seed must be an integer"),
+        ({"seed": "a"}, "topology seed must be an integer"),
+        ({"params": [1]}, "topology params must be an object"),
+    ], ids=["seed-float", "seed-str", "params-list"])
+    def test_topology_field_type_named(self, topology, match):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict({**MINIMAL, "topology": topology})
+
+    @pytest.mark.parametrize("axes, match", [
+        ([1], "'axes' must be an object"),
+        ({"duty_ratio": 0.05}, "axis 'duty_ratio' must be a list"),
+    ], ids=["axes-list", "axis-scalar"])
+    def test_grid_axes_shape_named(self, axes, match):
+        with pytest.raises(ScenarioError, match=match):
+            ScenarioGrid.from_dict({"scenario": MINIMAL, "axes": axes})
+
+    def test_integral_values_fill_real_fields(self):
+        s = Scenario.from_dict({**MINIMAL, "duty_ratio": 1,
+                                "coverage_target": 1, "schedule_jitter": 0})
+        assert s.period == 1
 
 
 class TestMacValidation:

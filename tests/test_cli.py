@@ -36,6 +36,26 @@ class TestParser:
         )
         assert args.jobs == 2 and args.cache_dir == "c"
 
+    @pytest.mark.parametrize("verb", [
+        ["run", "fig9", "--scale", "smoke"],
+        ["run-scenario", "examples/scenario_smoke.json"],
+        ["audit", "fig5"],
+    ], ids=["run", "run-scenario", "audit"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--reps-per-task"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_exit_2(self, verb, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_profile_reps_below_one_exit_2(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "examples/scenario_smoke.json", "--reps", value])
+        assert exc.value.code == 2
+        assert "argument --reps: must be >= 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
