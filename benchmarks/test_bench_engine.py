@@ -53,9 +53,10 @@ from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.base import make_protocol
 from repro.protocols.opt import opt_radio_model
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import (ExperimentSpec, run_replication,
-                              run_replication_chunk, run_replication_stack)
+from repro.sim.runner import (run_replication, run_replication_chunk,
+                              run_replication_stack)
 
 def _dbao_flood(fast_forward=True, link=None):
     topo = get_trace("full")
@@ -116,11 +117,13 @@ def test_bench_engine_dbao_slot_by_slot(best_of, bench_journal, bench_record):
     print(f"\nDBAO fig9-scale (ff off): {slots} slots in {elapsed:.3f}s "
           f"({rate:.0f} slots/sec)")
     assert rate > 300
-    # Fast-forward must never cost throughput: its next_action_slot
-    # frontier scans are cached on the engine's state version, so the
-    # ff-on run (journaled just above by the throughput bench in the
-    # same session, back to back on the same host) has to keep pace
-    # with slot-by-slot execution. 0.95 absorbs measurement noise.
+    # Fast-forward must never cost throughput: only an idle slot asks
+    # the protocol's quiescence contract (next_action_slots) for the
+    # next slot with possible traffic, and a traffic slot never asks,
+    # so in this dense flood the ff-on run (journaled just above by the
+    # throughput bench in the same session, back to back on the same
+    # host) has to keep pace with slot-by-slot execution. 0.95 absorbs
+    # measurement noise.
     ff_on = bench_journal.get("fig9-dbao/ff-on")
     if ff_on is not None:
         assert ff_on["slots_per_sec"] >= 0.95 * rate, (
@@ -224,8 +227,8 @@ REPS = int(os.environ.get("REPRO_BENCH_REPS", "0")) or 64
 #: The original batch-native pair of the fig10 grid — kept as-is so the
 #: journal series stays comparable across engine versions.
 _REP_SPECS = [
-    ExperimentSpec(protocol=proto, duty_ratio=duty, n_packets=4,
-                   seed=2011, n_replications=REPS)
+    Scenario(protocol=proto, duty_ratio=duty, n_packets=4,
+             seed=2011, n_replications=REPS)
     for proto in ("opt", "dbao")
     for duty in (0.1, 0.2)
 ]
@@ -234,8 +237,8 @@ _REP_SPECS = [
 #: batch-native proposal paths (float gate math + per-replication
 #: permutation draws), so it gets its own journaled floor.
 _OF_SPECS = [
-    ExperimentSpec(protocol="of", duty_ratio=duty, n_packets=4,
-                   seed=2011, n_replications=REPS)
+    Scenario(protocol="of", duty_ratio=duty, n_packets=4,
+             seed=2011, n_replications=REPS)
     for duty in (0.1, 0.2)
 ]
 
@@ -334,8 +337,8 @@ def test_bench_of_replications_per_sec(best_of, bench_journal, bench_record):
 
 #: A whole fig10 duty column for the cross-cell stacking bench.
 _COLUMN_SPECS = [
-    ExperimentSpec(protocol="of", duty_ratio=duty, n_packets=4,
-                   seed=2011, n_replications=REPS)
+    Scenario(protocol="of", duty_ratio=duty, n_packets=4,
+             seed=2011, n_replications=REPS)
     for duty in (0.05, 0.1, 0.2)
 ]
 

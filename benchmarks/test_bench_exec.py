@@ -40,7 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.exec import ParallelExecutor, SerialExecutor
 from repro.experiments._common import get_trace
-from repro.sim.runner import ExperimentSpec, run_experiments, run_replication
+from repro.scenario import Scenario
+from repro.sim.runner import run_experiments, run_replication
 
 
 def _legacy_task(task):
@@ -53,8 +54,8 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or 4
 #: Reduced fig10-style grid: every protocol, two duty ratios, paired
 #: replications — 12 tasks, seconds of simulation at smoke scale.
 GRID = [
-    ExperimentSpec(protocol=proto, duty_ratio=duty, n_packets=2,
-                   seed=2011, n_replications=2)
+    Scenario(protocol=proto, duty_ratio=duty, n_packets=2,
+             seed=2011, n_replications=2)
     for proto in ("opt", "dbao", "of")
     for duty in (0.1, 0.2)
 ]

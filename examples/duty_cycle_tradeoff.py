@@ -17,7 +17,7 @@ Run: ``python examples/duty_cycle_tradeoff.py``
 
 import numpy as np
 
-from repro import ExperimentSpec, run_experiment
+from repro import Scenario, run_experiment
 from repro.core import gain_curve, optimal_duty_cycle
 from repro.net import synthesize_greenorbs
 from repro.protocols import recommended_configuration
@@ -48,7 +48,7 @@ def main() -> None:
     for duty in (best.duty_ratio, 0.01):
         summary = run_experiment(
             topo,
-            ExperimentSpec(
+            Scenario(
                 protocol="dbao", duty_ratio=duty, n_packets=5, seed=SEED
             ),
         )

@@ -15,7 +15,7 @@ Run: ``python examples/forest_monitoring.py`` (about a minute).
 
 import numpy as np
 
-from repro import ExperimentSpec, run_experiment
+from repro import Scenario, run_experiment
 from repro.analysis import analytic_lower_bound, knee_index, sparkline
 from repro.net import synthesize_greenorbs, trace_statistics
 
@@ -40,7 +40,7 @@ def main() -> None:
     for proto in ("opt", "dbao", "of"):
         summary = run_experiment(
             topo,
-            ExperimentSpec(
+            Scenario(
                 protocol=proto,
                 duty_ratio=DUTY_RATIO,
                 n_packets=N_PACKETS,

@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from repro import ExperimentSpec, run_experiment
+from repro import Scenario, run_experiment
 from repro.analysis import analytic_lower_bound
 from repro.net import synthesize_greenorbs
 from repro.net.trace import GreenOrbsConfig
@@ -49,7 +49,7 @@ def main() -> None:
     print("-" * len(header))
     rows = []
     for proto in available_protocols():
-        summary = run_experiment(topo, ExperimentSpec(
+        summary = run_experiment(topo, Scenario(
             protocol=proto,
             duty_ratio=args.duty,
             n_packets=args.packets,

@@ -14,7 +14,7 @@ Run: ``python examples/quickstart.py``
 import numpy as np
 
 from repro import (
-    ExperimentSpec,
+    Scenario,
     fdl_theorem1,
     fwl_reliable,
     run_experiment,
@@ -52,7 +52,7 @@ def main() -> None:
     for proto in ("opt", "dbao", "of"):
         summary = run_experiment(
             topo,
-            ExperimentSpec(
+            Scenario(
                 protocol=proto,
                 duty_ratio=DUTY_RATIO,
                 n_packets=N_PACKETS,

@@ -18,7 +18,7 @@ The package has six layers:
   and the cross-layer future-work sketch.
 * :mod:`repro.exec` — pluggable execution backends (serial /
   process-pool parallel, bit-identical results) and a content-addressed
-  result store shared by the runner, sweeps, experiments and CLI.
+  result store shared by the runner, experiments and CLI.
 * :mod:`repro.scenario` — the declarative layer: a frozen, serializable
   :class:`~repro.scenario.Scenario` spec (topology, schedule, protocol,
   workload, sim overrides) with a canonical content fingerprint, plus
@@ -27,12 +27,11 @@ The package has six layers:
 
 Quickstart::
 
-    import numpy as np
-    from repro import (ExperimentSpec, run_experiment, synthesize_greenorbs)
+    from repro import Scenario, run_experiment, synthesize_greenorbs
 
     topo = synthesize_greenorbs(seed=1)
     summary = run_experiment(
-        topo, ExperimentSpec(protocol="dbao", duty_ratio=0.05, n_packets=10)
+        topo, Scenario(protocol="dbao", duty_ratio=0.05, n_packets=10)
     )
     print(summary.mean_delay())
 """
@@ -73,18 +72,15 @@ from .scenario import (
     Scenario,
     ScenarioGrid,
     TopologySpec,
-    as_scenario,
     load_scenario_file,
 )
 from .sim import (
-    ExperimentSpec,
     RngStreams,
     RunSummary,
     SimConfig,
     run_experiment,
     run_experiments,
     run_flood,
-    run_protocol_sweep,
     run_replication,
     run_scenarios,
 )
@@ -99,10 +95,9 @@ __all__ = [
     "duty_ratio_to_period", "grid_topology", "random_geometric_topology",
     "synthesize_greenorbs",
     "available_protocols", "make_protocol",
-    "Scenario", "ScenarioGrid", "TopologySpec", "as_scenario",
-    "load_scenario_file",
-    "ExperimentSpec", "RngStreams", "RunSummary", "SimConfig",
-    "run_experiment", "run_experiments", "run_flood", "run_protocol_sweep",
+    "Scenario", "ScenarioGrid", "TopologySpec", "load_scenario_file",
+    "RngStreams", "RunSummary", "SimConfig",
+    "run_experiment", "run_experiments", "run_flood",
     "run_replication", "run_scenarios",
     "ExecutionContext", "ParallelExecutor", "ResultStore", "SerialExecutor",
     "configure_execution", "execution_context", "use_execution",

@@ -1,5 +1,5 @@
 """Analysis utilities: experiment output containers, ASCII rendering,
-parameter sweeps, and theory-vs-simulation validation checks."""
+replication statistics, and theory-vs-simulation validation checks."""
 
 from .report import (
     grid_cell_axes,
@@ -25,7 +25,6 @@ from .streaming import (
     VectorNanMean,
     accumulate,
 )
-from .sweep import SweepAxis, accumulate_grid, collect, sweep
 from .validate import (
     analytic_lower_bound,
     dominance_holds,
@@ -43,7 +42,6 @@ __all__ = [
     "student_t_ci",
     "StreamingMoments", "VectorNanMean", "QuantileSketch",
     "RunAccumulator", "accumulate",
-    "SweepAxis", "collect", "sweep", "accumulate_grid",
     "analytic_lower_bound", "dominance_holds", "knee_index",
     "relative_spread", "respects_lower_bound",
 ]

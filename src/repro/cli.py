@@ -456,14 +456,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json
     import tracemalloc
 
-    from .scenario import ScenarioError, as_scenario, build_topology, \
-        load_scenario_file
+    from .scenario import ScenarioError, build_topology, load_scenario_file
     from .sim.observers import PhaseProfiler
     from .sim.runner import run_replication_chunk
 
     try:
         grid = load_scenario_file(args.file)
-        scenarios = [as_scenario(s) for s in grid.scenarios()]
+        scenarios = grid.scenarios()
     except (OSError, ValueError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
         return 2

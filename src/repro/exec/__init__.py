@@ -52,7 +52,6 @@ from .store import (
     merge_store,
     read_manifest,
     result_key,
-    spec_fingerprint,
     update_manifest,
     verify_store,
 )
@@ -62,7 +61,7 @@ __all__ = [
     "WorkerCrashError", "resolve_executor",
     "SharedTopologyHandle", "SharedTopologyRef", "PickledRef",
     "share_topology",
-    "ResultStore", "StoreStats", "result_key", "spec_fingerprint",
+    "ResultStore", "StoreStats", "result_key",
     "EntryStatus", "VerifyReport", "MergeReport", "GcReport", "MergeError",
     "verify_store", "merge_store", "gc_store",
     "read_manifest", "update_manifest",

@@ -6,15 +6,10 @@ objects under a key derived from *content*, never from call order:
     ``key = sha256(scenario fingerprint + topology fingerprint + engine version)``
 
 * the **scenario fingerprint** hashes the canonical *serialized* form of
-  the spec (:meth:`repro.scenario.Scenario.fingerprint`; legacy
-  ``ExperimentSpec`` objects are normalized through
-  :func:`repro.scenario.as_scenario` first), so keys depend only on the
-  scenario data — a spec built by an experiment module and the same
-  scenario loaded from a JSON file share cache entries, and refactors of
-  the Python that *built* the spec cannot invalidate them. Dataclasses
-  outside the scenario layer fall back to a structural
-  :func:`spec_fingerprint` (recursing through dataclasses, dicts and
-  NumPy arrays);
+  the spec (:meth:`repro.scenario.Scenario.fingerprint`), so keys depend
+  only on the scenario data — a spec built by an experiment module and
+  the same scenario loaded from a JSON file share cache entries, and
+  refactors of the Python that *built* the spec cannot invalidate them;
 * the **topology fingerprint** hashes the PRR matrix bytes, positions,
   RSSI and neighbor threshold (:meth:`repro.net.topology.Topology.fingerprint`);
 * the **engine version** (:data:`repro.sim.engine.ENGINE_VERSION`) is
@@ -76,7 +71,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 __all__ = [
     "ResultStore",
     "StoreStats",
-    "spec_fingerprint",
     "result_key",
     "EntryStatus",
     "VerifyReport",
@@ -106,80 +100,13 @@ def _engine_version() -> str:
     return ENGINE_VERSION
 
 
-def _canonical(obj: Any) -> Any:
-    """Reduce ``obj`` to a deterministic JSON-serializable structure.
-
-    Dataclasses flatten to ``[classname, sorted fields]``; NumPy arrays
-    to ``(dtype, shape, sha256 of raw bytes)``. Unsupported types raise
-    so silently unstable keys (e.g. an object's default ``repr`` with a
-    memory address) can never corrupt the cache.
-    """
-    import numpy as np
-
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return repr(obj)  # repr round-trips; avoids json float quirks
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return _canonical(obj.item())
-    if isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        return ["ndarray", arr.dtype.str, list(arr.shape),
-                hashlib.sha256(arr.tobytes()).hexdigest()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-        return [type(obj).__name__, sorted(fields.items())]
-    if isinstance(obj, dict):
-        return ["dict", sorted(
-            (str(k), _canonical(v)) for k, v in obj.items()
-        )]
-    if isinstance(obj, (list, tuple)):
-        return ["seq", [_canonical(v) for v in obj]]
-    raise TypeError(
-        f"cannot fingerprint {type(obj).__name__!r} deterministically; "
-        f"extend repro.exec.store._canonical if this type belongs in a spec"
-    )
-
-
-def spec_fingerprint(spec: Any) -> str:
-    """Deterministic hex digest of an :class:`ExperimentSpec` (or any
-    dataclass built from primitives, dicts and arrays)."""
-    blob = json.dumps(_canonical(spec), separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _spec_digest(spec: Any) -> str:
-    """Digest of the *workload* half of a result key.
-
-    Specs that serialize through the scenario layer — a
-    :class:`~repro.scenario.Scenario`, or anything
-    :func:`~repro.scenario.as_scenario` can normalize (notably
-    :class:`~repro.sim.runner.ExperimentSpec`) — hash their canonical
-    *serialized* form, so cache hits survive refactors of the Python
-    that built the spec, and a scenario loaded from a JSON file shares
-    entries with the identical spec built in code. Anything else falls
-    back to the structural :func:`spec_fingerprint`.
-    """
-    fingerprint = getattr(spec, "fingerprint", None)
-    if callable(fingerprint):
-        return fingerprint()
-    from ..scenario import ScenarioError, as_scenario
-
-    try:
-        return as_scenario(spec).fingerprint()
-    except (TypeError, ScenarioError):
-        return spec_fingerprint(spec)
-
-
 def result_key(topo: Any, spec: Any, engine_version: Optional[str] = None) -> str:
-    """The content address of ``(spec, topology, engine)``."""
+    """The content address of ``(spec, topology, engine)``; ``spec`` is
+    a :class:`~repro.scenario.Scenario`."""
     if engine_version is None:
         engine_version = _engine_version()
     h = hashlib.sha256()
-    h.update(_spec_digest(spec).encode())
+    h.update(spec.fingerprint().encode())
     h.update(topo.fingerprint().encode())
     h.update(str(engine_version).encode())
     return h.hexdigest()

@@ -8,10 +8,10 @@ Every experiment accepts a ``scale``:
   in seconds while preserving every qualitative shape.
 * ``"smoke"`` — minimal sizes for the unit/integration test suite.
 
-Experiments run their specs through :func:`run_spec` (or hand the
-process-wide executor/store pair to the sweep helpers), so the CLI's
-``--jobs``/``--cache-dir`` flags — which install a
-:class:`repro.exec.ExecutionContext` — apply to every figure uniformly.
+Simulated experiments run their declarative scenario grids through
+:func:`run_grid`, so the CLI's ``--jobs``/``--cache-dir`` flags — which
+install a :class:`repro.exec.ExecutionContext` — apply to every figure
+uniformly.
 Result memoization lives in the context's content-addressed
 :class:`repro.exec.ResultStore`, not in per-function ``lru_cache``s:
 within a process the store's memory layer deduplicates shared grids
@@ -22,16 +22,15 @@ across CLI invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..exec import execution_context
 from ..net.topology import Topology
 from ..scenario import ScenarioGrid, TopologySpec, build_topology
-from ..sim.runner import (ExperimentSpec, RunSummary, run_experiments,
-                          run_scenarios)
+from ..sim.runner import RunSummary, run_scenarios
 
 __all__ = ["TraceScale", "SCALES", "get_trace", "trace_spec",
-           "resolve_scale", "run_spec", "run_specs", "run_grid"]
+           "resolve_scale", "run_grid"]
 
 #: Root seed of every experiment (the paper's publication year).
 DEFAULT_SEED = 2011
@@ -85,24 +84,6 @@ def resolve_scale(scale: str) -> TraceScale:
         return SCALES[scale]
     except KeyError:
         raise KeyError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}") from None
-
-
-def run_spec(topo: Topology, spec: ExperimentSpec) -> RunSummary:
-    """Run one spec through the process-wide execution context.
-
-    Every experiment module funnels its simulations through here (or
-    :func:`run_specs`) so the session's executor (``--jobs``) and result
-    store (``--cache-dir``) apply without threading parameters through
-    each figure's signature.
-    """
-    return run_specs(topo, [spec])[0]
-
-
-def run_specs(topo: Topology, specs: Sequence[ExperimentSpec]) -> List[RunSummary]:
-    """Run many specs in one dispatch through the execution context."""
-    ctx = execution_context()
-    return run_experiments(topo, specs, executor=ctx.executor,
-                           store=ctx.store, reps_per_task=ctx.reps_per_task)
 
 
 def run_grid(grid: ScenarioGrid,

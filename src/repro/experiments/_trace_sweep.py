@@ -21,13 +21,13 @@ from ..scenario import Scenario, ScenarioGrid
 from ..sim.runner import RunSummary
 from ._common import DEFAULT_SEED, resolve_scale, run_grid, trace_spec
 
-__all__ = ["trace_duty_sweep", "trace_sweep_grid", "PROTOCOLS"]
+__all__ = ["trace_duty_sweep", "trace_duty_grid", "PROTOCOLS"]
 
 #: The paper's three evaluation protocols, best-expected first.
 PROTOCOLS = ("opt", "dbao", "of")
 
 
-def trace_sweep_grid(scale: str = "full", seed: int = DEFAULT_SEED) -> ScenarioGrid:
+def trace_duty_grid(scale: str = "full", seed: int = DEFAULT_SEED) -> ScenarioGrid:
     """The Figs. 10/11 grid: protocols x duty ratios on the trace."""
     ts = resolve_scale(scale)
     return ScenarioGrid(
@@ -48,7 +48,7 @@ def trace_duty_sweep(
     scale: str = "full", seed: int = DEFAULT_SEED
 ) -> Dict[str, Dict[float, RunSummary]]:
     """Protocols x duty ratios grid on the trace topology (store-cached)."""
-    grid = trace_sweep_grid(scale, seed)
+    grid = trace_duty_grid(scale, seed)
     summaries = run_grid(grid)
     out: Dict[str, Dict[float, RunSummary]] = {p: {} for p in PROTOCOLS}
     for (proto, duty), summary in zip(grid.combos(), summaries):

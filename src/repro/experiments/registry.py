@@ -3,14 +3,12 @@
 ``run_experiment_by_id("fig10", scale="bench")`` is how benchmarks,
 tests, and the EXPERIMENTS.md generator all invoke experiments.
 
-Simulation-grid experiments additionally register their declarative
-:class:`~repro.scenario.ScenarioGrid` builders in
-:data:`SCENARIO_GRIDS` — ``scenario_grid("fig9", scale="smoke")`` is
-the same grid the experiment runs, as serializable data (the
-``examples/*.json`` scenario files are these grids, saved). Analytic
-artifacts (fig3-7, table1, lemma2, gain) and experiments whose sampling
-is not scenario-shaped (skew, slot-split, abl-bursty) have no grid
-entry.
+Every simulated experiment additionally registers its declarative
+:class:`~repro.scenario.ScenarioGrid` builder in :data:`SCENARIO_GRIDS`
+— ``scenario_grid("fig9", scale="smoke")`` is the same grid the
+experiment runs, as serializable data (the ``examples/*.json`` scenario
+files are these grids, saved). Only the analytic artifacts (fig3-7,
+table1, lemma2, gain) have no grid entry.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from ..exec import use_execution
 from ..scenario import ScenarioGrid
 from . import ablations, fig3, fig5, fig6, fig7, fig9, fig10, fig11
 from . import hetero, lemma2, mac_duty, skew, slot_split, table1, tradeoff_gain
-from ._trace_sweep import trace_sweep_grid
+from ._trace_sweep import trace_duty_grid
 
 __all__ = ["EXPERIMENTS", "SCENARIO_GRIDS", "run_experiment_by_id",
            "experiment_ids", "scenario_grid", "scenario_grid_ids"]
@@ -54,14 +52,17 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 #: simulations — and therefore the same store entries).
 SCENARIO_GRIDS: Dict[str, Callable[..., ScenarioGrid]] = {
     "fig9": fig9.grid,
-    "fig10": trace_sweep_grid,
-    "fig11": trace_sweep_grid,
+    "fig10": trace_duty_grid,
+    "fig11": trace_duty_grid,
     "hetero": hetero.grid,
     "mac-duty": mac_duty.grid,
     "abl-collisions": ablations.collisions_grid,
     "abl-overhearing": ablations.overhearing_grid,
     "abl-opp-threshold": ablations.opp_threshold_grid,
     "abl-data-overhearing": ablations.data_overhearing_grid,
+    "abl-bursty": ablations.bursty_grid,
+    "skew": skew.grid,
+    "slot-split": slot_split.grid,
 }
 
 

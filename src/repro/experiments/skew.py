@@ -5,7 +5,8 @@ when each neighbor wakes (Sec. III-B, citing low-cost sync protocols).
 This experiment quantifies what that assumption is worth: per-node clock
 skew is injected between the advertised schedules (what senders plan
 against) and the true radio-on times, and DBAO floods the trace at 5%
-duty for increasing skew magnitudes.
+duty for increasing skew magnitudes — a scenario grid over
+``schedule_jitter``.
 
 A skewed transmission can hit a dormant radio (a *sleep miss*), costing
 a full period before the retry; with skew beyond the slot width the
@@ -18,15 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.series import ExperimentResult, Series
-from ..net.packet import FloodWorkload
-from ..net.schedule import ScheduleTable
-from ..net.sync import JitteredSchedules
-from ..protocols import make_protocol
-from ..sim.engine import SimConfig, run_flood
-from ..sim.rng import RngStreams
-from ._common import DEFAULT_SEED, get_trace, resolve_scale
+from ..scenario import Scenario, ScenarioGrid
+from ._common import DEFAULT_SEED, resolve_scale, run_grid, trace_spec
 
-__all__ = ["run", "JitteredSchedules"]
+__all__ = ["run", "grid"]
 
 DUTY_RATIO = 0.05
 
@@ -37,49 +33,36 @@ DUTY_RATIO = 0.05
 SKEW_LEVELS = (0.0, 0.1, 0.3, 0.6)
 
 
+def grid(scale: str = "full", seed: int = DEFAULT_SEED) -> ScenarioGrid:
+    """DBAO at 5% duty over per-wake jitter probabilities."""
+    ts = resolve_scale(scale)
+    return ScenarioGrid(
+        base=Scenario(protocol="dbao", duty_ratio=DUTY_RATIO,
+                      n_packets=ts.n_packets, seed=seed,
+                      n_replications=ts.n_replications,
+                      topology=trace_spec(scale, seed)),
+        axes={"schedule_jitter":
+              SKEW_LEVELS if scale != "smoke" else (0.0, 0.3)},
+        name="skew",
+    )
+
+
 def run(scale: str = "full", seed: int = DEFAULT_SEED) -> ExperimentResult:
     ts = resolve_scale(scale)
-    topo = get_trace(scale, seed)
-    streams = RngStreams(seed)
-    period = round(1 / DUTY_RATIO)
-    levels = SKEW_LEVELS if scale != "smoke" else (0.0, 0.3)
-
-    delays, misses, completions = [], [], []
-    for mag in levels:
-        level_delays, level_misses, level_done = [], [], []
-        for rep in range(ts.n_replications):
-            advertised = ScheduleTable.random(
-                topo.n_nodes, period, streams.get(f"sched/{rep}")
-            )
-            truth = (
-                advertised
-                if mag == 0
-                else JitteredSchedules(advertised, mag, seed + 31 * rep)
-            )
-            result = run_flood(
-                topo,
-                advertised,
-                FloodWorkload(ts.n_packets),
-                make_protocol("dbao"),
-                streams.get(f"chan/{mag}/{rep}"),
-                SimConfig(),
-                true_schedules=truth,
-            )
-            level_delays.append(result.metrics.average_delay())
-            level_misses.append(result.metrics.sleep_misses)
-            level_done.append(float(result.completed))
-        delays.append(float(np.nanmean(level_delays)))
-        misses.append(float(np.mean(level_misses)))
-        completions.append(float(np.mean(level_done)))
-
-    x = np.asarray(levels)
+    g = grid(scale, seed)
+    summaries = run_grid(g)
+    x = np.asarray([level for (level,) in g.combos()])
+    misses = [np.mean([r.metrics.sleep_misses for r in s.results])
+              for s in summaries]
     return ExperimentResult(
         experiment_id="skew",
         title="Clock-skew sensitivity (value of local synchronization)",
         series=[
-            Series(label="avg delay", x=x, y=np.asarray(delays)),
+            Series(label="avg delay", x=x,
+                   y=np.asarray([s.mean_delay() for s in summaries])),
             Series(label="sleep misses", x=x, y=np.asarray(misses)),
-            Series(label="completion rate", x=x, y=np.asarray(completions)),
+            Series(label="completion rate", x=x,
+                   y=np.asarray([s.completion_rate() for s in summaries])),
         ],
         metadata={"duty_ratio": DUTY_RATIO, "n_packets": ts.n_packets},
     )

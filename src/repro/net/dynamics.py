@@ -25,7 +25,7 @@ import numpy as np
 
 from .topology import Topology
 
-__all__ = ["BatchGilbertElliott", "GilbertElliott"]
+__all__ = ["BatchGilbertElliott", "GeParams", "GilbertElliott"]
 
 #: Row budget for :meth:`GilbertElliott.advance` block draws: one chunk
 #: draws at most this many doubles, bounding peak memory on very long
@@ -35,10 +35,34 @@ _ADVANCE_BLOCK_DRAWS = 4_000_000
 
 
 @dataclass(frozen=True)
-class _GeParams:
-    p_good_to_bad: float
-    p_bad_to_good: float
-    bad_factor: float
+class GeParams:
+    """Gilbert-Elliott transition probabilities and BAD-state PRR factor.
+
+    Validated on construction, so a scenario can check its link-model
+    parameters before any topology exists.
+    """
+
+    p_good_to_bad: float = 0.02
+    p_bad_to_good: float = 0.1
+    bad_factor: float = 0.1
+
+    def __post_init__(self):
+        for name in ("p_good_to_bad", "p_bad_to_good"):
+            p = getattr(self, name)
+            if not (0.0 < p <= 1.0):
+                raise ValueError(f"{name} must be in (0, 1], got {p}")
+        if not (0.0 <= self.bad_factor <= 1.0):
+            raise ValueError(
+                f"bad_factor must be in [0, 1], got {self.bad_factor}")
+
+    @property
+    def stationary_bad_fraction(self) -> float:
+        return self.p_good_to_bad / (self.p_good_to_bad + self.p_bad_to_good)
+
+    def long_run_prr_scale(self) -> float:
+        """Expected PRR multiplier under the stationary distribution."""
+        pb = self.stationary_bad_fraction
+        return (1 - pb) + pb * self.bad_factor
 
 
 def _step_bad(
@@ -117,21 +141,13 @@ class GilbertElliott:
     def __init__(
         self,
         topo: Topology,
-        p_good_to_bad: float = 0.02,
-        p_bad_to_good: float = 0.1,
-        bad_factor: float = 0.1,
+        p_good_to_bad: float = GeParams.p_good_to_bad,
+        p_bad_to_good: float = GeParams.p_bad_to_good,
+        bad_factor: float = GeParams.bad_factor,
         rng: Optional[np.random.Generator] = None,
         start_stationary: bool = True,
     ):
-        for name, p in (
-            ("p_good_to_bad", p_good_to_bad),
-            ("p_bad_to_good", p_bad_to_good),
-        ):
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {p}")
-        if not (0.0 <= bad_factor <= 1.0):
-            raise ValueError(f"bad factor must be in [0, 1], got {bad_factor}")
-        self._params = _GeParams(p_good_to_bad, p_bad_to_good, bad_factor)
+        self._params = GeParams(p_good_to_bad, p_bad_to_good, bad_factor)
         self._topo = topo
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -141,8 +157,8 @@ class GilbertElliott:
         #: Per-link BAD flags, indexed like rows/cols.
         n_links = rows.size
         if start_stationary:
-            p_bad = p_good_to_bad / (p_good_to_bad + p_bad_to_good)
-            self._bad = self._rng.random(n_links) < p_bad
+            self._bad = (self._rng.random(n_links)
+                         < self._params.stationary_bad_fraction)
         else:
             self._bad = np.zeros(n_links, dtype=bool)
         #: (sender, receiver) -> link index for O(1) lookups.
@@ -157,13 +173,11 @@ class GilbertElliott:
 
     @property
     def stationary_bad_fraction(self) -> float:
-        p = self._params
-        return p.p_good_to_bad / (p.p_good_to_bad + p.p_bad_to_good)
+        return self._params.stationary_bad_fraction
 
     def long_run_prr_scale(self) -> float:
         """Expected PRR multiplier under the stationary distribution."""
-        pb = self.stationary_bad_fraction
-        return (1 - pb) + pb * self._params.bad_factor
+        return self._params.long_run_prr_scale()
 
     def bad_fraction(self) -> float:
         """Current fraction of links in the BAD state."""
@@ -280,7 +294,7 @@ class BatchGilbertElliott:
     def __init__(
         self,
         topo: Topology,
-        params: _GeParams,
+        params: GeParams,
         bad: np.ndarray,
         rngs: "list[np.random.Generator]",
     ):

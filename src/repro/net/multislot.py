@@ -6,12 +6,13 @@ implements the general table with the same query interface as
 :class:`~repro.net.schedule.ScheduleTable`, so the engine and protocols
 run unchanged.
 
-Why it matters: at a fixed duty ratio (fixed radio-on energy), splitting
-the budget into more, shorter wake windows spread over a longer period
-shortens the *sleep latency* a sender sees — the expected wait to the
-next active slot drops from ``~T/2`` to ``~T/(2a)`` per period-length
-unit. The ``slot-split`` experiment quantifies this energy-neutral delay
-lever, which the paper's normalized analysis deliberately sets aside.
+Why it matters: at a fixed duty ratio (fixed radio-on energy), a node
+wakes equally often however the budget is split, so splitting cannot
+shorten the mean *sleep latency* — randomly placed slots even lengthen
+it (irregular gaps). Multi-packet floods nonetheless run faster on
+split schedules; the ``slot-split`` experiment measures this
+energy-neutral delay lever, which the paper's normalized analysis
+deliberately sets aside.
 """
 
 from __future__ import annotations

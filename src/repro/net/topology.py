@@ -27,7 +27,7 @@ try:  # networkx is a hard dependency but keep the import failure readable
 except ImportError as exc:  # pragma: no cover
     raise ImportError("repro.net.topology requires networkx") from exc
 
-__all__ = ["Topology", "SOURCE", "homogenized"]
+__all__ = ["Topology", "SOURCE", "homogenized", "ge_mean_matched"]
 
 #: Conventional node id of the flooding source.
 SOURCE = 0
@@ -372,5 +372,26 @@ def homogenized(topo: Topology) -> Topology:
         prr,
         positions=topo.positions,
         neighbor_threshold=min(topo.neighbor_threshold, mean_prr),
+        rssi=topo.rssi,
+    )
+
+
+def ge_mean_matched(topo: Topology) -> Topology:
+    """Static twin whose PRRs match bursty links' long-run mean.
+
+    Every PRR and the neighbor threshold are scaled by the stationary
+    PRR multiplier of default Gilbert-Elliott dynamics
+    (:meth:`~repro.net.dynamics.GeParams.long_run_prr_scale`), so this
+    twin on static links and the original under those dynamics see the
+    same mean loss: any delay gap is the effect of loss *correlation*
+    alone (the ``abl-bursty`` experiment).
+    """
+    from .dynamics import GeParams
+
+    scale = GeParams().long_run_prr_scale()
+    return Topology(
+        np.clip(topo.prr * scale, 0.0, 1.0),
+        positions=topo.positions,
+        neighbor_threshold=topo.neighbor_threshold * scale,
         rssi=topo.rssi,
     )

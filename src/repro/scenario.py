@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .net.schedule import duty_ratio_to_period
-from .net.topology import Topology, homogenized
+from .net.topology import Topology, ge_mean_matched, homogenized
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,9 +66,7 @@ __all__ = [
     "ScenarioGrid",
     "TopologySpec",
     "ScenarioError",
-    "as_scenario",
     "build_topology",
-    "default_sim_config",
     "load_scenario_file",
     "topology_cache_info",
 ]
@@ -142,6 +140,12 @@ def _check_number(name: str, value: Any, kind: type) -> None:
         raise ScenarioError(f"{name} must be {noun}, got {value!r}")
 
 
+def _check_flag(name: str, value: Any) -> None:
+    """Reject a ``value`` for field ``name`` that is not a boolean."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be true or false, got {value!r}")
+
+
 def _check_object(name: str, value: Any) -> None:
     """Reject a ``value`` for field ``name`` that is not a JSON object."""
     if not isinstance(value, Mapping):
@@ -170,16 +174,19 @@ _TOPOLOGY_PARAMS: Dict[str, Tuple[str, ...]] = {
                   "shadowing_sigma_db", "noise_floor_dbm", "frame_bytes"),
 }
 
-_TRANSFORMS = ("homogenize",)
+#: Topology transforms: name -> function of the generated substrate.
+_TRANSFORMS = {"homogenize": homogenized, "ge_mean_matched": ge_mean_matched}
 
 
 @dataclass(frozen=True)
 class TopologySpec:
     """Declarative topology source: generator kind, seed, parameters.
 
-    ``transform`` optionally post-processes the generated substrate —
-    currently ``"homogenize"`` (same adjacency, every link at the
-    network-mean PRR; the Sec. IV-B heterogeneity twin).
+    ``transform`` optionally post-processes the generated substrate:
+    ``"homogenize"`` (same adjacency, every link at the network-mean
+    PRR; the Sec. IV-B heterogeneity twin) or ``"ge_mean_matched"``
+    (every PRR scaled to the long-run mean of default Gilbert-Elliott
+    dynamics; the static twin of the bursty-link ablation).
     """
 
     kind: str = "greenorbs"
@@ -274,8 +281,8 @@ class TopologySpec:
                 p.pop("n_nodes", 30), p.pop("area_m", 100.0),
                 rng=np.random.default_rng(self.seed), **p,
             )
-        if self.transform == "homogenize":
-            topo = homogenized(topo)
+        if self.transform is not None:
+            topo = _TRANSFORMS[self.transform](topo)
         return topo
 
 
@@ -313,20 +320,13 @@ def topology_cache_info() -> Tuple[int, int]:
 # Engine-config overrides
 # ---------------------------------------------------------------------------
 
-def default_sim_config(protocol: str, coverage_target: float = 0.99):
-    """The engine configuration a protocol runs under by default.
+def _default_radio(protocol: str):
+    """The radio a protocol runs on by default.
 
     OPT plays on its collision-free oracle channel; the cross-layer
     sketch deliberately turns data overhearing on (the paper's
     future-work direction 2); everyone else gets the paper's defaults.
     """
-    from .sim.engine import SimConfig
-
-    return SimConfig(coverage_target=coverage_target,
-                     radio=_default_radio(protocol))
-
-
-def _default_radio(protocol: str):
     from .net.radio import RadioModel
 
     if protocol == "opt":
@@ -338,17 +338,32 @@ def _default_radio(protocol: str):
     return RadioModel()
 
 
-def _sim_override_keys() -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """(allowed SimConfig override keys, allowed radio override keys)."""
+def _sim_override_fields() -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Type annotations of the allowed SimConfig and radio override keys."""
     from .net.radio import RadioModel
     from .sim.engine import SimConfig
 
-    sim_keys = tuple(
-        f.name for f in dataclasses.fields(SimConfig)
-        if f.name not in ("coverage_target", "radio")
-    ) + ("radio",)
-    radio_keys = tuple(f.name for f in dataclasses.fields(RadioModel))
-    return sim_keys, radio_keys
+    sim_fields = {f.name: f.type for f in dataclasses.fields(SimConfig)
+                  if f.name != "coverage_target"}
+    radio_fields = {f.name: f.type for f in dataclasses.fields(RadioModel)}
+    return sim_fields, radio_fields
+
+
+#: Value checks for the annotations of the engine-config override fields.
+_OVERRIDE_KINDS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real}
+
+
+def _check_override(name: str, value: Any, annotation: str) -> None:
+    """Reject an override ``value`` that its config field cannot hold."""
+    if annotation.startswith("Optional["):
+        if value is None:
+            return
+        annotation = annotation[len("Optional["):-1]
+    kind = _OVERRIDE_KINDS[annotation]
+    if kind is bool:
+        _check_flag(name, value)
+    else:
+        _check_number(name, value, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +417,21 @@ class Scenario:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self):
+        from .net.dynamics import GeParams
+        from .protocols import available_protocols, make_protocol
+
         if not self.protocol or not isinstance(self.protocol, str):
             raise ScenarioError(f"protocol must be a name, got {self.protocol!r}")
+        _reject_unknown((self.protocol,), available_protocols(), "protocol")
         for name in ("n_packets", "n_replications", "seed",
                      "generation_interval", "wake_slots"):
             _check_number(name, getattr(self, name), numbers.Integral)
         for name in ("duty_ratio", "coverage_target", "schedule_jitter"):
             _check_number(name, getattr(self, name), numbers.Real)
+        for name in ("protocol_kwargs", "link_kwargs", "mac_kwargs", "sim"):
+            _check_object(name, getattr(self, name))
+        _check_flag("measure_transmission_delay",
+                    self.measure_transmission_delay)
         if not (0.0 < self.duty_ratio <= 1.0):
             raise ScenarioError(
                 f"duty ratio must be in (0, 1], got {self.duty_ratio}"
@@ -433,31 +456,59 @@ class Scenario:
             _reject_unknown((self.link_model,), LINK_MODELS, "link model")
         _reject_unknown(self.link_kwargs, _LINK_KWARGS,
                         "link-model parameter")
+        if self.link_model == "static" and self.link_kwargs:
+            raise ScenarioError(
+                f"link-model parameters {sorted(self.link_kwargs)} need "
+                f"link_model 'gilbert_elliott'; static links take none"
+            )
+        rates = {}
+        for key, value in self.link_kwargs.items():
+            if key == "start_stationary":
+                _check_flag(f"link-model parameter {key!r}", value)
+            else:
+                _check_number(f"link-model parameter {key!r}", value,
+                              numbers.Real)
+                rates[key] = value
         if self.mac not in MAC_KINDS:
             _reject_unknown((self.mac,), MAC_KINDS, "mac kind")
         _reject_unknown(self.mac_kwargs, _MAC_KWARGS[self.mac],
                         f"{self.mac!r} mac parameter")
-        try:
-            self.make_link_model()  # validate parameter values eagerly
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(
-                f"invalid {self.mac!r} mac parameters: {exc}"
-            ) from None
-        sim_keys, radio_keys = _sim_override_keys()
-        _reject_unknown(self.sim, sim_keys, "sim override")
+        for key, value in self.mac_kwargs.items():
+            _check_number(f"{self.mac!r} mac parameter {key!r}", value,
+                          numbers.Integral)
+        sim_fields, radio_fields = _sim_override_fields()
+        _reject_unknown(self.sim, sim_fields, "sim override")
+        for key, value in self.sim.items():
+            if key != "radio":
+                _check_override(f"sim override {key!r}", value,
+                                sim_fields[key])
         radio = self.sim.get("radio", {})
         if not isinstance(radio, Mapping):
             raise ScenarioError(
                 "sim override 'radio' must be an object of RadioModel fields"
             )
-        _reject_unknown(radio, radio_keys, "radio override")
+        _reject_unknown(radio, radio_fields, "radio override")
+        for key, value in radio.items():
+            _check_override(f"radio override {key!r}", value,
+                            radio_fields[key])
         if self.topology is not None and not isinstance(self.topology,
                                                         TopologySpec):
             raise ScenarioError(
                 "topology must be a TopologySpec (or an object in JSON)"
             )
+        # Build what the runner builds, so a scenario that validates runs.
+        builders = {
+            f"protocol_kwargs for {self.protocol!r}": lambda: make_protocol(
+                self.protocol, **self.protocol_kwargs),
+            "link-model parameters": lambda: GeParams(**rates),
+            f"{self.mac!r} mac parameters": self.make_link_model,
+            "sim overrides": self.sim_config,
+        }
+        for what, build in builders.items():
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"invalid {what}: {exc}") from None
 
     # -- derived quantities -------------------------------------------
 
@@ -571,66 +622,6 @@ class Scenario:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def as_scenario(spec: Any) -> Scenario:
-    """Normalize ``spec`` to a :class:`Scenario`.
-
-    Accepts a :class:`Scenario` (returned as-is), a mapping (strict
-    :meth:`Scenario.from_dict`), or a legacy
-    :class:`~repro.sim.runner.ExperimentSpec`-shaped object, whose
-    optional ``sim_config`` is *diffed against the protocol's default
-    configuration* into declarative ``sim`` overrides — so two specs
-    with behaviorally identical configurations normalize to the same
-    scenario (and the same fingerprint) no matter how they were built.
-    """
-    if isinstance(spec, Scenario):
-        return spec
-    if isinstance(spec, Mapping):
-        return Scenario.from_dict(spec)
-    try:
-        protocol = spec.protocol
-        duty_ratio = spec.duty_ratio
-        n_packets = spec.n_packets
-    except AttributeError:
-        raise TypeError(
-            f"cannot interpret {type(spec).__name__!r} as a Scenario"
-        ) from None
-    effective = getattr(spec, "sim_config", None)
-    if effective is None:
-        coverage = getattr(spec, "coverage_target", 0.99)
-        sim: Dict[str, Any] = {}
-    else:
-        coverage = effective.coverage_target
-        base = default_sim_config(protocol, coverage)
-        sim = {}
-        for f in dataclasses.fields(type(effective)):
-            if f.name in ("coverage_target", "radio"):
-                continue
-            if getattr(effective, f.name) != getattr(base, f.name):
-                sim[f.name] = getattr(effective, f.name)
-        radio_diff = {
-            f.name: getattr(effective.radio, f.name)
-            for f in dataclasses.fields(type(effective.radio))
-            if getattr(effective.radio, f.name) != getattr(base.radio, f.name)
-        }
-        if radio_diff:
-            sim["radio"] = radio_diff
-    return Scenario(
-        protocol=protocol,
-        duty_ratio=duty_ratio,
-        n_packets=n_packets,
-        seed=getattr(spec, "seed", 0),
-        n_replications=getattr(spec, "n_replications", 1),
-        coverage_target=coverage,
-        generation_interval=getattr(spec, "generation_interval", 0),
-        protocol_kwargs=dict(getattr(spec, "protocol_kwargs", {})),
-        mac=getattr(spec, "mac", "ideal"),
-        mac_kwargs=dict(getattr(spec, "mac_kwargs", {})),
-        sim=sim,
-        measure_transmission_delay=getattr(
-            spec, "measure_transmission_delay", False),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scenario grids
 # ---------------------------------------------------------------------------
@@ -689,6 +680,8 @@ class ScenarioGrid:
         object.__setattr__(self, "axes", tuple(frozen))
         if sharding is not None:
             index, count = sharding
+            _check_number("shard index", index, numbers.Integral)
+            _check_number("shard count", count, numbers.Integral)
             if count < 1:
                 raise ScenarioError(
                     f"shard count must be >= 1, got {count}"
@@ -844,7 +837,7 @@ class ScenarioGrid:
             _reject_unknown(shard, ("index", "count", "grid"), "shard field")
             if "index" not in shard or "count" not in shard:
                 raise ScenarioError("'shard' needs 'index' and 'count'")
-            sharding = (int(shard["index"]), int(shard["count"]))
+            sharding = (shard["index"], shard["count"])
             stamp = shard.get("grid")
         axes = data.get("axes", {})
         _check_object("'axes'", axes)

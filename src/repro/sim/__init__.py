@@ -7,11 +7,9 @@ from .metrics import FloodMetrics, PacketDelays, coverage_threshold
 from .observers import EventLogObserver, SimObserver
 from .rng import RngStreams, derive_seed, spawn_generator
 from .runner import (
-    ExperimentSpec,
     RunSummary,
     run_experiment,
     run_experiments,
-    run_protocol_sweep,
     run_replication,
     run_scenarios,
 )
@@ -23,6 +21,6 @@ __all__ = [
     "FloodMetrics", "PacketDelays", "coverage_threshold",
     "SimObserver", "EventLogObserver",
     "RngStreams", "derive_seed", "spawn_generator",
-    "ExperimentSpec", "RunSummary", "run_experiment", "run_experiments",
-    "run_protocol_sweep", "run_replication", "run_scenarios",
+    "RunSummary", "run_experiment", "run_experiments",
+    "run_replication", "run_scenarios",
 ]

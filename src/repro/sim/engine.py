@@ -83,7 +83,8 @@ class SimConfig:
                 f"coverage target must be in (0, 1], got {self.coverage_target}"
             )
         if self.max_slots is not None and self.max_slots < 1:
-            raise ValueError("horizon must be at least one slot")
+            raise ValueError(
+                f"max_slots must be at least one slot, got {self.max_slots}")
 
 
 @dataclass

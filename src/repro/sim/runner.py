@@ -2,18 +2,16 @@
 
 The Sec. V experiments sweep duty cycles and protocols over a fixed
 topology, with several replications per configuration. The runner
-standardizes that: one :class:`ExperimentSpec` per configuration, paired
-random streams across protocols (same schedules and loss draws for every
-protocol at the same replication index), and summary aggregation.
+standardizes that: one :class:`~repro.scenario.Scenario` per
+configuration, paired random streams across protocols (same schedules
+and loss draws for every protocol at the same replication index), and
+summary aggregation.
 
-Every entry point normalizes its inputs to
-:class:`~repro.scenario.Scenario` — the serializable scenario layer —
-so one task function (:func:`_scenario_task`) serves direct
-:class:`ExperimentSpec` calls, declarative grids and scenario files
-alike. Work decomposes into replication *stacks*: runs of consecutive
-replications, possibly spanning several cells that share a
-:func:`scenario_stack_key`, each simulated by one
-:func:`~repro.sim.batch.run_flood_batch` call
+One task function (:func:`_scenario_task`) serves direct calls,
+declarative grids and scenario files alike. Work decomposes into
+replication *stacks*: runs of consecutive replications, possibly
+spanning several cells that share a :func:`scenario_stack_key`, each
+simulated by one :func:`~repro.sim.batch.run_flood_batch` call
 (:func:`run_replication_stack`). Stacks are mapped through an optional
 :class:`repro.exec.Executor` (serial by default, warm process-pool
 parallel on request); task payloads are cell/replication ranges — the
@@ -31,7 +29,7 @@ trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,16 +40,15 @@ from ..net.schedule import ScheduleTable
 from ..net.sync import JitteredSchedules
 from ..net.topology import Topology
 from ..protocols.base import make_protocol
-from ..scenario import Scenario, as_scenario, build_topology
+from ..scenario import Scenario, build_topology
 from .batch import run_flood_batch
-from .engine import FloodResult, SimConfig
+from .engine import FloodResult
 from .rng import RngStreams, derive_seed
 
-__all__ = ["ExperimentSpec", "RunSummary", "run_replication",
+__all__ = ["RunSummary", "run_replication",
            "run_replication_chunk", "run_replication_stack",
            "scenario_stack_key", "run_experiment", "run_experiments",
-           "run_scenarios", "load_scenario_summaries", "MissingResults",
-           "run_protocol_sweep"]
+           "run_scenarios", "load_scenario_summaries", "MissingResults"]
 
 #: Widest replication chunk the auto policy hands one task — wide enough
 #: to amortize per-slot dispatch across the batch (with every protocol
@@ -61,40 +58,11 @@ __all__ = ["ExperimentSpec", "RunSummary", "run_replication",
 _MAX_AUTO_REPS_PER_TASK = 128
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One simulation configuration.
-
-    ``protocol_kwargs`` are forwarded to the protocol constructor;
-    ``sim_config`` overrides engine defaults (OPT automatically gets its
-    collision-free radio unless a radio is forced).
-    """
-
-    protocol: str
-    duty_ratio: float
-    n_packets: int
-    seed: int = 0
-    n_replications: int = 1
-    coverage_target: float = 0.99
-    generation_interval: int = 0
-    protocol_kwargs: Dict = field(default_factory=dict)
-    sim_config: Optional[SimConfig] = None
-    measure_transmission_delay: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.duty_ratio <= 1.0):
-            raise ValueError(f"duty ratio must be in (0, 1], got {self.duty_ratio}")
-        if self.n_packets < 1:
-            raise ValueError("need at least one packet")
-        if self.n_replications < 1:
-            raise ValueError("need at least one replication")
-
-
 @dataclass
 class RunSummary:
-    """Aggregated results of one spec's replications."""
+    """Aggregated results of one scenario's replications."""
 
-    spec: ExperimentSpec
+    spec: Scenario
     results: List[FloodResult]
 
     @property
@@ -195,7 +163,7 @@ def _replication_inputs(topo: Topology, scenario: Scenario,
     )
 
 
-def scenario_stack_key(scenario) -> str:
+def scenario_stack_key(scenario: Scenario) -> str:
     """Grouping key for cross-cell replication stacking.
 
     Two scenarios with the same key can run their replications in one
@@ -205,7 +173,6 @@ def scenario_stack_key(scenario) -> str:
     replication — duty ratio (wake period), seed (schedule / channel /
     dynamics / jitter streams) and generation interval (workload).
     """
-    scenario = as_scenario(scenario)
     return replace(
         scenario, duty_ratio=1.0, seed=0, n_replications=1,
         generation_interval=0,
@@ -217,12 +184,11 @@ def run_replication_stack(
 ) -> List[List[FloodResult]]:
     """Run several scenarios' replication ranges as ONE engine call.
 
-    ``cells`` is a sequence of ``(spec, rep_start, n_reps)`` triples
-    whose scenarios share a :func:`scenario_stack_key`; ``spec`` may be
-    a :class:`~repro.scenario.Scenario`, an :class:`ExperimentSpec`, or
-    a plain dict. Their replications concatenate into one
-    ``(R_total, …)`` :func:`~repro.sim.batch.run_flood_batch` invocation
-    with per-replication schedule, stream and workload rows — a whole
+    ``cells`` is a sequence of ``(scenario, rep_start, n_reps)``
+    triples whose scenarios share a :func:`scenario_stack_key`. Their
+    replications concatenate into one ``(R_total, …)``
+    :func:`~repro.sim.batch.run_flood_batch` invocation with
+    per-replication schedule, stream and workload rows — a whole
     Fig. 10 duty column becomes a single engine run. ``profiler`` (an
     optional :class:`~repro.sim.observers.PhaseProfiler`) is threaded
     into the engine — the ``repro profile`` hook.
@@ -232,7 +198,7 @@ def run_replication_stack(
     """
     if not cells:
         raise ValueError("stack must cover at least one cell")
-    scenarios = [as_scenario(spec) for spec, _, _ in cells]
+    scenarios = [scenario for scenario, _, _ in cells]
     base = scenarios[0]
     inputs = []
     workloads: List[FloodWorkload] = []
@@ -268,7 +234,7 @@ def run_replication_stack(
 
 
 def run_replication_chunk(
-    topo: Topology, spec, rep_start: int, n_reps: int, profiler=None
+    topo: Topology, spec: Scenario, rep_start: int, n_reps: int, profiler=None
 ) -> List[FloodResult]:
     """Replications ``rep_start .. rep_start + n_reps - 1`` of ``spec``,
     as one engine batch (a one-cell :func:`run_replication_stack`)."""
@@ -276,7 +242,7 @@ def run_replication_chunk(
         topo, [(spec, rep_start, n_reps)], profiler=profiler)[0]
 
 
-def run_replication(topo: Topology, spec, rep: int) -> FloodResult:
+def run_replication(topo: Topology, spec: Scenario, rep: int) -> FloodResult:
     """One replication of ``spec``: a pure function of its arguments."""
     return run_replication_chunk(topo, spec, rep, 1)[0]
 
@@ -296,6 +262,17 @@ def _scenario_task(topo: Topology, scenarios: Sequence[Scenario], cells):
     )
 
 
+def _require_scenarios(specs: Sequence) -> Tuple[Scenario, ...]:
+    """``specs`` as a tuple, refusing anything but a :class:`Scenario`."""
+    for spec in specs:
+        if not isinstance(spec, Scenario):
+            raise TypeError(
+                f"expected a Scenario, got {type(spec).__name__!r}; build "
+                f"one with Scenario(...) or Scenario.from_dict(...)"
+            )
+    return tuple(specs)
+
+
 def _auto_reps_per_task(n_reps: int, jobs: int) -> int:
     """Default stack width for ``n_reps`` stackable replications.
 
@@ -313,12 +290,12 @@ def _auto_reps_per_task(n_reps: int, jobs: int) -> int:
 
 def run_experiment(
     topo: Topology,
-    spec: ExperimentSpec,
+    spec: Scenario,
     executor=None,
     store=None,
     reps_per_task: Optional[int] = None,
 ) -> RunSummary:
-    """Run one spec's replications on a fixed topology.
+    """Run one scenario's replications on a fixed topology.
 
     Stream pairing: schedules and channel draws are derived from
     ``(seed, replication)`` only — two specs differing in the protocol see
@@ -347,19 +324,19 @@ def run_experiment(
 
 def run_experiments(
     topo: Topology,
-    specs: Sequence[ExperimentSpec],
+    specs: Sequence[Scenario],
     executor=None,
     store=None,
     reps_per_task: Optional[int] = None,
 ) -> List[RunSummary]:
-    """Run many specs' replications through one executor dispatch.
+    """Run many scenarios' replications through one executor dispatch.
 
-    The workhorse behind :func:`run_experiment`,
-    :func:`run_protocol_sweep` and :func:`repro.analysis.sweep.sweep`:
-    store-cached specs are answered immediately, every remaining
-    replication across *all* specs is flattened into a single
-    ``executor.map`` call (so a parallel backend sees the whole grid at
-    once, not one spec at a time), and results are regrouped per spec.
+    The workhorse behind :func:`run_experiment` and
+    :func:`run_scenarios`: store-cached specs are answered immediately,
+    every remaining replication across *all* specs is flattened into a
+    single ``executor.map`` call (so a parallel backend sees the whole
+    grid at once, not one spec at a time), and results are regrouped
+    per spec.
 
     ``reps_per_task`` controls how many replications ride in one task —
     one engine batch. ``None`` (auto) makes stacks up to
@@ -375,7 +352,7 @@ def run_experiments(
     changes results, only throughput, so it is deliberately *not* part
     of the scenario fingerprint.
     """
-    scenarios = tuple(as_scenario(spec) for spec in specs)
+    scenarios = _require_scenarios(specs)
     if reps_per_task is not None and reps_per_task < 1:
         raise ValueError(f"reps_per_task must be >= 1, got {reps_per_task}")
     keys: List[Optional[str]] = [None] * len(specs)
@@ -443,11 +420,7 @@ def run_experiments(
                 grouped.setdefault(i, []).extend(cell_results)
         fresh: Dict[str, RunSummary] = {}
         for i, flood_results in grouped.items():
-            # The summary keeps the *caller's* spec object (ExperimentSpec
-            # or Scenario) so downstream equality checks see what was
-            # passed in; only keys and task payloads use the normalized
-            # scenarios.
-            summaries[i] = RunSummary(spec=specs[i], results=flood_results)
+            summaries[i] = RunSummary(spec=scenarios[i], results=flood_results)
             if store is not None:
                 fresh[keys[i]] = summaries[i]
         if store is not None:
@@ -472,7 +445,7 @@ def run_scenarios(
     pool sees whole grids and each topology is broadcast once. Results
     come back in input order.
     """
-    scenarios = [as_scenario(s) for s in scenarios]
+    scenarios = _require_scenarios(scenarios)
     groups: Dict[str, Tuple[Topology, List[int]]] = {}
     for i, scenario in enumerate(scenarios):
         if scenario.topology is not None:
@@ -534,7 +507,7 @@ def load_scenario_summaries(
     merge`` over k shard runs, this returns summaries bit-identical to
     the unsharded run's (the entries *are* the shard runs' pickles).
     """
-    scenarios = [as_scenario(s) for s in scenarios]
+    scenarios = _require_scenarios(scenarios)
     groups: Dict[str, Tuple[Topology, List[int]]] = {}
     for i, scenario in enumerate(scenarios):
         if scenario.topology is not None:
@@ -558,47 +531,3 @@ def load_scenario_summaries(
     if missing:
         raise MissingResults(missing)
     return summaries  # type: ignore[return-value]
-
-
-def run_protocol_sweep(
-    topo: Topology,
-    protocols: Sequence[str],
-    duty_ratios: Sequence[float],
-    n_packets: int,
-    seed: int = 0,
-    n_replications: int = 1,
-    coverage_target: float = 0.99,
-    protocol_kwargs: Optional[Dict[str, Dict]] = None,
-    measure_transmission_delay: bool = False,
-    executor=None,
-    store=None,
-    reps_per_task: Optional[int] = None,
-) -> Dict[str, Dict[float, RunSummary]]:
-    """The Fig. 10/11 grid: protocols x duty ratios on one topology.
-
-    The whole grid (every protocol, duty ratio and replication) is
-    flattened into one executor dispatch — see :func:`run_experiments`.
-    """
-    protocol_kwargs = protocol_kwargs or {}
-    specs = [
-        ExperimentSpec(
-            protocol=proto,
-            duty_ratio=duty,
-            n_packets=n_packets,
-            seed=seed,
-            n_replications=n_replications,
-            coverage_target=coverage_target,
-            protocol_kwargs=protocol_kwargs.get(proto, {}),
-            measure_transmission_delay=measure_transmission_delay,
-        )
-        for proto in protocols
-        for duty in duty_ratios
-    ]
-    summaries = run_experiments(
-        topo, specs, executor=executor, store=store,
-        reps_per_task=reps_per_task,
-    )
-    out: Dict[str, Dict[float, RunSummary]] = {p: {} for p in protocols}
-    for spec, summary in zip(specs, summaries):
-        out[spec.protocol][spec.duty_ratio] = summary
-    return out

@@ -78,9 +78,10 @@ class TestPaired:
 
 class TestRunSummaryCI:
     def test_delay_ci_from_replications(self, line5):
-        from repro.sim.runner import ExperimentSpec, run_experiment
+        from repro.scenario import Scenario
+        from repro.sim.runner import run_experiment
 
-        summary = run_experiment(line5, ExperimentSpec(
+        summary = run_experiment(line5, Scenario(
             protocol="opt", duty_ratio=0.2, n_packets=2, seed=1,
             n_replications=5, coverage_target=1.0,
         ))

@@ -209,11 +209,12 @@ class TestQuantileSketch:
 def summary():
     """One multi-replication run (non-degenerate CI, real metrics)."""
     from repro.net.generators import line_topology
-    from repro.sim.runner import ExperimentSpec, run_experiment
+    from repro.scenario import Scenario
+    from repro.sim.runner import run_experiment
 
     topo = line_topology(8, prr=0.85)
-    spec = ExperimentSpec(protocol="dbao", duty_ratio=0.2, n_packets=3,
-                          seed=11, n_replications=6)
+    spec = Scenario(protocol="dbao", duty_ratio=0.2, n_packets=3,
+                    seed=11, n_replications=6)
     return run_experiment(topo, spec)
 
 

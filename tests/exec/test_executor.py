@@ -12,7 +12,8 @@ from repro.exec import (
     resolve_executor,
 )
 from repro.net.generators import line_topology
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.scenario import Scenario
+from repro.sim.runner import run_experiment
 
 
 def _square(x):
@@ -177,7 +178,7 @@ class TestBackendDeterminism:
 
     @pytest.mark.parametrize("protocol", ["opt", "dbao", "of"])
     def test_serial_and_parallel_replications_identical(self, topo, protocol):
-        spec = ExperimentSpec(
+        spec = Scenario(
             protocol=protocol, duty_ratio=0.2, n_packets=2, seed=11,
             n_replications=3,
         )
@@ -191,8 +192,8 @@ class TestBackendDeterminism:
         assert serial.mean_tx_attempts() == parallel.mean_tx_attempts()
 
     def test_executor_none_matches_serial(self, topo):
-        spec = ExperimentSpec(protocol="dbao", duty_ratio=0.2, n_packets=2,
-                              seed=5, n_replications=2)
+        spec = Scenario(protocol="dbao", duty_ratio=0.2, n_packets=2,
+                        seed=5, n_replications=2)
         assert np.array_equal(
             run_experiment(topo, spec).per_replication_delays(),
             run_experiment(topo, spec,

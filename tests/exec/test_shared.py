@@ -23,7 +23,8 @@ from repro.exec import (
 from repro.exec.shared import PickledRef, SharedTopologyRef, resolve_ref
 from repro.net.generators import line_topology
 from repro.net.topology import Topology
-from repro.sim.runner import ExperimentSpec, run_experiments
+from repro.scenario import Scenario
+from repro.sim.runner import run_experiments
 
 
 @pytest.fixture
@@ -33,8 +34,8 @@ def topo():
 
 def _fig10_style_specs(reps=2):
     return [
-        ExperimentSpec(protocol=proto, duty_ratio=duty, n_packets=2,
-                       seed=11, n_replications=reps)
+        Scenario(protocol=proto, duty_ratio=duty, n_packets=2,
+                 seed=11, n_replications=reps)
         for proto in ("opt", "dbao", "of")
         for duty in (0.1, 0.2)
     ]

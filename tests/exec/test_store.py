@@ -1,13 +1,16 @@
 """Tests for the content-addressed result store."""
 
 import dataclasses
+import sys
+import types
 
 import numpy as np
 import pytest
 
-from repro.exec import ResultStore, result_key, spec_fingerprint
+from repro.exec import ResultStore, result_key
 from repro.net.generators import line_topology
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.scenario import Scenario
+from repro.sim.runner import RunSummary, run_experiment
 
 
 @pytest.fixture
@@ -17,35 +20,11 @@ def topo():
 
 @pytest.fixture
 def spec():
-    return ExperimentSpec(protocol="dbao", duty_ratio=0.2, n_packets=2,
-                          seed=3, n_replications=2)
+    return Scenario(protocol="dbao", duty_ratio=0.2, n_packets=2,
+                    seed=3, n_replications=2)
 
 
 class TestFingerprints:
-    def test_spec_fingerprint_stable(self, spec):
-        assert spec_fingerprint(spec) == spec_fingerprint(
-            ExperimentSpec(protocol="dbao", duty_ratio=0.2, n_packets=2,
-                           seed=3, n_replications=2)
-        )
-
-    def test_spec_fingerprint_sensitive_to_every_field(self, spec):
-        base = spec_fingerprint(spec)
-        for change in (
-            {"protocol": "opt"},
-            {"duty_ratio": 0.25},
-            {"n_packets": 3},
-            {"seed": 4},
-            {"n_replications": 1},
-            {"coverage_target": 0.5},
-            {"protocol_kwargs": {"overhearing": False}},
-            {"measure_transmission_delay": True},
-        ):
-            assert spec_fingerprint(dataclasses.replace(spec, **change)) != base
-
-    def test_unfingerprintable_type_rejected(self):
-        with pytest.raises(TypeError, match="fingerprint"):
-            spec_fingerprint({"rng": np.random.default_rng(0)})
-
     def test_topology_fingerprint_content_addressed(self, topo):
         same = line_topology(5, prr=0.9)
         other = line_topology(5, prr=0.8)
@@ -126,6 +105,34 @@ class TestDiskStore:
         entry.write_bytes(entry.read_bytes()[:10])
         fresh = ResultStore(tmp_path)
         assert fresh.get(store.key_for(topo, spec)) is None
+
+    def test_entry_of_a_vanished_class_recomputed(
+        self, tmp_path, topo, spec, monkeypatch
+    ):
+        # An entry written when its payload's classes existed (say, a
+        # summary of a since-deleted spec type) keeps a valid header and
+        # digest but no longer unpickles: a miss, recomputed once and
+        # overwritten, never a crash.
+        gone = types.ModuleType("repro_vanished")
+        exec("class OldSpec:\n    pass", gone.__dict__)
+        monkeypatch.setitem(sys.modules, "repro_vanished", gone)
+        key = ResultStore().key_for(topo, spec)
+        ResultStore(tmp_path).put(
+            key, RunSummary(spec=gone.OldSpec(), results=[]))
+        monkeypatch.delitem(sys.modules, "repro_vanished")
+
+        probe = ResultStore(tmp_path)
+        assert probe.get(key) is None
+        assert probe.stats.rejected == 1
+
+        store = ResultStore(tmp_path)
+        summary = run_experiment(topo, spec, store=store)
+        assert (store.hits, store.misses, store.stats.rejected) == (0, 1, 1)
+        fresh = ResultStore(tmp_path)
+        again = fresh.get(key)
+        assert fresh.hits == 1 and again.spec == spec
+        assert np.array_equal(again.per_replication_delays(),
+                              summary.per_replication_delays())
 
     def test_clear_drops_memory_keeps_disk(self, tmp_path, topo, spec):
         store = ResultStore(tmp_path)

@@ -16,8 +16,9 @@ from repro.exec import (
     verify_store,
 )
 from repro.net.generators import line_topology
+from repro.scenario import Scenario
 from repro.sim.engine import ENGINE_VERSION
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 @pytest.fixture
@@ -27,8 +28,8 @@ def topo():
 
 @pytest.fixture
 def spec():
-    return ExperimentSpec(protocol="dbao", duty_ratio=0.2, n_packets=2,
-                          seed=3, n_replications=2)
+    return Scenario(protocol="dbao", duty_ratio=0.2, n_packets=2,
+                    seed=3, n_replications=2)
 
 
 def fill(cache_dir, topo, seeds):
@@ -36,8 +37,8 @@ def fill(cache_dir, topo, seeds):
     store = ResultStore(cache_dir)
     out = {}
     for seed in seeds:
-        spec = ExperimentSpec(protocol="dbao", duty_ratio=0.2, n_packets=2,
-                              seed=seed, n_replications=1)
+        spec = Scenario(protocol="dbao", duty_ratio=0.2, n_packets=2,
+                        seed=seed, n_replications=1)
         key = store.key_for(topo, spec)
         out[key] = run_experiment(topo, spec, store=store)
     return out

@@ -1,11 +1,14 @@
 """Tests for the experiment harness (smoke scale) and its shape claims."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.analysis.report import render_result
 from repro.core.fdl import knee_point
-from repro.experiments import experiment_ids, run_experiment_by_id
+from repro.experiments import experiment_ids, registry, run_experiment_by_id
 from repro.experiments._common import SCALES, get_trace, resolve_scale
 
 
@@ -19,6 +22,21 @@ class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             run_experiment_by_id("fig99")
+
+    def test_every_simulated_experiment_is_a_grid(self):
+        # Simulations run as scenario grids (store, shards, stacking,
+        # --jobs); no experiment drives the engine by hand.
+        analytic = {"fig3", "fig5", "fig6", "fig7", "table1", "lemma2",
+                    "gain"}
+        assert set(experiment_ids()) - analytic \
+            == set(registry.SCENARIO_GRIDS)
+        for path in Path(registry.__file__).parent.glob("*.py"):
+            imported = {
+                alias.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+            }
+            assert "run_flood" not in imported, path.name
 
     def test_scales_defined(self):
         for name in ("full", "bench", "smoke"):

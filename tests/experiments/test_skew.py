@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.experiments import run_experiment_by_id
-from repro.experiments.skew import JitteredSchedules
 from repro.net.generators import line_topology
 from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
+from repro.net.sync import JitteredSchedules
 from repro.protocols import make_protocol
 from repro.sim.engine import SimConfig, run_flood
 

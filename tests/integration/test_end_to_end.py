@@ -5,10 +5,10 @@ import pytest
 
 import repro
 from repro import (
-    ExperimentSpec,
     FloodWorkload,
     MatrixFloodSimulator,
     RngStreams,
+    Scenario,
     ScheduleTable,
     SimConfig,
     run_experiment,
@@ -35,7 +35,7 @@ class TestPublicApi:
         save_trace(topo, path)
         topo2 = load_trace(path)
 
-        summary = run_experiment(topo2, ExperimentSpec(
+        summary = run_experiment(topo2, Scenario(
             protocol="dbao", duty_ratio=0.1, n_packets=3, seed=5,
         ))
         assert summary.completion_rate() == 1.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.validate import dominance_holds, relative_spread
-from repro.sim.runner import ExperimentSpec, run_experiment, run_protocol_sweep
+from repro.scenario import Scenario, ScenarioGrid
+from repro.sim.runner import run_experiment, run_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -15,52 +16,58 @@ def trace():
 
 
 @pytest.fixture(scope="module")
-def sweep_grid(trace):
-    return run_protocol_sweep(
-        trace, protocols=("opt", "dbao", "of"), duty_ratios=(0.05, 0.2),
-        n_packets=4, seed=2011,
+def duty_grid(trace):
+    """``{protocol: {duty: summary}}`` over protocols x duty ratios."""
+    grid = ScenarioGrid(
+        Scenario(protocol="opt", duty_ratio=0.05, n_packets=4, seed=2011),
+        axes={"protocol": ("opt", "dbao", "of"), "duty_ratio": (0.05, 0.2)},
     )
+    out = {}
+    for (proto, duty), summary in zip(
+            grid.combos(), run_scenarios(grid.scenarios(), topo=trace)):
+        out.setdefault(proto, {})[duty] = summary
+    return out
 
 
 class TestDominance:
-    def test_opt_dbao_of_ordering(self, sweep_grid):
+    def test_opt_dbao_of_ordering(self, duty_grid):
         # Fig. 10's ordering at each duty ratio (generous slack: the smoke
         # network is small and noisy).
         for duty in (0.05, 0.2):
             delays = {
-                proto: sweep_grid[proto][duty].mean_delay()
+                proto: duty_grid[proto][duty].mean_delay()
                 for proto in ("opt", "dbao", "of")
             }
             assert delays["opt"] <= delays["dbao"] * 1.3
             assert delays["opt"] <= delays["of"] * 1.3
 
-    def test_opt_has_fewest_failures(self, sweep_grid):
+    def test_opt_has_fewest_failures(self, duty_grid):
         for duty in (0.05, 0.2):
             fails = {
-                proto: sweep_grid[proto][duty].mean_failures()
+                proto: duty_grid[proto][duty].mean_failures()
                 for proto in ("opt", "dbao", "of")
             }
             assert fails["opt"] <= fails["dbao"]
 
-    def test_everyone_completes(self, sweep_grid):
-        for proto in sweep_grid:
-            for duty in sweep_grid[proto]:
-                assert sweep_grid[proto][duty].completion_rate() == 1.0
+    def test_everyone_completes(self, duty_grid):
+        for proto in duty_grid:
+            for duty in duty_grid[proto]:
+                assert duty_grid[proto][duty].completion_rate() == 1.0
 
 
 class TestDutyCycleShape:
-    def test_delay_explodes_at_low_duty(self, sweep_grid):
+    def test_delay_explodes_at_low_duty(self, duty_grid):
         # Fig. 10: delay at 5% substantially above delay at 20%.
         for proto in ("opt", "dbao", "of"):
-            low = sweep_grid[proto][0.05].mean_delay()
-            high = sweep_grid[proto][0.2].mean_delay()
+            low = duty_grid[proto][0.05].mean_delay()
+            high = duty_grid[proto][0.2].mean_delay()
             assert low > high
 
-    def test_failures_do_not_explode(self, sweep_grid):
+    def test_failures_do_not_explode(self, duty_grid):
         # Fig. 11: failures stay within the same order of magnitude across
         # duty ratios (they are set by loss, not by sleeping).
         for proto in ("opt", "dbao", "of"):
-            fails = [sweep_grid[proto][d].mean_failures() for d in (0.05, 0.2)]
+            fails = [duty_grid[proto][d].mean_failures() for d in (0.05, 0.2)]
             assert max(fails) <= 6 * max(min(fails), 1)
 
 
@@ -73,7 +80,7 @@ class TestPairedDominance:
 
         summaries = {}
         for proto in ("opt", "of"):
-            summaries[proto] = run_experiment(trace, ExperimentSpec(
+            summaries[proto] = run_experiment(trace, Scenario(
                 protocol=proto, duty_ratio=0.1, n_packets=4, seed=17,
                 n_replications=5,
             ))
@@ -90,7 +97,7 @@ class TestBlockingEffect:
         # designated pipeline injects at its own drain rate and shows a
         # flat curve instead — "fully pipelined", also consistent with
         # the theory.
-        summary = run_experiment(trace, ExperimentSpec(
+        summary = run_experiment(trace, Scenario(
             protocol="dbao", duty_ratio=0.1, n_packets=8, seed=4,
         ))
         curve = summary.per_packet_delay()

@@ -12,8 +12,9 @@ from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.net.topology import Topology
 from repro.protocols.opt import OptOracle, opt_radio_model
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 class TestLowerBounds:
@@ -21,7 +22,7 @@ class TestLowerBounds:
         # Even the oracle cannot beat the Sec. IV-B recurrence bound.
         duty = 0.1
         bound = analytic_lower_bound(small_rgg, duty)
-        summary = run_experiment(small_rgg, ExperimentSpec(
+        summary = run_experiment(small_rgg, Scenario(
             protocol="opt", duty_ratio=duty, n_packets=1, seed=1,
             n_replications=3,
         ))
@@ -32,7 +33,7 @@ class TestLowerBounds:
         duty = 0.1
         bound = analytic_lower_bound(small_rgg, duty)
         for proto in ("dbao", "of"):
-            summary = run_experiment(small_rgg, ExperimentSpec(
+            summary = run_experiment(small_rgg, Scenario(
                 protocol=proto, duty_ratio=duty, n_packets=1, seed=1,
             ))
             assert summary.mean_delay() >= bound * 0.75
@@ -85,7 +86,7 @@ class TestDutyCyclePenalty:
         # Theorem 1: FDL ~ T. Halving duty should about double delay.
         delays = {}
         for duty in (0.5, 0.25):
-            summary = run_experiment(line5, ExperimentSpec(
+            summary = run_experiment(line5, Scenario(
                 protocol="opt", duty_ratio=duty, n_packets=2, seed=3,
                 n_replications=8, coverage_target=1.0,
             ))
@@ -101,7 +102,7 @@ class TestDutyCyclePenalty:
             topo = line_topology(6, prr=prr)
             per_duty = {}
             for duty in (0.25, 0.05):
-                summary = run_experiment(topo, ExperimentSpec(
+                summary = run_experiment(topo, Scenario(
                     protocol="opt", duty_ratio=duty, n_packets=1, seed=5,
                     n_replications=10, coverage_target=1.0,
                 ))
@@ -114,7 +115,7 @@ class TestDutyCyclePenalty:
         # of the recurrence prediction.
         prr, duty = 0.5, 0.2
         topo = line_topology(6, prr=prr)
-        summary = run_experiment(topo, ExperimentSpec(
+        summary = run_experiment(topo, Scenario(
             protocol="opt", duty_ratio=duty, n_packets=1, seed=7,
             n_replications=10, coverage_target=1.0,
         ))

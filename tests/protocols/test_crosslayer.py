@@ -7,8 +7,9 @@ from repro.core.tradeoff import GainWeights
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.crosslayer import CrossLayerFlooding, recommended_configuration
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 class TestCrossLayerFlooding:
@@ -24,9 +25,9 @@ class TestCrossLayerFlooding:
     def test_comparable_to_dbao(self, small_rgg):
         # The sketch combines DBAO's machinery with free opportunism; it
         # should land in DBAO's delay neighborhood (within 2x).
-        cl = run_experiment(small_rgg, ExperimentSpec(
+        cl = run_experiment(small_rgg, Scenario(
             protocol="crosslayer", duty_ratio=0.1, n_packets=4, seed=6))
-        db = run_experiment(small_rgg, ExperimentSpec(
+        db = run_experiment(small_rgg, Scenario(
             protocol="dbao", duty_ratio=0.1, n_packets=4, seed=6))
         assert cl.mean_delay() <= 2.0 * db.mean_delay()
 

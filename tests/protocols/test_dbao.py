@@ -7,8 +7,9 @@ from repro.net.generators import line_topology, star_topology
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.dbao import Dbao, forwarder_clique
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 def flood(topo, n_packets=2, period=5, seed=0, **proto_kwargs):
@@ -78,11 +79,11 @@ class TestDbaoBehavior:
         assert result.has[:, reach].all()
 
     def test_overhearing_reduces_transmissions(self, small_rgg):
-        spec_on = ExperimentSpec(protocol="dbao", duty_ratio=0.1, n_packets=4,
-                                 seed=11)
-        spec_off = ExperimentSpec(protocol="dbao", duty_ratio=0.1, n_packets=4,
-                                  seed=11,
-                                  protocol_kwargs={"overhearing": False})
+        spec_on = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=4,
+                           seed=11)
+        spec_off = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=4,
+                            seed=11,
+                            protocol_kwargs={"overhearing": False})
         on = run_experiment(small_rgg, spec_on)
         off = run_experiment(small_rgg, spec_off)
         assert on.mean_tx_attempts() < off.mean_tx_attempts()

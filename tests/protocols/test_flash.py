@@ -8,7 +8,6 @@ from repro.net.radio import RadioModel
 from repro.net.schedule import ScheduleTable
 from repro.protocols.flash import FlashFlooding
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
 
 
 class TestFlash:

@@ -6,8 +6,9 @@ import pytest
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.naive import NaiveFlooding
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 class TestNaive:
@@ -27,9 +28,9 @@ class TestNaive:
             NaiveFlooding(persistence=1.1)
 
     def test_worse_than_dbao_on_dense_network(self, small_rgg):
-        naive = run_experiment(small_rgg, ExperimentSpec(
+        naive = run_experiment(small_rgg, Scenario(
             protocol="naive", duty_ratio=0.1, n_packets=3, seed=8))
-        dbao = run_experiment(small_rgg, ExperimentSpec(
+        dbao = run_experiment(small_rgg, Scenario(
             protocol="dbao", duty_ratio=0.1, n_packets=3, seed=8))
         assert naive.mean_failures() > dbao.mean_failures()
 

@@ -7,8 +7,9 @@ from repro.net.generators import line_topology
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.oppflood import OpportunisticFlooding
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 def flood(topo, n_packets=2, period=5, seed=0, **proto_kwargs):
@@ -48,11 +49,11 @@ class TestOfBehavior:
             OpportunisticFlooding(opp_quantile=1.0)
 
     def test_smaller_quantile_fewer_transmissions(self, small_rgg):
-        tight = run_experiment(small_rgg, ExperimentSpec(
+        tight = run_experiment(small_rgg, Scenario(
             protocol="of", duty_ratio=0.1, n_packets=4, seed=5,
             protocol_kwargs={"opp_quantile": 0.1},
         ))
-        loose = run_experiment(small_rgg, ExperimentSpec(
+        loose = run_experiment(small_rgg, Scenario(
             protocol="of", duty_ratio=0.1, n_packets=4, seed=5,
             protocol_kwargs={"opp_quantile": 0.95},
         ))

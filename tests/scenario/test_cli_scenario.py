@@ -68,6 +68,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "INVALID: n_packets must be an integer, got '2'" in err
 
+    def test_unrunnable_cell_is_invalid(self, tmp_path, capsys):
+        # Every cell must build what the runner builds: an unknown
+        # protocol on an axis fails here, not inside a worker.
+        path = tmp_path / "unrunnable.json"
+        path.write_text(json.dumps({
+            "scenario": {"protocol": "dbao", "duty_ratio": 0.1,
+                         "n_packets": 2},
+            "axes": {"protocol": ["dbao", "nope"]},
+        }))
+        assert main(["scenario", "validate", str(path)]) == 2
+        assert "INVALID: unknown protocol 'nope'" in capsys.readouterr().err
+
 
 class TestShow:
     def test_show_prints_normalized_grid(self, grid_file, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exec import ResultStore, SerialExecutor
 from repro.scenario import Scenario, ScenarioGrid, TopologySpec, build_topology
-from repro.sim.runner import ExperimentSpec, run_experiments, run_scenarios
+from repro.sim.runner import run_experiments, run_scenarios
 
 LINE = TopologySpec(kind="line", params={"n_sensors": 8, "prr": 0.9})
 BASE = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2, seed=5,
@@ -21,8 +21,8 @@ def test_results_come_back_in_input_order():
 
 
 def test_matches_run_experiments_bit_for_bit():
-    spec = ExperimentSpec(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                          seed=5, n_replications=2)
+    spec = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2,
+                    seed=5, n_replications=2)
     topo = build_topology(LINE)
     (via_spec,) = run_experiments(topo, [spec])
     (via_scenario,) = run_scenarios(
@@ -60,11 +60,12 @@ def test_no_topology_anywhere_is_an_error():
 
 
 def test_store_keys_shared_with_experiment_spec_path():
-    # A scenario file and the equivalent ExperimentSpec must hit the
-    # same store entries: the fingerprint hashes data, not call shape.
+    # A topology-less scenario run on an explicit topology and the same
+    # scenario naming that topology must hit the same store entries:
+    # the fingerprint hashes data, not call shape.
     store = ResultStore()
     topo = build_topology(LINE)
-    spec = ExperimentSpec(protocol="dbao", duty_ratio=0.1, n_packets=2, seed=5)
+    spec = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2, seed=5)
     run_experiments(topo, [spec], store=store)
     assert store.stats.misses == 1
     run_scenarios([BASE], store=store)

@@ -1,6 +1,7 @@
 """Sharding a ScenarioGrid: the determinism contract and the stamp."""
 
 import json
+import re
 
 import pytest
 
@@ -130,6 +131,15 @@ class TestSerialization:
         data = grid().to_dict()
         data["shard"] = {"index": 0}
         with pytest.raises(ScenarioError, match="'index' and 'count'"):
+            ScenarioGrid.from_dict(data)
+
+    @pytest.mark.parametrize("index", [0.9, 1.5, "1", True, "x"])
+    def test_shard_index_must_be_an_integer(self, index):
+        # int() once truncated these: a stamp saying 0.9 ran shard 0.
+        data = grid().shard(0, 2).to_dict()
+        data["shard"]["index"] = index
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"shard index must be an integer, got {index!r}")):
             ScenarioGrid.from_dict(data)
 
     def test_unknown_shard_field_is_rejected(self):

@@ -6,21 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.scenario import (
-    Scenario,
-    ScenarioError,
-    ScenarioGrid,
-    TopologySpec,
-    as_scenario,
-    default_sim_config,
-)
+from repro.scenario import Scenario, ScenarioError, ScenarioGrid, TopologySpec
 from repro.sim.engine import SimConfig
-from repro.sim.runner import ExperimentSpec
 
 
 def rich_scenario() -> Scenario:
     return Scenario(
-        protocol="dbao",
+        protocol="of",
         duty_ratio=0.05,
         n_packets=7,
         seed=42,
@@ -88,7 +80,7 @@ class TestFingerprint:
     def test_sensitive_to_every_other_field(self):
         base = rich_scenario()
         variants = {
-            "protocol": "of", "duty_ratio": 0.2, "n_packets": 8, "seed": 43,
+            "protocol": "dbao", "duty_ratio": 0.2, "n_packets": 8, "seed": 43,
             "n_replications": 4, "coverage_target": 0.9,
             "generation_interval": 3, "protocol_kwargs": {},
             "wake_slots": 3, "schedule_jitter": 0.2, "link_model": "static",
@@ -98,6 +90,8 @@ class TestFingerprint:
             data = {**base.to_dict(), fname: value}
             if fname == "link_model":  # static takes no kwargs
                 data["link_kwargs"] = {}
+            if fname == "protocol":  # DBAO takes no opp_quantile
+                data["protocol_kwargs"] = {}
             changed = Scenario.from_dict(data)
             assert changed.fingerprint() != base.fingerprint(), fname
 
@@ -110,7 +104,7 @@ class TestFingerprint:
 
     def test_unserializable_field_is_a_spec_bug(self):
         s = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                     protocol_kwargs={"rng": np.random.default_rng(0)})
+                     protocol_kwargs={"overhearing": np.random.default_rng(0)})
         with pytest.raises(TypeError, match="JSON-representable"):
             s.fingerprint()
 
@@ -205,6 +199,43 @@ class TestFieldTypes:
         with pytest.raises(ScenarioError, match=match):
             ScenarioGrid.from_dict({"scenario": MINIMAL, "axes": axes})
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"protocol": "nope"}, "unknown protocol 'nope'"),
+        ({"protocol_kwargs": {"bogus": 1}},
+         "invalid protocol_kwargs for 'dbao'.*bogus"),
+        ({"protocol_kwargs": [1]}, "protocol_kwargs must be an object"),
+        ({"link_model": "gilbert_elliott",
+          "link_kwargs": {"p_good_to_bad": "x"}},
+         "link-model parameter 'p_good_to_bad' must be a number"),
+        ({"link_model": "gilbert_elliott",
+          "link_kwargs": {"p_good_to_bad": 5.0}},
+         r"p_good_to_bad must be in \(0, 1\], got 5.0"),
+        ({"link_kwargs": {"bad_factor": 0.3}},
+         r"\['bad_factor'\] need link_model 'gilbert_elliott'"),
+        ({"sim": {"max_slots": "x"}},
+         "sim override 'max_slots' must be an integer"),
+        ({"sim": {"max_slots": -3}}, "max_slots must be at least one slot"),
+        ({"sim": {"radio": {"capture_ratio": "x"}}},
+         "radio override 'capture_ratio' must be a number"),
+        ({"mac": "csma_802154", "mac_kwargs": {"mac_min_be": "3"}},
+         "mac parameter 'mac_min_be' must be an integer, got '3'"),
+        ({"mac": "csma_802154", "mac_kwargs": {"mac_min_be": 3.7}},
+         "mac parameter 'mac_min_be' must be an integer, got 3.7"),
+        ({"mac": "csma_802154", "mac_kwargs": {"mac_min_be": True}},
+         "mac parameter 'mac_min_be' must be an integer, got True"),
+        ({"measure_transmission_delay": "yes"},
+         "measure_transmission_delay must be true or false"),
+    ], ids=["protocol", "protocol-kwarg", "protocol-kwargs-list",
+            "ge-rate-str", "ge-rate-range", "static-link-kwargs",
+            "max-slots-str", "max-slots-range", "capture-ratio-str",
+            "mac-int-str", "mac-int-float", "mac-int-bool",
+            "probe-flag-str"])
+    def test_what_the_runner_builds_is_checked(self, fields, match):
+        # Each value once validated and then failed (or ran coerced)
+        # inside the engine; now the field is named up front.
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict({**MINIMAL, **fields})
+
     def test_integral_values_fill_real_fields(self):
         s = Scenario.from_dict({**MINIMAL, "duty_ratio": 1,
                                 "coverage_target": 1, "schedule_jitter": 0})
@@ -283,7 +314,7 @@ class TestDerived:
         opt = Scenario(protocol="opt", duty_ratio=0.1, n_packets=1)
         assert not opt.sim_config().radio.collisions
         dbao = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=1)
-        assert dbao.sim_config() == default_sim_config("dbao")
+        assert dbao.sim_config() == SimConfig()
 
     def test_sim_overrides_apply(self):
         s = Scenario(protocol="dbao", duty_ratio=0.1, n_packets=1,
@@ -294,41 +325,3 @@ class TestDerived:
         assert config.fast_forward is False
         assert config.radio.overhearing is True
         assert config.coverage_target == 0.9
-
-
-class TestAsScenario:
-    def test_scenario_passes_through(self):
-        s = rich_scenario()
-        assert as_scenario(s) is s
-
-    def test_mapping_normalizes(self):
-        s = as_scenario({"protocol": "of", "duty_ratio": 0.1, "n_packets": 2})
-        assert isinstance(s, Scenario) and s.protocol == "of"
-
-    def test_experiment_spec_default_config_diffs_to_empty(self):
-        spec = ExperimentSpec(protocol="opt", duty_ratio=0.1, n_packets=2,
-                              seed=5, n_replications=2)
-        s = as_scenario(spec)
-        assert s.sim == {}  # OPT's oracle radio is the *default*, not a diff
-        assert (s.protocol, s.duty_ratio, s.n_packets, s.seed,
-                s.n_replications) == ("opt", 0.1, 2, 5, 2)
-
-    def test_experiment_spec_custom_config_diffs_to_overrides(self):
-        spec = ExperimentSpec(
-            protocol="dbao", duty_ratio=0.1, n_packets=2,
-            sim_config=SimConfig(fast_forward=False),
-        )
-        assert as_scenario(spec).sim == {"fast_forward": False}
-
-    def test_equivalent_specs_share_a_fingerprint(self):
-        # The explicitly-spelled default config and no config at all are
-        # behaviorally identical, so they must hit the same cache key.
-        plain = ExperimentSpec(protocol="dbao", duty_ratio=0.1, n_packets=2)
-        spelled = ExperimentSpec(protocol="dbao", duty_ratio=0.1, n_packets=2,
-                                 sim_config=default_sim_config("dbao"))
-        assert as_scenario(plain).fingerprint() \
-            == as_scenario(spelled).fingerprint()
-
-    def test_rejects_non_spec_objects(self):
-        with pytest.raises(TypeError, match="cannot interpret"):
-            as_scenario(42)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.net.dynamics import GilbertElliott
 from repro.net.generators import line_topology
 from repro.net.topology import homogenized
 from repro.scenario import (
@@ -69,6 +70,19 @@ class TestBuild:
         assert twin.fingerprint() != topo.fingerprint()
         linked = twin.prr[twin.adjacency]
         assert np.allclose(linked, linked[0])
+
+    def test_ge_mean_matched_transform_scales_to_bursty_mean(self):
+        # The static twin sees the long-run mean PRR of default
+        # Gilbert-Elliott links on the original substrate.
+        params = {"n_sensors": 6, "prr": 0.8}
+        topo = TopologySpec(kind="line", params=params).build()
+        twin = TopologySpec(kind="line", params=params,
+                            transform="ge_mean_matched").build()
+        scale = GilbertElliott(topo).long_run_prr_scale()
+        assert scale == pytest.approx(0.85)
+        assert np.array_equal(twin.prr, np.clip(topo.prr * scale, 0.0, 1.0))
+        assert twin.neighbor_threshold == topo.neighbor_threshold * scale
+        assert np.array_equal(twin.adjacency, topo.adjacency)
 
 
 class TestCache:

@@ -5,11 +5,11 @@ import pytest
 
 from repro.net.generators import line_topology
 from repro.net.packet import FloodWorkload
-from repro.net.radio import RadioModel
 from repro.net.schedule import ScheduleTable
 from repro.protocols.opt import OptOracle, opt_radio_model
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.runner import ExperimentSpec, run_experiment
+from repro.sim.runner import run_experiment
 
 
 class TestSpacedGeneration:
@@ -30,7 +30,7 @@ class TestSpacedGeneration:
     def test_slow_injection_removes_blocking(self, line5):
         # With a huge generation gap each packet floods alone: delays are
         # flat instead of growing.
-        spec = ExperimentSpec(
+        spec = Scenario(
             protocol="opt", duty_ratio=0.25, n_packets=4, seed=2,
             generation_interval=500, coverage_target=1.0,
         )
@@ -41,18 +41,17 @@ class TestSpacedGeneration:
 
 class TestConfigOverride:
     def test_spec_sim_config_wins(self, line5):
-        # A custom SimConfig on the spec overrides the per-protocol default
+        # A radio override on the spec beats the per-protocol default
         # (here: OPT forced onto a colliding channel).
-        spec = ExperimentSpec(
+        spec = Scenario(
             protocol="opt", duty_ratio=0.25, n_packets=2, seed=3,
-            sim_config=SimConfig(radio=RadioModel(collisions=True),
-                                 coverage_target=1.0),
+            coverage_target=1.0, sim={"radio": {"collisions": True}},
         )
         summary = run_experiment(line5, spec)
         assert summary.completion_rate() == 1.0
 
     def test_crosslayer_gets_overhearing_radio(self, small_rgg):
-        spec = ExperimentSpec(
+        spec = Scenario(
             protocol="crosslayer", duty_ratio=0.2, n_packets=2, seed=3,
         )
         summary = run_experiment(small_rgg, spec)
@@ -60,7 +59,7 @@ class TestConfigOverride:
         assert summary.results[0].metrics.overhears > 0
 
     def test_unicast_protocols_have_no_overhears(self, small_rgg):
-        spec = ExperimentSpec(
+        spec = Scenario(
             protocol="dbao", duty_ratio=0.2, n_packets=2, seed=3,
         )
         summary = run_experiment(small_rgg, spec)

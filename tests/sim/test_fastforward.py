@@ -13,10 +13,10 @@ equivalence test would prove nothing).
 import numpy as np
 import pytest
 
-from repro.experiments.skew import JitteredSchedules
 from repro.net.dynamics import GilbertElliott
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
+from repro.net.sync import JitteredSchedules
 from repro.protocols.base import available_protocols, make_protocol
 from repro.protocols.opt import opt_radio_model
 from repro.sim.engine import SimConfig, run_flood

@@ -23,7 +23,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.experiments.skew import JitteredSchedules
 from repro.net.dynamics import GilbertElliott
 from repro.net.generators import random_geometric_topology
 from repro.net.mac import make_link_model
@@ -31,6 +30,7 @@ from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.radio import RadioModel
 from repro.net.schedule import ScheduleTable
+from repro.net.sync import JitteredSchedules
 from repro.protocols import available_protocols, make_protocol
 from repro.protocols.opt import opt_radio_model
 from repro.sim.batch import run_flood_batch

@@ -105,7 +105,7 @@ class TestReadme:
     def test_quickstart_snippet_runs(self):
         # The README's core quickstart calls must exist with these names.
         assert hasattr(repro, "run_experiment")
-        assert hasattr(repro, "ExperimentSpec")
+        assert hasattr(repro, "Scenario")
         assert hasattr(repro, "fwl_reliable")
         assert hasattr(repro, "fdl_theorem1")
 
