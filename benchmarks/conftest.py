@@ -121,11 +121,10 @@ def exec_journal():
 
 @pytest.fixture(scope="session")
 def store_journal():
-    """Like ``bench_journal``, but for the store/aggregation benches.
+    """Like ``bench_journal``, but for the store benches.
 
     Records merge into ``BENCH_store.json`` at the repo root — the
-    committed record of shard-merge throughput and streaming-vs-
-    materialized aggregation memory.
+    committed record of shard-merge throughput.
     """
     records = {}
     yield records

@@ -1,50 +1,22 @@
-"""Benchmarks: shard-store merge throughput and streaming aggregation.
+"""Benchmark: shard-store merge throughput.
 
-Two scenarios, journaled into ``BENCH_store.json`` (see
-``store_journal`` in ``conftest.py``):
-
-* ``merge_throughput`` — ``merge_store`` over two shard directories of
-  small entries (the sharded-sweep shape: hundreds of cells, a few KB
-  each). Every entry is digest-re-verified on the way, so the number is
-  honest about the integrity checking the merge contract requires.
-* ``aggregation_memory`` — peak traced memory of summarizing a
-  fig10-sized per-packet delay tensor (cells x replications rows) the
-  materialized way (stack everything, ``np.nanmean``/quantile over the
-  matrix — what ``RunSummary`` does per cell) vs the streaming way
-  (``StreamingMoments`` + ``VectorNanMean`` + ``QuantileSketch``
-  consuming one replication row at a time — what ``RunAccumulator``
-  does). The tentpole's acceptance: streaming peak <= 25% of the
-  materialized peak. Peaks are ``tracemalloc`` numbers, so they count
-  exactly the allocations of each path, not interpreter baseline.
+``merge_throughput`` runs ``merge_store`` over two shard directories of
+small entries (the sharded-sweep shape: hundreds of cells, a few KB
+each) and journals the rate into ``BENCH_store.json`` (see
+``store_journal`` in ``conftest.py``). Every entry is digest-re-verified
+on the way, so the number is honest about the integrity checking the
+merge contract requires.
 """
 
-import gc
 import hashlib
 import time
-import tracemalloc
 
-import numpy as np
-
-from repro.analysis.stats import mean_ci
-from repro.analysis.streaming import (
-    QuantileSketch,
-    StreamingMoments,
-    VectorNanMean,
-)
 from repro.exec import ResultStore, merge_store
 
 #: Sharded-sweep shape for the merge bench: entries per shard directory
 #: and the payload size (a small RunSummary pickles to a few KB).
 MERGE_ENTRIES_PER_SHARD = 200
 MERGE_PAYLOAD_BYTES = 4096
-
-#: Fig10-sized aggregation: 3 protocols x 6 duty ratios, 200
-#: replications each, 100 packets per replication.
-GRID_ROWS = 18 * 200
-N_PACKETS = 100
-
-#: The tentpole's memory contract.
-PEAK_RATIO_CEILING = 0.25
 
 
 def _fill_shard(cache_dir, n, salt):
@@ -81,75 +53,3 @@ def test_bench_store_merge_throughput(tmp_path, once, benchmark,
     # Digest-verified copies of KB-scale entries; anything slower than
     # this is pathological I/O, not a tuning question.
     assert rate >= 100.0
-
-
-def _delay_rows():
-    """Deterministic fig10-shaped per-replication delay rows.
-
-    Gamma-distributed per-packet delays with ~3% lost packets (NaN) —
-    the shape ``RunSummary.per_packet_delay`` sees after masking
-    incomplete packets.
-    """
-    rng = np.random.default_rng(2011)
-    for _ in range(GRID_ROWS):
-        row = rng.gamma(4.0, 50.0, size=N_PACKETS)
-        row[rng.random(N_PACKETS) < 0.03] = np.nan
-        yield row
-
-
-def _materialized():
-    """What the materialized path allocates: the full stacked tensor."""
-    matrix = np.vstack(list(_delay_rows()))
-    per_rep_means = np.nanmean(matrix, axis=1)
-    curve = np.nanmean(matrix, axis=0)
-    ci = mean_ci(per_rep_means)
-    p90 = float(np.nanquantile(matrix, 0.9))
-    return ci.mean, float(curve[0]), p90
-
-
-def _streaming():
-    """The accumulator path: one row resident at a time."""
-    moments = StreamingMoments()
-    curve = VectorNanMean()
-    sketch = QuantileSketch()
-    for row in _delay_rows():
-        moments.add(float(np.nanmean(row)))
-        curve.add(row)
-        sketch.add_many(row)
-    ci = moments.ci()
-    return ci.mean, float(curve.result()[0]), sketch.quantile(0.9)
-
-
-def _peak_of(fn):
-    gc.collect()
-    tracemalloc.start()
-    result = fn()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, peak
-
-
-def test_bench_store_aggregation_memory(once, benchmark, store_journal):
-    materialized, mat_peak = _peak_of(_materialized)
-    streaming, stream_peak = once(_peak_of, _streaming)
-
-    ratio = stream_peak / mat_peak
-    benchmark.extra_info.update(peak_ratio=round(ratio, 3))
-    store_journal["aggregation_memory"] = {
-        "scenario": "aggregation_memory",
-        "rows": GRID_ROWS,
-        "packets": N_PACKETS,
-        "materialized_peak_bytes": int(mat_peak),
-        "streaming_peak_bytes": int(stream_peak),
-        "peak_ratio": round(ratio, 3),
-    }
-
-    # Same numbers: the streaming path is a re-aggregation, not an
-    # approximation (mean/curve exact; p90 within the sketch's
-    # documented rank error, checked loosely here, tightly in tests/).
-    assert abs(streaming[0] - materialized[0]) < 1e-9 * abs(materialized[0])
-    assert abs(streaming[1] - materialized[1]) < 1e-9 * abs(materialized[1])
-    assert abs(streaming[2] - materialized[2]) < 0.05 * abs(materialized[2])
-    # The tentpole's contract: streaming holds <= 25% of the
-    # materialized peak on a fig10-sized grid.
-    assert ratio <= PEAK_RATIO_CEILING, (stream_peak, mat_peak)

@@ -16,14 +16,6 @@ from .stats import (
     dominates_paired,
     mean_ci,
     paired_delta_ci,
-    student_t_ci,
-)
-from .streaming import (
-    QuantileSketch,
-    RunAccumulator,
-    StreamingMoments,
-    VectorNanMean,
-    accumulate,
 )
 from .validate import (
     analytic_lower_bound,
@@ -39,9 +31,6 @@ __all__ = [
     "ExperimentResult", "Series", "Table",
     "CHECKS", "ShapeCheck", "audit",
     "MeanCI", "dominates_paired", "mean_ci", "paired_delta_ci",
-    "student_t_ci",
-    "StreamingMoments", "VectorNanMean", "QuantileSketch",
-    "RunAccumulator", "accumulate",
     "analytic_lower_bound", "dominance_holds", "knee_index",
     "relative_spread", "respects_lower_bound",
 ]

@@ -17,8 +17,7 @@ import numpy as np
 from scipy import stats as sps
 
 __all__ = [
-    "MeanCI", "mean_ci", "student_t_ci", "paired_delta_ci",
-    "dominates_paired",
+    "MeanCI", "mean_ci", "paired_delta_ci", "dominates_paired",
 ]
 
 
@@ -52,42 +51,25 @@ def _clean(values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def student_t_ci(
-    mean: float, sd: float, n: int, confidence: float = 0.95
-) -> MeanCI:
-    """Student-t interval from sufficient statistics ``(mean, sd, n)``.
-
-    The single CI formula shared by the materialized path
-    (:func:`mean_ci`) and the streaming path
-    (:meth:`repro.analysis.streaming.StreamingMoments.ci`), so both
-    produce the same interval from the same moments. ``sd`` is the
-    sample standard deviation (``ddof=1``); with ``n == 1`` the interval
-    degenerates to a point (reported honestly rather than raising —
-    one-replication experiments exist).
-    """
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if n < 1:
-        raise ValueError("no finite samples")
-    if n == 1:
-        return MeanCI(mean=mean, lower=mean, upper=mean,
-                      confidence=confidence, n=1)
-    sem = float(sd) / math.sqrt(n)
-    t = float(sps.t.ppf(0.5 + confidence / 2, df=n - 1))
-    return MeanCI(
-        mean=mean, lower=mean - t * sem, upper=mean + t * sem,
-        confidence=confidence, n=int(n),
-    )
-
-
 def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:
-    """Student-t confidence interval for the mean."""
+    """Student-t confidence interval for the mean.
+
+    With a single sample the interval degenerates to a point (reported
+    honestly rather than raising — one-replication experiments exist).
+    """
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     arr = _clean(values)
     m = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return student_t_ci(m, sd, int(arr.size), confidence)
+    n = int(arr.size)
+    if n == 1:
+        return MeanCI(mean=m, lower=m, upper=m, confidence=confidence, n=1)
+    sem = float(arr.std(ddof=1)) / math.sqrt(n)
+    t = float(sps.t.ppf(0.5 + confidence / 2, df=n - 1))
+    return MeanCI(
+        mean=m, lower=m - t * sem, upper=m + t * sem,
+        confidence=confidence, n=n,
+    )
 
 
 def paired_delta_ci(

@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shard", help="split a grid file into K self-contained shard files"
     )
     shard.add_argument("file")
-    shard.add_argument("count", type=int, metavar="K")
+    shard.add_argument("count", type=_positive_int, metavar="K")
     shard.add_argument("--out-dir", default=None, metavar="DIR",
                        help="where to write the shard files (default: "
                             "next to the input)")
@@ -422,6 +422,8 @@ def _cmd_scenario_shard(args: argparse.Namespace, grid) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from .exec import MergeError, gc_store, merge_store, verify_store
 
     if args.store_command == "merge":
@@ -433,6 +435,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
             return 2
         print(f"{args.into}: {report}")
         return 0
+    if not Path(args.dir).is_dir():
+        print(f"{args.dir}: not a directory", file=sys.stderr)
+        return 2
     if args.store_command == "verify":
         report = verify_store(args.dir)
         print(f"{args.dir}: {report}")

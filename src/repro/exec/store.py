@@ -626,6 +626,10 @@ def merge_store(
       that content addressing makes impossible short of corruption or a
       non-deterministic engine, so it is surfaced, never papered over.
 
+    A source that is not an existing directory, or that is the
+    destination, is refused with a :class:`ValueError`: a mistyped shard
+    path would otherwise drop a whole shard without a word.
+
     Damaged source entries (truncated/corrupt/misplaced) are *skipped*
     and counted in :attr:`MergeReport.rejected`; run ``repro store gc``
     on the source to delete them.
@@ -635,6 +639,8 @@ def merge_store(
     if not sources:
         raise ValueError("need at least one source store to merge")
     for src in sources:
+        if not src.is_dir():
+            raise ValueError(f"source {src} is not an existing directory")
         if src.resolve() == dest_dir.resolve():
             raise ValueError(f"source {src} is the destination")
 

@@ -260,22 +260,6 @@ class GilbertElliott:
         )
 
 
-class _RepGainView:
-    """Single-replication read-only adapter over a batch's link states.
-
-    Quacks like :class:`GilbertElliott` for the one method the channel
-    resolver calls (:meth:`gain`), so the batched engine can hand a
-    contended replication to the serial ``resolve_slot`` unchanged.
-    """
-
-    def __init__(self, batch: "BatchGilbertElliott", rep: int):
-        self._batch = batch
-        self._rep = int(rep)
-
-    def gain(self, sender: int, receiver: int) -> float:
-        return self._batch.gain(self._rep, sender, receiver)
-
-
 class BatchGilbertElliott:
     """R independent Gilbert-Elliott universes with a leading R axis.
 
@@ -407,10 +391,6 @@ class BatchGilbertElliott:
             bad = self._bad[vk, idx[valid]]
             out[valid] = np.where(bad, self._params.bad_factor, 1.0)
         return out
-
-    def view(self, rep: int) -> _RepGainView:
-        """A serial-shaped gain adapter for one replication."""
-        return _RepGainView(self, rep)
 
     def rep_state(self, rep: int) -> np.ndarray:
         """Copy of one replication's BAD flags (tests/diagnostics)."""

@@ -82,16 +82,6 @@ LINK_MODELS = ("static", "gilbert_elliott")
 _LINK_KWARGS = ("p_good_to_bad", "p_bad_to_good", "bad_factor",
                 "start_stationary")
 
-#: MAC-layer link models a scenario can name (see :mod:`repro.net.mac`).
-MAC_KINDS = ("ideal", "csma_802154")
-
-#: Per-kind allowed ``mac_kwargs`` keys.
-_MAC_KWARGS: Dict[str, Tuple[str, ...]] = {
-    "ideal": (),
-    "csma_802154": ("mac_min_be", "mac_max_be", "max_csma_backoffs",
-                    "max_frame_retries", "ack_wait_rounds"),
-}
-
 
 class ScenarioError(ValueError):
     """A scenario (or scenario file) failed validation."""
@@ -418,6 +408,7 @@ class Scenario:
 
     def __post_init__(self):
         from .net.dynamics import GeParams
+        from .net.mac import MAC_PARAMS
         from .protocols import available_protocols, make_protocol
 
         if not self.protocol or not isinstance(self.protocol, str):
@@ -469,9 +460,12 @@ class Scenario:
                 _check_number(f"link-model parameter {key!r}", value,
                               numbers.Real)
                 rates[key] = value
-        if self.mac not in MAC_KINDS:
-            _reject_unknown((self.mac,), MAC_KINDS, "mac kind")
-        _reject_unknown(self.mac_kwargs, _MAC_KWARGS[self.mac],
+        # A tuple, not the dict: an unhashable mac must still get a
+        # ScenarioError rather than a TypeError from the lookup.
+        mac_kinds = tuple(MAC_PARAMS)
+        if self.mac not in mac_kinds:
+            _reject_unknown((self.mac,), mac_kinds, "mac kind")
+        _reject_unknown(self.mac_kwargs, MAC_PARAMS[self.mac],
                         f"{self.mac!r} mac parameter")
         for key, value in self.mac_kwargs.items():
             _check_number(f"{self.mac!r} mac parameter {key!r}", value,
@@ -780,7 +774,9 @@ class ScenarioGrid:
                             sharding=(index, count))
 
     def shards(self, count: int) -> List["ScenarioGrid"]:
-        """All ``count`` shards, in index order."""
+        """All ``count`` shards, in index order (``count`` >= 1)."""
+        if count < 1:
+            raise ScenarioError(f"shard count must be >= 1, got {count}")
         return [self.shard(i, count) for i in range(count)]
 
     # -- serialization ------------------------------------------------

@@ -428,6 +428,29 @@ def run_experiments(
     return summaries  # type: ignore[return-value]
 
 
+def _group_by_topology(
+    scenarios: Sequence[Scenario], topo: Optional[Topology]
+) -> List[Tuple[Topology, List[int]]]:
+    """Resolve each scenario's topology and group indices by substrate.
+
+    A scenario's own ``topology`` spec wins; ``topo`` stands in for
+    scenarios that name none. Groups are keyed by topology fingerprint
+    and come back in first-seen order.
+    """
+    groups: Dict[str, Tuple[Topology, List[int]]] = {}
+    for i, scenario in enumerate(scenarios):
+        if scenario.topology is not None:
+            t = build_topology(scenario.topology)
+        elif topo is not None:
+            t = topo
+        else:
+            raise ValueError(
+                f"scenario #{i} names no topology and no default was given"
+            )
+        groups.setdefault(t.fingerprint(), (t, []))[1].append(i)
+    return list(groups.values())
+
+
 def run_scenarios(
     scenarios: Sequence,
     executor=None,
@@ -446,20 +469,8 @@ def run_scenarios(
     come back in input order.
     """
     scenarios = _require_scenarios(scenarios)
-    groups: Dict[str, Tuple[Topology, List[int]]] = {}
-    for i, scenario in enumerate(scenarios):
-        if scenario.topology is not None:
-            t = build_topology(scenario.topology)
-        elif topo is not None:
-            t = topo
-        else:
-            raise ValueError(
-                f"scenario #{i} names no topology and no default was given"
-            )
-        groups.setdefault(t.fingerprint(), (t, []))[1].append(i)
-
     summaries: List[Optional[RunSummary]] = [None] * len(scenarios)
-    for t, indices in groups.values():
+    for t, indices in _group_by_topology(scenarios, topo):
         batch = run_experiments(
             t, [scenarios[i] for i in indices], executor=executor,
             store=store, reps_per_task=reps_per_task,
@@ -508,20 +519,8 @@ def load_scenario_summaries(
     the unsharded run's (the entries *are* the shard runs' pickles).
     """
     scenarios = _require_scenarios(scenarios)
-    groups: Dict[str, Tuple[Topology, List[int]]] = {}
-    for i, scenario in enumerate(scenarios):
-        if scenario.topology is not None:
-            t = build_topology(scenario.topology)
-        elif topo is not None:
-            t = topo
-        else:
-            raise ValueError(
-                f"scenario #{i} names no topology and no default was given"
-            )
-        groups.setdefault(t.fingerprint(), (t, []))[1].append(i)
-
     summaries: List[Optional[RunSummary]] = [None] * len(scenarios)
-    for t, indices in groups.values():
+    for t, indices in _group_by_topology(scenarios, topo):
         keys = [store.key_for(t, scenarios[i]) for i in indices]
         cached = store.get_many(keys)
         for i, key in zip(indices, keys):

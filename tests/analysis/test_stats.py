@@ -34,9 +34,13 @@ class TestMeanCI:
         assert large.halfwidth < small.halfwidth
 
     def test_nan_samples_dropped(self):
-        ci = mean_ci([1.0, np.nan, 3.0])
-        assert ci.n == 2
-        assert ci.mean == pytest.approx(2.0)
+        for values, n in (
+            ([1.0, np.nan, 3.0], 2),
+            ([1.0, np.nan, 2.0, np.inf, 3.0, -np.inf], 3),
+        ):
+            ci = mean_ci(values)
+            assert ci.n == n
+            assert ci.mean == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -280,6 +280,15 @@ class TestMerge:
         with pytest.raises(ValueError, match="destination"):
             merge_store(tmp_path / "a", [tmp_path / "a"])
 
+    def test_missing_source_refused_before_copying(self, tmp_path, topo):
+        fill(tmp_path / "a", topo, seeds=(1,))
+        (tmp_path / "file").write_text("not a store")
+        for bad in ("typo", "file"):
+            with pytest.raises(ValueError,
+                               match=f"{bad} is not an existing directory"):
+                merge_store(tmp_path / "m", [tmp_path / "a", tmp_path / bad])
+        assert not (tmp_path / "m").exists()
+
     def test_no_sources_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):
             merge_store(tmp_path / "m", [])

@@ -183,12 +183,3 @@ class TestGains:
         expect = [batch.gain(int(k), int(s), int(r))
                   for k, s, r in zip(kk, ss, rr)]
         np.testing.assert_array_equal(out, np.asarray(expect))
-
-    def test_view_is_serial_shaped(self, small_rgg):
-        batch, serial = _twin_sets(small_rgg, 2)
-        batch.step_reps(np.arange(2))
-        for inst in serial:
-            inst.step()
-        view = batch.view(1)
-        for s, r in zip(*np.nonzero(small_rgg.adjacency)):
-            assert view.gain(int(s), int(r)) == serial[1].gain(int(s), int(r))

@@ -76,6 +76,9 @@ class TestValidation:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ScenarioError, match="count"):
             grid().shard(0, 0)
+        for k in (0, -2):
+            with pytest.raises(ScenarioError, match="count must be >= 1"):
+                grid().shards(k)
 
     def test_refuses_resharding_a_shard(self):
         s = grid().shard(0, 2)

@@ -56,6 +56,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "argument --reps: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_shard_count_below_one_exit_2(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "shard", "examples/scenario_smoke.json", value,
+                  "--out-dir", str(tmp_path / "parts")])
+        assert exc.value.code == 2
+        assert "argument K: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "parts").exists()
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -101,6 +110,20 @@ class TestCommands:
         blocker.write_text("not a directory")
         assert main(["run", "fig10", "--scale", "smoke",
                      "--cache-dir", str(blocker)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+
+    def test_store_merge_refuses_missing_source(self, tmp_path, capsys):
+        (tmp_path / "shard0").mkdir()
+        assert main(["store", "merge", "--into", str(tmp_path / "merged"),
+                     str(tmp_path / "shard0"), str(tmp_path / "typo")]) == 2
+        assert "typo is not an existing directory" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "merged").exists()
+
+    @pytest.mark.parametrize("verb", ["verify", "gc"])
+    def test_store_verb_refuses_missing_directory(self, verb, tmp_path,
+                                                  capsys):
+        assert main(["store", verb, str(tmp_path / "typo")]) == 2
         assert "not a directory" in capsys.readouterr().err
 
     def test_audit_accepts_exec_flags(self, tmp_path, capsys):
