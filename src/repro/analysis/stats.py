@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 __all__ = [
     "MeanCI", "mean_ci", "paired_delta_ci", "dominates_paired",
@@ -65,7 +65,8 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:
     if n == 1:
         return MeanCI(mean=m, lower=m, upper=m, confidence=confidence, n=1)
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
-    t = float(sps.t.ppf(0.5 + confidence / 2, df=n - 1))
+    # Student-t quantile: stdtrit is what scipy.stats.t.ppf evaluates.
+    t = float(stdtrit(n - 1, 0.5 + confidence / 2))
     return MeanCI(
         mean=m, lower=m - t * sem, upper=m + t * sem,
         confidence=confidence, n=n,

@@ -29,7 +29,8 @@ Commands
     Render a grid purely from stored results — no simulation, no
     executor. The reporting half of a sharded run: after merging shard
     caches, ``report`` produces the digest the unsharded run would
-    have. Exits 2 naming the missing cells if any shard hasn't run.
+    have. Exits 2 naming the missing cells if any shard hasn't run,
+    and naming the path if ``--cache-dir`` is not a directory.
 ``store merge --into DEST SRC [SRC ...]`` / ``store verify DIR`` / ``store gc DIR``
     Maintain result-store directories: ``merge`` unions shard caches
     (re-verifying digests; refusing engine-version or grid-fingerprint
@@ -348,12 +349,25 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_dir(path: str) -> bool:
+    """Whether ``path`` is a directory; names it on stderr when not."""
+    from pathlib import Path
+
+    if Path(path).is_dir():
+        return True
+    print(f"{path}: not a directory", file=sys.stderr)
+    return False
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import grid_digest
     from .exec import ResultStore
     from .scenario import ScenarioError, load_scenario_file
     from .sim.runner import MissingResults, load_scenario_summaries
 
+    # A mistyped store path would otherwise read as "every shard missing".
+    if not _existing_dir(args.cache_dir):
+        return 2
     try:
         grid = load_scenario_file(args.file)
     except (OSError, ScenarioError) as exc:
@@ -362,7 +376,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         store = ResultStore(args.cache_dir)
         summaries = load_scenario_summaries(grid.scenarios(), store)
-    except (NotADirectoryError, ValueError, MissingResults) as exc:
+    except (ValueError, MissingResults) as exc:
         print(exc, file=sys.stderr)
         return 2
     digest = grid_digest(grid, summaries)
@@ -401,12 +415,12 @@ def _cmd_scenario_shard(args: argparse.Namespace, grid) -> int:
 
     src = Path(args.file)
     out_dir = Path(args.out_dir) if args.out_dir else src.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         shards = grid.shards(args.count)
     except (ValueError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = src.name[:-len(".json")] if src.name.endswith(".json") \
         else src.name
     for shard in shards:
@@ -422,8 +436,6 @@ def _cmd_scenario_shard(args: argparse.Namespace, grid) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .exec import MergeError, gc_store, merge_store, verify_store
 
     if args.store_command == "merge":
@@ -435,8 +447,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             return 2
         print(f"{args.into}: {report}")
         return 0
-    if not Path(args.dir).is_dir():
-        print(f"{args.dir}: not a directory", file=sys.stderr)
+    if not _existing_dir(args.dir):
         return 2
     if args.store_command == "verify":
         report = verify_store(args.dir)

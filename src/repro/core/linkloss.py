@@ -28,7 +28,6 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "growth_rate",
@@ -64,6 +63,10 @@ def growth_rate(k: float, period: int) -> float:
     >>> round(growth_rate(1.0, 1), 6)
     1.618034
     """
+    # Imported here: only the theory figures solve Eq. (8), and
+    # scipy.optimize would otherwise load with every simulation.
+    from scipy.optimize import brentq
+
     lag = _characteristic_delay(k, period)
 
     def poly(lam: float) -> float:

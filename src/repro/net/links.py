@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 __all__ = [
     "LinkQuality",
@@ -142,9 +143,7 @@ def snr_to_prr(
     and PRR ~ 1 above roughly 6 dB.
     """
     snr_lin = np.power(10.0, np.asarray(snr_db, dtype=float) / 10.0)
-    # Q(x) = 0.5 * erfc(x / sqrt(2)); vectorized via math.erfc through numpy.
-    from scipy.special import erfc  # local import keeps scipy optional at import time
-
+    # Q(x) = 0.5 * erfc(x / sqrt(2)).
     ber = 0.5 * erfc(np.sqrt(np.maximum(snr_lin, 0.0)))
     prr = np.power(1.0 - np.minimum(ber, 1.0), 8 * frame_bytes)
     return np.clip(prr, 0.0, 1.0)

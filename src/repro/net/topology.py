@@ -18,14 +18,12 @@ sparse storage.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-try:  # networkx is a hard dependency but keep the import failure readable
+if TYPE_CHECKING:  # networkx loads only inside the graph-view methods
     import networkx as nx
-except ImportError as exc:  # pragma: no cover
-    raise ImportError("repro.net.topology requires networkx") from exc
 
 __all__ = ["Topology", "SOURCE", "homogenized", "ge_mean_matched"]
 
@@ -299,6 +297,8 @@ class Topology:
         ``weight`` selects which attribute to duplicate into the standard
         ``"weight"`` key (handy for shortest-path calls).
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(self.n_nodes))
         rows, cols = np.nonzero(self.adjacency)
@@ -310,6 +310,8 @@ class Topology:
 
     def undirected_view(self) -> "nx.Graph":
         """Undirected view where an edge exists if either direction does."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_nodes))
         rows, cols = np.nonzero(self.adjacency | self.adjacency.T)
@@ -321,9 +323,7 @@ class Topology:
 
     def is_connected_from_source(self) -> bool:
         """Whether every sensor is reachable from the source over out-links."""
-        g = self.to_networkx()
-        reach = nx.descendants(g, SOURCE)
-        return len(reach) == self.n_nodes - 1
+        return bool(self.reachable_from_source().all())
 
     def reachable_from_source(self) -> np.ndarray:
         """Boolean mask of nodes reachable from the source (source included).
@@ -334,20 +334,24 @@ class Topology:
         """
         cached = getattr(self, "_reachable_cache", None)
         if cached is None:
-            g = self.to_networkx()
-            cached = np.zeros(self.n_nodes, dtype=bool)
-            cached[SOURCE] = True
-            for v in nx.descendants(g, SOURCE):
-                cached[v] = True
+            cached = self.hop_distances_from_source() >= 0
             self._reachable_cache = cached
         return cached.copy()
 
     def hop_distances_from_source(self) -> np.ndarray:
-        """Unweighted hop count from the source; ``-1`` for unreachable nodes."""
-        g = self.to_networkx()
+        """Unweighted hop count from the source; ``-1`` for unreachable nodes.
+
+        Level-synchronous BFS over out-links: each level is the set of
+        not-yet-reached out-neighbors of the previous one.
+        """
         dist = np.full(self.n_nodes, -1, dtype=np.int64)
-        for v, d in nx.single_source_shortest_path_length(g, SOURCE).items():
-            dist[v] = d
+        dist[SOURCE] = 0
+        frontier = dist == 0
+        hops = 0
+        while frontier.any():
+            hops += 1
+            frontier = self.adjacency[frontier].any(axis=0) & (dist < 0)
+            dist[frontier] = hops
         return dist
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

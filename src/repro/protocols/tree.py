@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ..net.topology import SOURCE, Topology
 
@@ -121,7 +121,7 @@ class EtxTree:
             raise ValueError(f"quantile must be in (0, 1), got {q}")
         if not self.reachable(node):
             return math.inf
-        z = float(norm.ppf(q))
+        z = float(ndtri(q))  # standard-normal quantile, as norm.ppf
         return float(self.delay_mean[node] + z * math.sqrt(self.delay_var[node]))
 
 

@@ -42,6 +42,19 @@ class TestMeanCI:
             assert ci.n == n
             assert ci.mean == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_bounds_equal_t_ppf_formula_bitwise(self, confidence):
+        from scipy.stats import t as student_t
+
+        rng = np.random.default_rng(int(confidence * 100))
+        for n in range(2, 65):
+            sample = rng.normal(50.0, 12.0, size=n)
+            ci = mean_ci(sample, confidence)
+            m = float(sample.mean())
+            sem = float(sample.std(ddof=1)) / np.sqrt(n)
+            t = float(student_t.ppf(0.5 + confidence / 2, df=n - 1))
+            assert (ci.lower, ci.upper) == (m - t * sem, m + t * sem), n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mean_ci([])

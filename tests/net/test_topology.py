@@ -1,5 +1,7 @@
 """Tests for the Topology substrate."""
 
+import functools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -130,3 +132,64 @@ class TestGraphViews:
         mat = make_prr(3, [(0, 1, 1.0), (1, 0, 1.0)])
         topo = Topology(mat)
         assert topo.hop_distances_from_source()[2] == -1
+
+
+def _random_directed(seed):
+    """Directed PRR matrix: asymmetric links, some below the threshold,
+    and a few isolated sensors (no links in or out)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    density = rng.uniform(0.02, 0.6)
+    mat = np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0)
+    np.fill_diagonal(mat, 0.0)
+    isolated = rng.choice(np.arange(1, n), replace=False,
+                          size=int(rng.integers(0, 3)) if n > 3 else 0)
+    mat[isolated, :] = 0.0
+    mat[:, isolated] = 0.0
+    return Topology(mat, neighbor_threshold=float(rng.uniform(0.05, 0.5)))
+
+
+def _chain():
+    # Chain with a sub-threshold forward link and a one-way back link.
+    return Topology(make_prr(6, [(0, 1, 0.9), (1, 2, 0.4), (2, 3, 0.05),
+                                 (3, 4, 1.0), (4, 5, 0.3), (5, 4, 0.3),
+                                 (2, 1, 0.2)]))
+
+
+def _greenorbs():
+    from repro.net.trace import synthesize_greenorbs
+
+    return synthesize_greenorbs(seed=2011)
+
+
+_CASES = {f"random{s}": functools.partial(_random_directed, s)
+          for s in range(40)}
+_CASES.update(chain=_chain, greenorbs=_greenorbs)
+
+
+class TestGraphQueriesMatchNetworkx:
+    """The BFS queries equal networkx's answers on the same digraph."""
+
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_bfs_trio(self, case):
+        topo = _CASES[case]()
+        g = topo.to_networkx()
+        reach = nx.descendants(g, SOURCE) | {SOURCE}
+        expected_reach = np.isin(np.arange(topo.n_nodes), sorted(reach))
+        expected_hops = np.full(topo.n_nodes, -1, dtype=np.int64)
+        for v, d in nx.single_source_shortest_path_length(g, SOURCE).items():
+            expected_hops[v] = d
+
+        hops = topo.hop_distances_from_source()
+        assert hops.dtype == np.int64
+        assert hops.tolist() == expected_hops.tolist()
+        assert topo.reachable_from_source().tolist() == expected_reach.tolist()
+        assert topo.is_connected_from_source() == (len(reach) == topo.n_nodes)
+
+    def test_cases_include_unreachable_nodes(self):
+        assert _chain().hop_distances_from_source().tolist() == \
+            [0, 1, 2, -1, -1, -1]
+        assert not _greenorbs().is_connected_from_source()
+        partial = [s for s in range(40)
+                   if not _random_directed(s).is_connected_from_source()]
+        assert 0 < len(partial) < 40

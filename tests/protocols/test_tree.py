@@ -84,6 +84,24 @@ class TestDelayQuantile:
         tree = build_etx_tree(lossy_line5, period=10)
         assert tree.delay_quantile(3, 0.9) > tree.delay_quantile(3, 0.5)
 
+    @pytest.mark.parametrize("q", [0.8, 0.9, 0.95, 0.99])
+    def test_equals_norm_ppf_formula_bitwise(self, q):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(int(q * 100))
+        z = float(norm.ppf(q))
+        for n in range(2, 65):
+            # A chain with per-link PRRs, so every node's variance differs.
+            mat = np.zeros((n + 1, n + 1))
+            for i, prr in enumerate(rng.uniform(0.2, 1.0, size=n)):
+                mat[i, i + 1] = mat[i + 1, i] = prr
+            period = int(rng.integers(1, 50))
+            tree = build_etx_tree(Topology(mat), period=period)
+            for v in range(n + 1):
+                expected = float(tree.delay_mean[v]
+                                 + z * math.sqrt(tree.delay_var[v]))
+                assert tree.delay_quantile(v, q) == expected, (n, v)
+
     def test_unreachable_is_inf(self):
         mat = np.zeros((3, 3))
         mat[0, 1] = mat[1, 0] = 1.0

@@ -126,6 +126,29 @@ class TestCommands:
         assert main(["store", verb, str(tmp_path / "typo")]) == 2
         assert "not a directory" in capsys.readouterr().err
 
+    def test_report_refuses_missing_cache_dir(self, tmp_path, capsys):
+        # A mistyped store path is named as such, not blamed on shards.
+        typo = tmp_path / "typo-dir"
+        assert main(["report", "examples/scenario_smoke.json",
+                     "--cache-dir", str(typo)]) == 2
+        err = capsys.readouterr().err
+        assert f"{typo}: not a directory" in err
+        assert "no stored result" not in err
+        assert not typo.exists()
+
+    def test_scenario_shard_refusal_leaves_no_out_dir(self, tmp_path,
+                                                      capsys):
+        parts = tmp_path / "parts"
+        assert main(["scenario", "shard", "examples/scenario_smoke.json",
+                     "2", "--out-dir", str(parts)]) == 0
+        capsys.readouterr()
+        newdir = tmp_path / "newdir"
+        assert main(["scenario", "shard",
+                     str(parts / "scenario_smoke.shard0of2.json"), "2",
+                     "--out-dir", str(newdir)]) == 2
+        assert "already shard 0/2" in capsys.readouterr().err
+        assert not newdir.exists()
+
     def test_audit_accepts_exec_flags(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert main(["audit", "--scale", "smoke", "--jobs", "1",
