@@ -45,7 +45,9 @@ Commands
 ``profile FILE.json [--json PATH] [--no-allocs] [--reps R]``
     Per-phase wall-time and allocation profile of a scenario file's
     engine runs: runs every cell through
-    :class:`repro.sim.observers.PhaseProfiler`, prints the phase table
+    :class:`repro.sim.observers.PhaseProfiler`, prints the executed
+    replication-slots (and how many proposed nothing, which a loose
+    fast-forward frontier inflates), the phase table
     (inject/propose/validate/resolve/apply/observe/fastforward, the
     nested ``mac`` sub-phase, and ``probe`` for Fig. 9 probe floods)
     and the per-slot net allocation-block and traced-peak-byte rates,
@@ -511,7 +513,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "peak_alloc_bytes_per_slot", 0.0)
 
     print(f"{len(cells)} cell(s), {report['loop_slots']} loop slots, "
-          f"{report['slots']} replication-slots")
+          f"{report['slots']} replication-slots "
+          f"({report['idle_slots']} idle)")
     print(f"{'phase':<12} {'seconds':>9} {'share':>7} {'calls':>8}")
     for name, row in report["phases"].items():
         print(f"{name:<12} {row['seconds']:>9.4f} "

@@ -13,8 +13,9 @@ already has, but never wrongly skips a needed packet. The DBAO and OF
 implementations both rely on this one-sided-error property for their
 coverage guarantees; a property test enforces it.
 
-:class:`BeliefFlooding` is the protocol half: the observe rule and the
-quiescence frontier every belief-driven protocol shares.
+:class:`BeliefFlooding` is the protocol half: the valid-row/FCFS-head
+step, the observe rule and the quiescence frontier every belief-driven
+protocol shares.
 """
 
 from __future__ import annotations
@@ -79,10 +80,13 @@ class RepNeighborBelief:
             return self._packed.shape[0]
         return self._belief4.shape[0]
 
-    def needs_pairs(
-        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray
-    ) -> np.ndarray:
-        """(P, M) believed needs for flat (replication, observer, receiver)."""
+    @property
+    def packed(self) -> bool:
+        """Whether beliefs live in uint64 words (M <= 64)."""
+        return self._packed is not None
+
+    def _cols(self, observers: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+        """Belief columns of flat (observer, receiver) neighbor pairs."""
         cols = self._pair_col[observers, receivers]
         if np.any(cols < 0):
             bad = int(np.flatnonzero(cols < 0)[0])
@@ -90,10 +94,49 @@ class RepNeighborBelief:
                 f"node {int(receivers[bad])} is not an out-neighbor of "
                 f"{int(observers[bad])}"
             )
+        return cols
+
+    def needs_pairs(
+        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray
+    ) -> np.ndarray:
+        """(P, M) believed needs for flat (replication, observer, receiver)."""
+        cols = self._cols(observers, receivers)
         if self._packed is not None:
             words = self._packed[kk, observers, cols]
             return (words[:, None] & self._pow2[None, :]) == 0
         return ~self._belief4[kk, observers, :, cols]
+
+    def offer_words(
+        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray,
+        has_packed: np.ndarray,
+    ) -> np.ndarray:
+        """(P,) packed offers for flat (replication, observer, receiver).
+
+        Bit ``m`` of row ``i`` is set when ``observers[i]`` holds packet
+        ``m`` (read off the engine's ``(R, n)`` possession bitmask) and
+        believes ``receivers[i]`` lacks it — the row's FCFS candidates.
+        Both gathers run on fused flat indices. Packed beliefs only.
+        """
+        cols = self._cols(observers, receivers)
+        node = kk * self._packed.shape[1] + observers
+        believed = self._packed.take(node * self._packed.shape[2] + cols)
+        return has_packed.take(node) & ~believed
+
+    def offers_flat(
+        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray,
+        has_stack: np.ndarray, has_packed: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """(P,) offer mask for flat (replication, observer, receiver)
+        tuples: :meth:`offer_pairs_reps`'s condition, one replication per
+        tuple."""
+        if self._packed is not None and has_packed is not None:
+            return self.offer_words(kk, observers, receivers, has_packed) != 0
+        return (has_stack[kk, :, observers]
+                & self.needs_pairs(kk, observers, receivers)).any(axis=1)
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """(P, M) boolean packet masks of (P,) packed words."""
+        return (words[:, None] & self._pow2[None, :]) != 0
 
     def sync(
         self,
@@ -239,11 +282,13 @@ class RepNeighborBelief:
 class BeliefFlooding(FloodingProtocol):
     """Base of the protocols whose senders act on neighbor beliefs.
 
-    Subclasses call :meth:`_prepare_belief` from ``prepare_reps`` and
-    read their per-slot candidate rows through :meth:`_slot_rows`, which
-    memoises the subclass's ``_phase_rows(t)`` per wake phase. They
-    inherit the shared observe rule and — given each receiver's
-    candidate senders — the shared quiescence frontier.
+    Subclasses call :meth:`_prepare_belief` from ``prepare_reps``, read
+    their per-slot candidate rows through :meth:`_slot_rows`, which
+    memoises the subclass's ``_phase_rows(t)`` per wake phase, and
+    narrow them to valid rows with FCFS heads through
+    :meth:`_valid_heads`. They inherit the shared observe rule and —
+    given each receiver's candidate senders — the shared quiescence
+    frontier.
     """
 
     def _prepare_belief(self, topo, schedules_list, workload,
@@ -267,6 +312,41 @@ class BeliefFlooding(FloodingProtocol):
         narrowed to the replications executing slot ``t``."""
         return executing_rows(rep_ids, len(self._rep_schedules),
                               *self._phases.at(t, self._phase_rows))
+
+    def _valid_heads(self, kk, ss, rr, view, keep=None):
+        """The valid candidate rows and their FCFS heads.
+
+        A ``(replication, sender, receiver)`` row is valid when its
+        sender holds a packet it believes the receiver lacks; its head
+        is the earliest-arrived such packet
+        (:meth:`~repro.protocols.base.RepSimView.fcfs_head`). ``keep``
+        optionally masks rows out first — per-row gates that need no
+        head, such as listen rules or OF's lateness bound — so no head
+        is computed for a row they drop. Returns ``(rows, heads)``: the
+        ascending indices of the kept valid rows and their heads.
+
+        With packed beliefs (M <= 64) validity is one word test per row
+        and the head argmin runs on valid rows only; wider workloads
+        take the boolean needs/heads path.
+        """
+        idx = None
+        if keep is not None:
+            idx = np.flatnonzero(keep)
+            kk, ss, rr = kk[idx], ss[idx], rr[idx]
+        belief = self._rep_belief
+        if belief.packed and view.has_packed is not None:
+            words = belief.offer_words(kk, ss, rr, view.has_packed)
+            rows = np.flatnonzero(words)
+            heads = view.fcfs_heads_masked(
+                kk[rows], ss[rows], belief.unpack(words[rows]))
+        else:
+            heads, valid = view.fcfs_heads_pairs(
+                kk, ss, belief.needs_pairs(kk, ss, rr))
+            rows = np.flatnonzero(valid)
+            heads = heads[rows]
+        if idx is not None:
+            rows = idx[rows]
+        return rows, heads
 
     def observe_reps(self, t, outcome, view) -> None:
         """Absorb each non-overheard reception's ACK possession summary.

@@ -126,6 +126,11 @@ class RepSimView:
         #: (R, n) buffer sizes, kept in sync by the engine as possession
         #: changes so pair queries skip the (P, M) gather-and-sum.
         self.held_counts = has_stack.sum(axis=1, dtype=np.int64)
+        #: (R, n) slot of each node's latest packet arrival (-1 while it
+        #: holds none), kept in sync by the engine alongside
+        #: ``held_counts``: an upper bound on the arrival of every packet
+        #: the node holds, read without the (P, M) head gather.
+        self.latest_arrival = arrival_stack.max(axis=1)
         #: (R, n) possession bitmask (packet m -> bit m), kept in sync by
         #: the engine alongside ``held_counts``; lets frontier queries
         #: compare whole buffers with one uint64 op instead of an (M,)
@@ -230,10 +235,23 @@ class RepSimView:
         """
         if frontier.size == 0:
             return np.full(len(rep_ids), NEVER, dtype=np.int64)
-        if off_frontier is None:
-            off = self.offsets_stack[rep_ids[:, None], frontier[None, :]]
+        wakes = self.next_wakes(t, rep_ids, frontier, off_frontier)
+        return np.where(offers[:, :, None], wakes, NEVER).min(axis=(1, 2))
+
+    def next_wakes(
+        self, t: int, rep_ids: np.ndarray, nodes: np.ndarray,
+        off_nodes: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """``(len(rep_ids), len(nodes), A)`` first slot after ``t`` of
+        each of the nodes' believed active slots, per replication.
+
+        ``off_nodes`` is the optional precomputed ``(R, len(nodes), A)``
+        offset gather (see :meth:`earliest_wakes`).
+        """
+        if off_nodes is None:
+            off = self.offsets_stack[rep_ids[:, None], nodes[None, :]]
         else:
-            off = off_frontier[rep_ids]
+            off = off_nodes[rep_ids]
         nxt = t + 1
         if self.uniform_period:
             # Offsets live in [0, period), so the modular next-wake
@@ -242,13 +260,11 @@ class RepSimView:
             wake_map = nxt + (
                 (np.arange(self.period, dtype=np.int64) - nxt) % self.period
             )
-            wakes = wake_map[off]
-        else:
-            # Heterogeneous-period stack: apply the formula directly with
-            # each replication's own period.
-            per = self.periods[rep_ids][:, None, None]
-            wakes = nxt + ((off - nxt) % per)
-        return np.where(offers[:, :, None], wakes, NEVER).min(axis=(1, 2))
+            return wake_map[off]
+        # Heterogeneous-period stack: apply the formula directly with
+        # each replication's own period.
+        per = self.periods[rep_ids][:, None, None]
+        return nxt + ((off - nxt) % per)
 
 
 class FloodingProtocol(ABC):

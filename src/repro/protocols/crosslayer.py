@@ -112,23 +112,19 @@ class CrossLayerFlooding(BeliefFlooding):
         kk, ss, rr, sender_awake, prr = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        needs = self._rep_belief.needs_pairs(kk, ss, rr)
-        heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         # RX-mode rule: see FlashFlooding.propose_reps.
         listen = sender_awake & (ss != SOURCE) & (
             view.held_counts[kk, ss] < view.n_packets
         )
-        ok = valid & ~listen
-        if not ok.any():
+        seq, h_o = self._valid_heads(kk, ss, rr, view, keep=~listen)
+        if seq.size == 0:
             return empty, empty, empty, empty
-        k_o, s_o, r_o = kk[ok], ss[ok], rr[ok]
-        h_o, prr_o = heads[ok], prr[ok]
+        k_o, s_o, r_o, prr_o = kk[seq], ss[seq], rr[seq], prr[seq]
 
         # Best-link receiver per (replication, sender); a later row
         # replaces the pick only on a strictly greater PRR, so ties keep
         # the earliest traversal row (seq as the final sort key).
         n = self._topo.n_nodes
-        seq = np.flatnonzero(ok)
         pair = k_o * n + s_o
         order = np.lexsort((seq, -prr_o, pair))
         pair_srt = pair[order]

@@ -129,18 +129,16 @@ class DutyCycleAwareFlooding(BeliefFlooding):
         kk, ss, rr, sender_awake = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        needs = self._rep_belief.needs_pairs(kk, ss, rr)
-        heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         # RX-mode rule (see FlashFlooding.propose_reps): a waking
         # non-source parent with an incomplete buffer listens instead of
         # forwarding.
         listen = sender_awake & (ss != SOURCE) & (
             view.held_counts[kk, ss] < view.n_packets
         )
-        ok = valid & ~listen
-        if not ok.any():
+        rows, h_o = self._valid_heads(kk, ss, rr, view, keep=~listen)
+        if rows.size == 0:
             return empty, empty, empty, empty
-        k_o, s_o, r_o, h_o = kk[ok], ss[ok], rr[ok], heads[ok]
+        k_o, s_o, r_o = kk[rows], ss[rows], rr[rows]
 
         # One TX per parent per slot: a parent serves its first waking
         # child (ascending id) with a valid head — the first flat

@@ -83,8 +83,6 @@ class FlashFlooding(BeliefFlooding):
         kk, ss, rr, sender_awake = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        needs = self._rep_belief.needs_pairs(kk, ss, rr)
-        heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
         # A node whose own active slot is now and whose buffer is still
         # incomplete keeps its radio in RX mode: its active slot exists
         # to receive, and transmitting through it would deterministically
@@ -93,8 +91,8 @@ class FlashFlooding(BeliefFlooding):
         listen = sender_awake & (ss != SOURCE) & (
             view.held_counts[kk, ss] < view.n_packets
         )
-        ok = valid & ~listen
-        if not ok.any():
+        el, heads = self._valid_heads(kk, ss, rr, view, keep=~listen)
+        if el.size == 0:
             return empty, empty, empty, empty
 
         # Greedy walk over the surviving rows in traversal order: one TX
@@ -102,7 +100,6 @@ class FlashFlooding(BeliefFlooding):
         # rows per receiver — overlaps beyond the cap only add
         # interference that capture cannot recover. A cap-skipped sender
         # stays available at a later receiver.
-        el = np.flatnonzero(ok)
         k_l = kk[el].tolist()
         s_l = ss[el].tolist()
         r_l = rr[el].tolist()
@@ -120,6 +117,7 @@ class FlashFlooding(BeliefFlooding):
                 continue
             assigned.add((k, s))
             sent[rkey] = c + 1
-            sel.append(int(el[j]))
-        rows = np.asarray(sel, dtype=np.int64)
-        return kk[rows], ss[rows], rr[rows], heads[rows]
+            sel.append(j)
+        sel = np.asarray(sel, dtype=np.int64)
+        rows = el[sel]
+        return kk[rows], ss[rows], rr[rows], heads[sel]

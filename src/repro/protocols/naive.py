@@ -68,11 +68,10 @@ class NaiveFlooding(BeliefFlooding):
         kk, ss, rr = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        needs = self._rep_belief.needs_pairs(kk, ss, rr)
-        heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
-        if not valid.any():
+        rows, h_o = self._valid_heads(kk, ss, rr, view)
+        if rows.size == 0:
             return empty, empty, empty, empty
-        k_o, s_o, r_o, h_o = kk[valid], ss[valid], rr[valid], heads[valid]
+        k_o, s_o, r_o = kk[rows], ss[rows], rr[rows]
 
         # Each sender independently picks one waking neighbor it
         # believes needs something — uniformly at random among its

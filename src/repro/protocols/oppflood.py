@@ -27,10 +27,25 @@ import numpy as np
 from ..net.radio import csma_select_reps
 from ._belief import BeliefFlooding
 from ._repbatch import candidate_rows, flatten_sender_lists
-from .base import RepSimView, register_protocol
+from .base import NEVER, RepSimView, register_protocol
 from .tree import build_etx_tree
 
 __all__ = ["OpportunisticFlooding"]
+
+
+def _early(lag, own, hop, quant):
+    """OF's lateness test ``((lag + own) + hop) <= quant``, in exactly
+    that operation order.
+
+    ``lag`` is an int64 slot difference, the rest float64. The test is
+    monotone in ``lag``: a lag is finite, so whether a sum is NaN or
+    infinite depends on ``own`` and ``hop`` alone; IEEE addition and
+    rounding are monotone in each operand; and NaN compares false at
+    every lag. A test that passes at some lag therefore passes at every
+    smaller one, which is what lets OF bound its gate with a node's
+    latest arrival instead of the head's.
+    """
+    return (lag + own) + hop <= quant
 
 
 @register_protocol
@@ -63,12 +78,9 @@ class OpportunisticFlooding(BeliefFlooding):
         # mixing duty cycles gates each replication by its own period.
         n = topo.n_nodes
         in_lists = [topo.in_neighbors(r) for r in range(n)]
-        # Quiescence frontier: every believed in-neighbor link with a
-        # non-source receiver. The statistical lateness gate only
-        # suppresses choices, so this ungated offer set is a
-        # conservative superset — crucially it also bounds the back-off
-        # permutation draw: choices (and the RNG consumption) are empty
-        # whenever no link offers.
+        # Quiescence frontier: every in-neighbor link with a non-source
+        # receiver, each opportunistic one gated by the lateness bound
+        # (next_action_slots).
         self._prepare_belief(topo, schedules_list, workload, in_lists)
         self._rep_rngs = list(rngs)
         self._in_rows = flatten_sender_lists(in_lists)
@@ -97,6 +109,16 @@ class OpportunisticFlooding(BeliefFlooding):
         kids = np.flatnonzero(parent >= 0)
         tree_edge[parent[kids], kids] = True
         self._tree_edge = tree_edge
+        # The frontier's static gate columns, one per (period, pair),
+        # and its receivers: wakes are computed per receiver, then
+        # expanded to the pairs.
+        fs, fr = self._frontier_s, self._frontier_r
+        self._fr_nodes, self._fr_inv = np.unique(fr, return_inverse=True)
+        self._fr_tree = tree_edge[fs, fr]
+        self._fr_own = own[:, fs]
+        self._fr_hop = hop[:, fs, fr]
+        self._fr_quant = quant[:, fr]
+        self._fr_fin = np.isfinite(self._fr_own)
 
     def _phase_rows(self, t: int):
         """Candidate rows plus OF's static gate columns."""
@@ -118,24 +140,29 @@ class OpportunisticFlooding(BeliefFlooding):
          fin) = self._slot_rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
-        needs = self._rep_belief.needs_pairs(kk, ss, rr)
-        heads, valid = view.fcfs_heads_pairs(kk, ss, needs)
-        if not valid.any():
-            return empty, empty, empty, empty
         # The statistical gate. Tree edges always forward; an
         # opportunistic link forwards only statistically-early copies.
         # The sender estimates how long the packet has been in flight
         # from the copy's arrival at itself: it arrived after roughly its
         # own tree-path delay, so age ~ (t - arrival_here) + E[tree delay
         # to here], and the extra hop must still beat the receiver's
-        # tree-delay quantile. Heads on invalid rows are argmin garbage;
-        # `valid &` masks them out.
-        arrival = view.arrival_stack[kk, heads, ss]
-        age = (t - arrival) + own_r
-        ok = valid & (tree_e | (fin & (age + hop_r <= quant_r)))
+        # tree-delay quantile. The head arrived no later than the
+        # sender's latest arrival, so a row that fails the gate at that
+        # arrival fails it at the head's too (_early): such rows are
+        # dropped before any head is computed, and the exact gate runs
+        # on the heads of the valid rest.
+        latest = view.latest_arrival.take(kk * view.n_nodes + ss)
+        rows, heads = self._valid_heads(
+            kk, ss, rr, view,
+            keep=tree_e | (fin & _early(t - latest, own_r, hop_r, quant_r)),
+        )
+        arrival = view.arrival_stack[kk[rows], heads, ss[rows]]
+        ok = tree_e[rows] | (fin[rows] & _early(
+            t - arrival, own_r[rows], hop_r[rows], quant_r[rows]))
         if not ok.any():
             return empty, empty, empty, empty
-        k_o, s_o, r_o, h_o = kk[ok], ss[ok], rr[ok], heads[ok]
+        rows = rows[ok]
+        k_o, s_o, r_o, h_o = kk[rows], ss[rows], rr[rows], heads[ok]
 
         # One TX per sender per slot: a sender serves the first waking
         # receiver (ascending id, in-neighbor order) whose row is valid
@@ -166,3 +193,39 @@ class OpportunisticFlooding(BeliefFlooding):
         if rows.size == 0:
             return empty, empty, empty, empty
         return chosen_k[rows], chosen_s[rows], chosen_r[rows], chosen_p[rows]
+
+    def next_action_slots(self, t, rep_ids, view: RepSimView):
+        """Earliest wake of a receiver some believing holder could serve
+        through the lateness gate.
+
+        A frontier pair offers as in the shared belief frontier, and an
+        opportunistic pair counts only if it passes the gate at its
+        receiver's earliest believed wake ``w``, with the sender's
+        latest arrival ``L`` standing in for its head's arrival ``a``.
+        That bound is sound: nothing changes during a quiescent span,
+        and any later wake ``w' >= w`` has ``w - L <= w' - a``, so a
+        pair that fails the bound fails the exact gate at every wake
+        until a traffic slot, which the other pairs bound. With one
+        packet ``L = a`` and the bound is exact. OF draws its back-off
+        permutation only when some row passes, so skipped slots consume
+        no randomness.
+        """
+        if self._frontier_s.size == 0:
+            return np.full(len(rep_ids), NEVER, dtype=np.int64)
+        if self._off_frontier is None:
+            self._off_frontier = view.offsets_stack[:, self._fr_nodes]
+        wakes = view.next_wakes(
+            t, rep_ids, self._fr_nodes, self._off_frontier,
+        ).min(axis=2)[:, self._fr_inv]
+        pid = self._pidx[rep_ids]
+        lag = wakes - view.latest_arrival[rep_ids[:, None], self._frontier_s]
+        ok = self._fr_tree | (self._fr_fin[pid] & _early(
+            lag, self._fr_own[pid], self._fr_hop[pid], self._fr_quant[pid]))
+        # Offers are tested on the (few) pairs the bound keeps.
+        ri, pj = np.nonzero(ok)
+        offers = self._rep_belief.offers_flat(
+            rep_ids[ri], self._frontier_s[pj], self._frontier_r[pj],
+            view.has_stack, view.has_packed,
+        )
+        ok[ri[~offers], pj[~offers]] = False
+        return np.where(ok, wakes, NEVER).min(axis=1)

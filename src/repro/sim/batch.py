@@ -531,6 +531,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                 p = int(inject_order[cur])
                 has_stack[ki, p, SOURCE] = True
                 arrival_stack[ki, p, SOURCE] = t
+                view.latest_arrival[ki, SOURCE] = t
                 view.held_counts[ki, SOURCE] += 1
                 if pack_pw is not None:
                     view.has_packed[ki, SOURCE] |= pack_pw[p]
@@ -662,6 +663,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                     npk = rpk[new]
                     has_stack[nk, npk, nr] = True
                     arrival_stack[nk, npk, nr] = t
+                    view.latest_arrival[nk, nr] = t
                     # At most one reception per (rep, receiver) per slot,
                     # so the fancy increments hit unique cells.
                     view.held_counts[nk, nr] += 1
@@ -738,7 +740,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
             _now = perf_counter()
             prof.note("fastforward", _now - _tprev)
             _tprev = _now
-            prof.note_slot(exec_reps.size)
+            prof.note_slot(exec_reps.size, idle.size)
 
     # Settle the deferred counters: one concatenate + bincount pass per
     # counter over the whole run.

@@ -165,8 +165,10 @@ class PhaseProfiler(SimObserver):
     resolver calls it makes, so ``resolve`` stays the total and ``mac``
     is the layering overhead (recorded at zero for the ideal link). The
     engine also calls :meth:`note_slot` once per executed loop slot
-    with the number of replications that executed, so ``slots`` counts
-    replication-slots while ``loop_slots`` counts loop iterations.
+    with the number of replications that executed and how many of them
+    proposed nothing, so ``slots`` counts replication-slots,
+    ``idle_slots`` the executed ones without traffic (what a loose
+    fast-forward frontier costs), and ``loop_slots`` loop iterations.
 
     Allocation metering is sampled per loop slot:
 
@@ -195,6 +197,8 @@ class PhaseProfiler(SimObserver):
         self.phase_calls: Dict[str, int] = {}
         #: Replication-slots executed (loop slots x batch width).
         self.slots = 0
+        #: Executed replication-slots whose proposal came back empty.
+        self.idle_slots = 0
         #: Loop iterations (== slots at R = 1).
         self.loop_slots = 0
         self._sample = bool(sample_allocs)
@@ -208,9 +212,11 @@ class PhaseProfiler(SimObserver):
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + dt
         self.phase_calls[phase] = self.phase_calls.get(phase, 0) + 1
 
-    def note_slot(self, width: int = 1) -> None:
-        """One engine loop slot finished; ``width`` replications ran."""
+    def note_slot(self, width: int = 1, idle: int = 0) -> None:
+        """One engine loop slot finished; ``width`` replications ran,
+        ``idle`` of them without traffic."""
         self.slots += int(width)
+        self.idle_slots += int(idle)
         self.loop_slots += 1
         if self._sample:
             blocks = sys.getallocatedblocks()
@@ -246,6 +252,7 @@ class PhaseProfiler(SimObserver):
             "total_seconds": round(total, 6),
             "loop_slots": self.loop_slots,
             "slots": self.slots,
+            "idle_slots": self.idle_slots,
         }
         if self._sample and self.loop_slots:
             out["net_alloc_blocks_per_slot"] = round(

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.generators import line_topology
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
-from repro.protocols.oppflood import OpportunisticFlooding
+from repro.protocols.oppflood import OpportunisticFlooding, _early
 from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
 from repro.sim.runner import run_experiment
@@ -68,3 +70,42 @@ class TestOfBehavior:
         result = flood(small_rgg, n_packets=3, seed=9)
         reach = small_rgg.reachable_from_source()
         assert result.has[:, reach].all()
+
+
+#: Slots far enough apart to exercise int64 -> float64 rounding, close
+#: enough that no difference overflows.
+_SLOTS = st.integers(min_value=0, max_value=2**62)
+#: Gate statistics: any finite double, both infinities and NaN.
+_STATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+
+
+class TestLatenessBound:
+    """The latest-arrival bound never drops a row the exact gate keeps."""
+
+    @staticmethod
+    def _passes(slot, arrival, own, hop, quant):
+        # The operand types the proposal and the frontier use: an int64
+        # slot difference against float64 statistics.
+        lag = np.asarray([slot], np.int64) - np.asarray([arrival], np.int64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return bool(_early(lag, np.asarray([own]), np.asarray([hop]),
+                               np.asarray([quant]))[0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(slots=st.lists(_SLOTS, min_size=3, max_size=3),
+           arrivals=st.lists(_SLOTS, min_size=2, max_size=2),
+           own=_STATS, hop=_STATS, quant=_STATS)
+    def test_gate_pass_implies_bound_pass(self, slots, arrivals, own, hop,
+                                          quant):
+        t, w, w_later = sorted(slots)
+        a, latest = sorted(arrivals)
+        # The proposal's prefilter: the head's arrival a <= latest, at
+        # the one slot t.
+        if self._passes(t, a, own, hop, quant):
+            assert self._passes(t, latest, own, hop, quant)
+        # The frontier: any wake w' >= the earliest wake w.
+        if self._passes(w_later, a, own, hop, quant):
+            assert self._passes(w, latest, own, hop, quant)

@@ -19,8 +19,10 @@ from repro.net.schedule import ScheduleTable
 from repro.net.sync import JitteredSchedules
 from repro.protocols.base import available_protocols, make_protocol
 from repro.protocols.opt import opt_radio_model
+from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
-from repro.sim.observers import SimObserver
+from repro.sim.observers import PhaseProfiler, SimObserver
+from repro.sim.runner import run_replication_stack
 import repro.protocols  # noqa: F401  (populates the registry)
 
 ALL_PROTOCOLS = available_protocols()
@@ -137,6 +139,68 @@ class TestBitIdenticalTrajectories:
         _assert_identical(on, off)
         assert off_tally.skipped == 0
         assert off_tally.executed == off.metrics.elapsed_slots
+
+    def test_of_one_packet_frontier_is_exact(self, small_rgg):
+        # OF's twin of the test above. Its frontier gates opportunistic
+        # links by the lateness bound at the receiver's earliest wake,
+        # which with one packet is the exact gate, so OF too executes
+        # no idle slot beyond the flood's first and each traffic slot's
+        # successor.
+        tally = _SpanTally()
+        where = _WhereExecuted()
+        on = _flood(small_rgg, "of", fast_forward=True, period=100,
+                    n_packets=1, observers=[tally, where])
+        assert on.completed
+        idle = [t for t in where.slots if t not in where.traffic]
+        assert all(t == 0 or t - 1 in where.traffic for t in idle)
+        assert tally.skipped > len(where.traffic)
+        off = _flood(small_rgg, "of", fast_forward=False, period=100,
+                     n_packets=1)
+        _assert_identical(on, off)
+
+
+def _assert_every_field(a, b, path="result"):
+    """Two FloodResults equal on every field, metrics, delays and the
+    energy ledger included."""
+    if hasattr(a, "__dict__"):
+        assert vars(a).keys() == vars(b).keys(), path
+        for key in vars(a):
+            _assert_every_field(vars(a)[key], vars(b)[key], f"{path}.{key}")
+    else:
+        np.testing.assert_array_equal(a, b, err_msg=path)
+
+
+class TestOfStackFrontier:
+    """OF's gated frontier where it branches: a stack mixing wake
+    periods (gate statistics indexed per replication), one or two wake
+    slots (earliest wake over every active slot), and packed (M = 4) or
+    boolean (M = 70) beliefs."""
+
+    @pytest.mark.parametrize("n_packets", [4, 70])
+    @pytest.mark.parametrize("wake_slots", [1, 2])
+    def test_mixed_duty_stack_on_equals_off(self, small_rgg, wake_slots,
+                                            n_packets):
+        runs = {}
+        for fast_forward in (True, False):
+            cells = [
+                (Scenario(protocol="of", duty_ratio=duty,
+                          n_packets=n_packets, wake_slots=wake_slots,
+                          seed=2011, n_replications=2,
+                          sim={"fast_forward": fast_forward,
+                               "max_slots": 1500}), 0, 2)
+                for duty in (0.02, 0.05, 0.1)
+            ]
+            prof = PhaseProfiler(sample_allocs=False)
+            stacked = run_replication_stack(small_rgg, cells, profiler=prof)
+            runs[fast_forward] = ([r for cell in stacked for r in cell],
+                                  prof.slots)
+        (on, on_slots), (off, off_slots) = runs[True], runs[False]
+        assert len(on) == len(off) == 6
+        for a, b in zip(on, off):
+            _assert_every_field(a, b)
+        elapsed = sum(r.metrics.elapsed_slots for r in on)
+        assert off_slots == elapsed
+        assert on_slots < elapsed
 
 
 class TestNextActionSlotContract:

@@ -7,9 +7,16 @@ from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols.dbao import Dbao
 from repro.protocols.opt import OptOracle, opt_radio_model
+from repro.protocols.oppflood import OpportunisticFlooding
+from repro.sim.batch import run_flood_batch
 from repro.sim.engine import SimConfig, run_flood
 from repro.sim.events import EventKind
-from repro.sim.observers import EventLogObserver, SimObserver, overriders_of
+from repro.sim.observers import (
+    EventLogObserver,
+    PhaseProfiler,
+    SimObserver,
+    overriders_of,
+)
 
 
 class _TxOnly(SimObserver):
@@ -151,3 +158,45 @@ class TestUserObservers:
         assert mirror.log.count(EventKind.TX) == result.metrics.tx_attempts
         assert mirror.log.count(EventKind.COLLISION) \
             == result.metrics.collisions > 0
+
+
+class _SlotKinds(SimObserver):
+    """Executed slots and the ones that carried traffic."""
+
+    def __init__(self):
+        self.executed = []
+        self.traffic = []
+
+    def on_slot(self, t, awake):
+        self.executed.append(t)
+
+    def on_tx(self, t, batch, outcome, sleep_misses):
+        self.traffic.append(t)
+
+
+class TestPhaseProfiler:
+    def test_idle_slots_match_hand_count(self, small_rgg):
+        # Three OF replications in one batch: every executed slot
+        # without an on_tx call proposed nothing, and the profiler's
+        # idle count must equal that hand count summed over the batch.
+        tallies = [_SlotKinds() for _ in range(3)]
+        schedules = [
+            ScheduleTable.random(small_rgg.n_nodes, 12,
+                                 np.random.default_rng(20 + k))
+            for k in range(3)
+        ]
+        prof = PhaseProfiler(sample_allocs=False)
+        results = run_flood_batch(
+            small_rgg, schedules, FloodWorkload(2), OpportunisticFlooding(),
+            [np.random.default_rng(30 + k) for k in range(3)],
+            SimConfig(max_slots=4000), profiler=prof,
+            observers_list=[[tally] for tally in tallies],
+        )
+        assert all(res.completed for res in results)
+        executed = sum(len(tally.executed) for tally in tallies)
+        idle = sum(len(set(tally.executed) - set(tally.traffic))
+                   for tally in tallies)
+        assert prof.slots == executed
+        assert 0 < prof.idle_slots == idle < executed
+        report = prof.report()
+        assert (report["slots"], report["idle_slots"]) == (executed, idle)

@@ -185,8 +185,12 @@ class TestCommands:
         report = tmp_path / "profile.json"
         assert main(["profile", str(grid), "--reps", "1", "--no-allocs",
                      "--json", str(report)]) == 0
-        assert capsys.readouterr().out.startswith("3 cell(s)")
-        phases = json.loads(report.read_text())["phases"]
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head.startswith("3 cell(s)")
+        data = json.loads(report.read_text())
+        assert head.endswith(
+            f"{data['slots']} replication-slots ({data['idle_slots']} idle)")
+        phases = data["phases"]
         for phase in ("inject", "propose", "validate", "resolve", "mac",
                       "apply", "observe", "fastforward", "probe"):
             assert phases[phase]["calls"] > 0, phase
