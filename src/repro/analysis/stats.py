@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 __all__ = [
     "MeanCI", "mean_ci", "paired_delta_ci", "dominates_paired",
@@ -64,6 +63,10 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:
     n = int(arr.size)
     if n == 1:
         return MeanCI(mean=m, lower=m, upper=m, confidence=confidence, n=1)
+    # Imported here: scipy.special would otherwise load with every
+    # simulation, and only these CI helpers use it.
+    from scipy.special import stdtrit
+
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
     # Student-t quantile: stdtrit is what scipy.stats.t.ppf evaluates.
     t = float(stdtrit(n - 1, 0.5 + confidence / 2))

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+
+from ..special import erfc
 
 __all__ = [
     "LinkQuality",

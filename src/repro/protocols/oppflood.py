@@ -176,15 +176,17 @@ class OpportunisticFlooding(BeliefFlooding):
         chosen_p = h_o[first_idx]
 
         # Random back-off (OF has no deterministic rank assignment):
-        # each replication with a non-empty choice set draws one
-        # permutation of its contenders from its own channel stream.
-        reps_u, starts = np.unique(chosen_k, return_index=True)
-        bounds = np.append(starts, chosen_k.size)
-        parts = []
-        for i, k in enumerate(reps_u.tolist()):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            parts.append(lo + self._rep_rngs[k].permutation(hi - lo))
-        rank = np.concatenate(parts)
+        # each replication with two or more contenders draws one
+        # permutation of them from its own channel stream. A lone
+        # contender keeps its place: permutation(1) draws nothing.
+        reps_u, starts, counts = np.unique(
+            chosen_k, return_index=True, return_counts=True)
+        rank = np.arange(chosen_k.size)
+        multi = counts > 1
+        for k, lo, size in zip(reps_u[multi].tolist(),
+                               starts[multi].tolist(),
+                               counts[multi].tolist()):
+            rank[lo:lo + size] = lo + self._rep_rngs[k].permutation(size)
         win = csma_select_reps(
             np.searchsorted(rep_ids, chosen_k[rank]), chosen_s[rank],
             self._topo,

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..net.topology import SOURCE, Topology
+from ..special import ndtri
 
 __all__ = ["EtxTree", "build_etx_tree", "hop_delay_moments"]
 
@@ -121,7 +121,7 @@ class EtxTree:
             raise ValueError(f"quantile must be in (0, 1), got {q}")
         if not self.reachable(node):
             return math.inf
-        z = float(ndtri(q))  # standard-normal quantile, as norm.ppf
+        z = ndtri(q)  # standard-normal quantile
         return float(self.delay_mean[node] + z * math.sqrt(self.delay_var[node]))
 
 

@@ -58,6 +58,9 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+# NumPy 2 loads numpy.ma lazily, and np.unique consults np.ma.is_masked:
+# load it with the engine rather than inside the first run.
+import numpy.ma  # noqa: F401
 
 from ..net.dynamics import BatchGilbertElliott
 from ..net.mac import IdealCsmaLink

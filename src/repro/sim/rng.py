@@ -24,6 +24,9 @@ import zlib
 from typing import Dict, Iterable, Optional
 
 import numpy as np
+# NumPy 2 loads numpy.random lazily: load it with the package rather
+# than when the first run builds its streams.
+import numpy.random  # noqa: F401
 
 __all__ = [
     "RngStreams",

@@ -1,5 +1,6 @@
 """Tests for link-quality models (k-class, RSSI->PRR chain)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.net.links import (
     rssi_to_prr,
     snr_to_prr,
 )
+from repro.scenario import TopologySpec
 
 
 class TestKClass:
@@ -143,3 +145,31 @@ class TestPhysicalChain:
         p = RadioParameters()
         prr = float(distance_to_prr(dist, p))
         assert 0.0 <= prr <= 1.0
+
+
+class TestCommittedSubstratePrr:
+    """The PRR matrices of the committed substrates, byte for byte.
+
+    Every topology fingerprint and store key hashes these bytes, so a
+    change anywhere in the distance -> RSSI -> PRR chain (the erfc that
+    scipy.special used to evaluate included) must show up here first.
+    The digests were recorded with scipy.special.erfc in the chain.
+    """
+
+    @pytest.mark.parametrize("spec, digest", [
+        # GreenOrbs at 120 sensors: the Figs. 9-11 benchmark substrate.
+        ({"kind": "greenorbs", "seed": 2011, "params": {"n_sensors": 120}},
+         "c4d4705f84d3188ffa6590982f28c038fd580c0fc7b7b9e73e6421eb3e83794c"),
+        # GreenOrbs at paper scale (297 sensors).
+        ({"kind": "greenorbs", "seed": 2011, "params": {"n_sensors": 297}},
+         "c53334b818e24b5730295303bf0de11cd79753993c32fcfc53009506a50cddf7"),
+        # The mac-duty bench deployment.
+        ({"kind": "geometric", "seed": 2011,
+          "params": {"n_nodes": 60, "area_m": 254.6, "placement": "uniform"}},
+         "9e7cb8c38a0ad74e68dbb35f87044d1d74c3129032a199bcd9f0bdfec21ea96e"),
+    ])
+    def test_prr_bytes(self, spec, digest):
+        prr = TopologySpec.from_dict(spec).build().prr
+        assert prr.dtype == np.float64
+        data = np.ascontiguousarray(prr).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest

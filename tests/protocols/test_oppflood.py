@@ -11,6 +11,7 @@ from repro.net.schedule import ScheduleTable
 from repro.protocols.oppflood import OpportunisticFlooding, _early
 from repro.scenario import Scenario
 from repro.sim.engine import SimConfig, run_flood
+from repro.sim.rng import spawn_generator
 from repro.sim.runner import run_experiment
 
 
@@ -109,3 +110,21 @@ class TestLatenessBound:
         # The frontier: any wake w' >= the earliest wake w.
         if self._passes(w_later, a, own, hop, quant):
             assert self._passes(w, latest, own, hop, quant)
+
+
+class TestBackoff:
+    """OF's back-off draws a permutation only for two or more contenders.
+
+    A lone contender keeps its place without touching its replication's
+    channel stream, which is bit-identical to drawing ``permutation(1)``
+    only because NumPy draws nothing for it; a NumPy release that starts
+    drawing there would shift every later draw of OF's trajectories.
+    """
+
+    @pytest.mark.parametrize("name", ["channel/0", "channel/7", "schedule/3"])
+    def test_permutation_of_one_draws_nothing(self, name):
+        rng = spawn_generator(2011, name)
+        rng.random(5)  # some state well past the seed
+        before = rng.bit_generator.state
+        assert rng.permutation(1).tolist() == [0]
+        assert rng.bit_generator.state == before

@@ -1,11 +1,13 @@
 """Import budget of the simulation path.
 
 ``import repro`` is paid by every CLI invocation before it simulates a
-slot. scipy.stats, scipy.optimize and networkx each cost more to import
-than a small grid costs to run, so nothing a ``run-scenario`` loads may
-import them: the engine needs only the scipy.special functions they
-delegate to. A fresh interpreter runs the CLI on a tiny grid and reports
-what it loaded.
+slot. scipy (``scipy.special`` included, whose array-API layer pulls in
+``numpy.f2py`` and ``numpy.testing``) and networkx each cost more to
+import than a small grid costs to run, so nothing that ``run-scenario``
+or ``report`` loads may import them: the engine's two special functions
+are ports in ``repro.special``. A fresh interpreter runs the CLI on a
+tiny grid, reads it back from the store the way ``report`` does, and
+reports what it loaded.
 """
 
 import json
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import repro
 
-HEAVY = ("scipy.stats", "scipy.optimize", "networkx")
+#: Packages (each with every submodule) the CLI path must not load.
+HEAVY = ("scipy", "networkx", "numpy.f2py", "numpy.testing")
 
 #: OPT, DBAO and OF on a GreenOrbs slice, and one 802.15.4 CSMA cell on a
 #: geometric deployment: every protocol family and MAC the paper grids use.
@@ -48,28 +51,35 @@ import json, runpy, sys
 
 import repro.sim.runner as runner
 
-real = runner.run_scenarios
-changed = []
+changed = {}
 
 
-def run_scenarios(*args, **kwargs):
-    before = set(sys.modules)
-    try:
-        return real(*args, **kwargs)
-    finally:
-        changed.append(sorted(before ^ set(sys.modules)))
+def watch(name):
+    real = getattr(runner, name)
+
+    def wrapper(*args, **kwargs):
+        before = set(sys.modules)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            changed.setdefault(name, []).append(
+                sorted(before ^ set(sys.modules)))
+
+    setattr(runner, name, wrapper)
 
 
-runner.run_scenarios = run_scenarios
-for path in sys.argv[1:]:
-    sys.argv = ["repro", "run-scenario", path]
+watch("run_scenarios")
+watch("load_scenario_summaries")
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["repro", *argv]
     try:
         runpy.run_module("repro", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         if exc.code:
             raise
-print(json.dumps({"changed": changed,
-                  "heavy": [m for m in %r if m in sys.modules]}))
+heavy = [m for m in sys.modules
+         if any(m == h or m.startswith(h + ".") for h in %r)]
+print(json.dumps({"changed": changed, "heavy": sorted(heavy)}))
 """ % (HEAVY,)
 
 
@@ -79,12 +89,24 @@ def test_run_scenario_loads_no_heavy_library(tmp_path):
         path = tmp_path / name
         path.write_text(json.dumps(grid), encoding="utf-8")
         paths.append(str(path))
+    greenorbs, csma = paths
+    # `report` reads the first run's store back, as it does after a
+    # (sharded) run.
+    argvs = [
+        ["run-scenario", greenorbs, "--cache-dir", "store"],
+        ["run-scenario", csma],
+        ["report", greenorbs, "--cache-dir", "store",
+         "--summary", "summary.json"],
+    ]
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", CHILD, *paths], env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["heavy"] == []
-    assert report["changed"] == [[], []]
+    assert report["changed"] == {"run_scenarios": [[], []],
+                                 "load_scenario_summaries": [[]]}
+    summary = json.loads((tmp_path / "summary.json").read_text("utf-8"))
+    assert summary["n_cells"] == 3
