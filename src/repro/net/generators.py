@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .links import RadioParameters, distance_to_prr
+from .links import RadioParameters, rssi_dbm, rssi_to_prr
 from .topology import Topology
 
 __all__ = [
@@ -65,10 +65,8 @@ def positions_to_topology(
             upper = np.triu(shadow, k=1)
             shadow = upper + upper.T
 
-    from .links import rssi_dbm
-
     rssi = np.asarray(rssi_dbm(dist, radio, shadow), dtype=np.float64)
-    prr = distance_to_prr(dist, radio, shadow)
+    prr = rssi_to_prr(rssi, radio)
     np.fill_diagonal(prr, 0.0)
     return Topology(
         prr,

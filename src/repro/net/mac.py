@@ -52,10 +52,16 @@ Within one micro-round the draws are, in order:
    (jitter block, then Bernoulli block — see
    :func:`~repro.net.radio.resolve_slot`).
 
-The batched path synchronizes micro-rounds across replications; since
-each replication owns its stream, the per-replication draw sequence is
-identical to the serial one regardless of how the other replications
-interleave.
+Between rounds no draw happens, so a span in which none of a
+replication's frames is ready is jumped. The batched path keeps one
+micro-round clock per replication and jumps each straight to that
+replication's own earliest ready frame: within a slot replications
+share no state (availability, backoff counters and streams are all
+per replication), so every step runs one round of each replication
+that still has live frames, and a stacked slot takes as many steps
+(raw-resolver calls) as the replication that needs the most rounds
+alone. Each replication's draw sequence is identical to the serial one
+whatever the other replications do.
 """
 
 from __future__ import annotations
@@ -475,10 +481,19 @@ class Csma802154Link(LinkModel):
                     rngs[int(r_kk[lo])].random(out=buf[lo:hi])
                 wait[redraw] += (buf * (1 << be[redraw])).astype(np.int64)
                 pending_draw[redraw] = False
-            ready = live[wait[live] == 0]
-            if ready.size == 0:
-                wait[live] -= wait[live].min()
-                continue
+            # Each replication's clock jumps to its own earliest ready
+            # frame (no draws happen in a quiescent span), so every
+            # replication with live frames has ready ones this round.
+            live_wait = wait[live]
+            live_rep = local[live]
+            first = np.empty(live.size, dtype=bool)
+            first[0] = True
+            np.not_equal(live_rep[1:], live_rep[:-1], out=first[1:])
+            jump = np.minimum.reduceat(live_wait, np.flatnonzero(first))
+            if jump.any():
+                live_wait -= jump[np.cumsum(first) - 1]
+                wait[live] = live_wait
+            ready = live[live_wait == 0]
             rounds += 1
             # 2. CCA across replications; within a group the rank order
             # is batch-row order, exactly the serial csma_select input.
@@ -492,51 +507,52 @@ class Csma802154Link(LinkModel):
                 alive[dead] = False
                 again = blocked[nb[blocked] <= self.max_csma_backoffs]
                 pending_draw[again] = True
-            # 3. Transmit winners; per-replication jitter/Bernoulli
-            # draws happen inside, in the serial order.
-            if winners.size:
-                if profiler is not None:
-                    _phy0 = perf_counter()
-                sub = resolve_slot_reps(
-                    kk[winners], ss[winners], rr[winners], pp[winners],
-                    topo, awake_by_rep, rngs, radio, dynamics=dynamics,
-                    awake_stack=avail, collect_collision_rows=True,
+            # 3. Transmit winners (the first ready frame of every
+            # replication always wins CCA, so there are some); the
+            # per-replication jitter/Bernoulli draws happen inside, in
+            # the serial order.
+            if profiler is not None:
+                _phy0 = perf_counter()
+            sub = resolve_slot_reps(
+                kk[winners], ss[winners], rr[winners], pp[winners],
+                topo, awake_by_rep, rngs, radio, dynamics=dynamics,
+                awake_stack=avail, collect_collision_rows=True,
+            )
+            if profiler is not None:
+                t_phy += perf_counter() - _phy0
+            if sub.rec_rep.size:
+                rec_parts.append((
+                    sub.rec_rep, sub.rec_receiver, sub.rec_sender,
+                    sub.rec_packet, sub.rec_overheard,
+                ))
+                avail[sub.rec_rep, sub.rec_receiver] = False
+            if sub.coll_rows is not None and sub.coll_rows.size:
+                # coll_rows index the winner sub-batch; surface them
+                # only for frames that ultimately fail (below).
+                collided[winners[sub.coll_rows]] = True
+            # 4. Implicit ACK via the per-round failure rows; (rep,
+            # sender) is unique within the winner sub-batch.
+            if sub.fail_rep.size:
+                failed = np.isin(
+                    kk[winners] * n + ss[winners],
+                    sub.fail_rep * n + sub.fail_sender,
                 )
-                if profiler is not None:
-                    t_phy += perf_counter() - _phy0
-                if sub.rec_rep.size:
-                    rec_parts.append((
-                        sub.rec_rep, sub.rec_receiver, sub.rec_sender,
-                        sub.rec_packet, sub.rec_overheard,
-                    ))
-                    avail[sub.rec_rep, sub.rec_receiver] = False
-                if sub.coll_rows is not None and sub.coll_rows.size:
-                    # coll_rows index the winner sub-batch; surface them
-                    # only for frames that ultimately fail (below).
-                    collided[winners[sub.coll_rows]] = True
-                # 4. Implicit ACK via the per-round failure rows; (rep,
-                # sender) is unique within the winner sub-batch.
-                if sub.fail_rep.size:
-                    failed = np.isin(
-                        kk[winners] * n + ss[winners],
-                        sub.fail_rep * n + sub.fail_sender,
-                    )
-                else:
-                    failed = np.zeros(winners.size, dtype=bool)
-                acked = winners[~failed]
-                delivered[acked] = True
-                alive[acked] = False
-                noack = winners[failed]
-                if noack.size:
-                    retries[noack] += 1
-                    dead = noack[retries[noack] > self.max_frame_retries]
-                    alive[dead] = False
-                    retry = noack[retries[noack] <= self.max_frame_retries]
-                    if retry.size:
-                        nb[retry] = 0
-                        be[retry] = self.mac_min_be
-                        wait[retry] = self.ack_wait_rounds
-                        pending_draw[retry] = True
+            else:
+                failed = np.zeros(winners.size, dtype=bool)
+            acked = winners[~failed]
+            delivered[acked] = True
+            alive[acked] = False
+            noack = winners[failed]
+            if noack.size:
+                retries[noack] += 1
+                dead = noack[retries[noack] > self.max_frame_retries]
+                alive[dead] = False
+                retry = noack[retries[noack] <= self.max_frame_retries]
+                if retry.size:
+                    nb[retry] = 0
+                    be[retry] = self.mac_min_be
+                    wait[retry] = self.ack_wait_rounds
+                    pending_draw[retry] = True
             # 5. One unit backoff period elapses.
             live = np.flatnonzero(alive)
             ticking = live[wait[live] > 0]

@@ -8,12 +8,16 @@ receiver)`` row arrays whose content depends only on the schedule phase,
 so each protocol builds them through these helpers once per phase (a
 :class:`~repro.protocols.base.PhaseCache` keeps them, alongside the
 protocol's own static per-row annotations) and narrows them each slot
-to the replications executing it.
+to the replications executing it. A phase's rows come from the whole
+stack at once: the cache's ``(R, n)`` wake matrix lists the waking
+``(replication, receiver)`` pairs in serial order, and one gather over
+the flattened sender lists expands them, with no loop over
+replications.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -63,57 +67,35 @@ def frontier_pairs(
 
 
 def candidate_rows(
-    schedules_list,
-    t: int,
+    wake: np.ndarray,
     sizes: np.ndarray,
     starts: np.ndarray,
     flat: np.ndarray,
     with_sender_awake: bool = False,
 ):
-    """All-replication candidate rows for slot ``t``'s wake sets.
+    """All-replication candidate rows for one slot's ``(R, n)`` wake
+    matrix (:meth:`~repro.protocols.base.PhaseCache.wake`).
 
     For each replication ``k`` and each waking non-source receiver
-    ``r`` (ascending — the wake lists are sorted), one row per candidate
-    sender in list order. Returns ``(kk, ss, rr)`` — plus the per-row
-    sender-awake mask when requested (the listen rule's static part) —
-    matching the exact traversal order of the serial proposal loops.
+    ``r``, ascending, one row per candidate sender in list order.
+    Returns ``(kk, ss, rr)`` — plus the per-row sender-awake mask when
+    requested (the listen rule's static part) — matching the exact
+    traversal order of the serial proposal loops: the row-major
+    ``nonzero`` of the receiver matrix is already (replication,
+    ascending receiver) order.
     """
-    kk_parts: List[np.ndarray] = []
-    s_parts: List[np.ndarray] = []
-    r_parts: List[np.ndarray] = []
-    aw_parts: List[np.ndarray] = []
-    n_nodes = len(sizes)
-    awake_mask = np.zeros(n_nodes, dtype=bool) if with_sender_awake else None
-    for k, sched in enumerate(schedules_list):
-        aw = sched.awake_at(t)
-        if aw.size == 0:
-            continue
-        recv = aw[aw != SOURCE]
-        sz = sizes[recv]
-        total = int(sz.sum())
-        if total:
-            seg = np.concatenate(([0], np.cumsum(sz)[:-1]))
-            idx = np.repeat(starts[recv] - seg, sz) + np.arange(total)
-            s_part = flat[idx]
-            kk_parts.append(np.full(total, k, dtype=np.int64))
-            s_parts.append(s_part)
-            r_parts.append(np.repeat(recv, sz))
-            if with_sender_awake:
-                awake_mask[aw] = True
-                aw_parts.append(awake_mask[s_part])
-                awake_mask[aw] = False
-    if kk_parts:
-        kk = np.concatenate(kk_parts)
-        ss = np.concatenate(s_parts)
-        rr = np.concatenate(r_parts)
-        sender_awake = (
-            np.concatenate(aw_parts) if with_sender_awake else None
-        )
-    else:
-        kk = ss = rr = np.empty(0, dtype=np.int64)
-        sender_awake = np.empty(0, dtype=bool) if with_sender_awake else None
+    recv_wake = wake.copy()
+    recv_wake[:, SOURCE] = False
+    k_recv, recv = np.nonzero(recv_wake)
+    sz = sizes[recv]
+    total = int(sz.sum())
+    seg = np.cumsum(sz) - sz
+    idx = np.repeat(starts[recv] - seg, sz) + np.arange(total)
+    ss = flat[idx]
+    kk = np.repeat(k_recv, sz)
+    rr = np.repeat(recv, sz)
     if with_sender_awake:
-        return kk, ss, rr, sender_awake
+        return kk, ss, rr, wake[kk, ss]
     return kk, ss, rr
 
 

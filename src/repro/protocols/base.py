@@ -55,17 +55,51 @@ class PhaseCache:
     ``t % period`` and serves every later slot of that phase from the
     memo. ``period`` is 0 when the LCM exceeds :data:`PHASE_CACHE_CAP`
     (pathological period mixes); every call then rebuilds.
+
+    Builders read the whole stack's wake sets at once from :meth:`wake`,
+    an ``(R, n)`` matrix whose ``np.nonzero`` lists the waking
+    ``(replication, node)`` pairs in the serial order: replication,
+    then ascending node.
     """
 
     def __init__(self, schedules_list):
+        #: (R,) per-replication wake periods.
+        self.periods = np.asarray(
+            [int(s.period) for s in schedules_list], dtype=np.int64)
         period = 1
-        for schedules in schedules_list:
-            period = math.lcm(period, int(schedules.period))
+        for p in self.periods.tolist():
+            period = math.lcm(period, p)
             if period > PHASE_CACHE_CAP:
                 period = 0
                 break
         self.period = period
+        self._schedules = schedules_list
+        self._offsets: Optional[np.ndarray] = None
         self._rows: Dict[int, object] = {}
+
+    @property
+    def offsets_stack(self) -> np.ndarray:
+        """``(R, n, A)`` active-slot offsets of every node (``A`` wake
+        slots per period), built on first use.
+
+        Tables with fewer wake slots repeat their last offset, which
+        leaves every wake test and earliest-wake minimum unchanged.
+        """
+        if self._offsets is None:
+            mats = [s.offsets_matrix for s in self._schedules]
+            width = max(m.shape[1] for m in mats)
+            self._offsets = np.stack([
+                m if m.shape[1] == width
+                else np.pad(m, ((0, 0), (0, width - m.shape[1])), mode="edge")
+                for m in mats
+            ])
+        return self._offsets
+
+    def wake(self, t: int) -> np.ndarray:
+        """``(R, n)`` wake matrix of slot ``t``: row ``k`` marks the
+        nodes replication ``k``'s table has active at ``t``."""
+        phase = t % self.periods
+        return (self.offsets_stack == phase[:, None, None]).any(axis=2)
 
     def at(self, t: int, build):
         """``build(t)``, memoised on slot ``t``'s phase.
@@ -92,6 +126,9 @@ class RepSimView:
     Protocols other than OPT must only read a node's *own* columns — the
     engine cannot enforce this, but the test suite audits each
     protocol's information usage on crafted scenarios.
+
+    ``phases`` is the stack's :class:`PhaseCache`, whose offsets stack
+    the view shares; one is built when none is passed.
     """
 
     def __init__(
@@ -101,26 +138,20 @@ class RepSimView:
         workload: FloodWorkload,
         has_stack: np.ndarray,
         arrival_stack: np.ndarray,
+        phases: Optional[PhaseCache] = None,
     ):
         self.topo = topo
         self.schedules_list = schedules_list
         self.workload = workload
         self.has_stack = has_stack
         self.arrival_stack = arrival_stack
-        # Tables with fewer wake slots repeat their last offset, which
-        # leaves every earliest-wake minimum unchanged.
-        mats = [s.offsets_matrix for s in schedules_list]
-        width = max(m.shape[1] for m in mats)
-        self.offsets_stack = np.stack([
-            m if m.shape[1] == width
-            else np.pad(m, ((0, 0), (0, width - m.shape[1])), mode="edge")
-            for m in mats
-        ])
+        if phases is None:
+            phases = PhaseCache(schedules_list)
+        self.offsets_stack = phases.offsets_stack
         #: (R,) per-replication wake periods; cross-cell stacks mix duty
         #: cycles, so ``period`` (the first replication's) only stands
         #: for the whole stack when ``uniform_period`` holds.
-        self.periods = np.asarray(
-            [int(s.period) for s in schedules_list], dtype=np.int64)
+        self.periods = phases.periods
         self.period = int(self.periods[0])
         self.uniform_period = bool((self.periods == self.period).all())
         #: (R, n) buffer sizes, kept in sync by the engine as possession

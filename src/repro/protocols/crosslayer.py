@@ -103,7 +103,7 @@ class CrossLayerFlooding(BeliefFlooding):
 
     def _phase_rows(self, t: int):
         kk, ss, rr, sender_awake = candidate_rows(
-            self._rep_schedules, t, *self._fwd_rows, with_sender_awake=True)
+            self._phases.wake(t), *self._fwd_rows, with_sender_awake=True)
         return kk, ss, rr, sender_awake, self._topo.prr[ss, rr]
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):

@@ -129,7 +129,7 @@ class Dbao(BeliefFlooding):
         """All-replication candidate rows for one slot's schedule phase,
         sorted and annotated for the proposal's fused gate."""
         kk, s_flat, r_flat, sender_awake = candidate_rows(
-            self._rep_schedules, t, *self._fwd_rows, with_sender_awake=True)
+            self._phases.wake(t), *self._fwd_rows, with_sender_awake=True)
         if kk.size:
             prr_flat = self._topo.prr[s_flat, r_flat]
             # Unique (replication, sender) pairs with a row inverse: the

@@ -93,36 +93,17 @@ class DutyCycleAwareFlooding(BeliefFlooding):
             )
         self._prepare_belief(topo, schedules_list, workload)
         self._rep_parent = parents
+        #: (R, n) receivers with a tree parent (never the source).
+        self._has_parent = parents >= 0
+        self._has_parent[:, SOURCE] = False
         # Quiescence frontier: the only candidate pairs are tree edges.
-        fr = np.flatnonzero((parents >= 0).any(axis=0))
-        self._frontier_r = fr[fr != SOURCE]
+        self._frontier_r = np.flatnonzero(self._has_parent.any(axis=0))
 
     def _phase_rows(self, t: int):
-        kk_parts: List[np.ndarray] = []
-        s_parts: List[np.ndarray] = []
-        r_parts: List[np.ndarray] = []
-        aw_parts: List[np.ndarray] = []
-        awake_mask = np.zeros(self._topo.n_nodes, dtype=bool)
-        for k, sched in enumerate(self._rep_schedules):
-            aw = sched.awake_at(t)
-            if aw.size == 0:
-                continue
-            recv = aw[aw != SOURCE]
-            par = self._rep_parent[k, recv]
-            keep = par >= 0
-            recv, par = recv[keep], par[keep]
-            if recv.size:
-                awake_mask[aw] = True
-                kk_parts.append(np.full(recv.size, k, dtype=np.int64))
-                s_parts.append(par)
-                r_parts.append(recv)
-                aw_parts.append(awake_mask[par])
-                awake_mask[aw] = False
-        if not kk_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0, dtype=bool)
-        return (np.concatenate(kk_parts), np.concatenate(s_parts),
-                np.concatenate(r_parts), np.concatenate(aw_parts))
+        wake = self._phases.wake(t)
+        kk, recv = np.nonzero(wake & self._has_parent)
+        par = self._rep_parent[kk, recv]
+        return kk, par, recv, wake[kk, par]
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)

@@ -75,7 +75,7 @@ class FlashFlooding(BeliefFlooding):
         self._in_rows = flatten_sender_lists(strongest_first)
 
     def _phase_rows(self, t: int):
-        return candidate_rows(self._rep_schedules, t, *self._in_rows,
+        return candidate_rows(self._phases.wake(t), *self._in_rows,
                               with_sender_awake=True)
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):

@@ -61,7 +61,7 @@ class NaiveFlooding(BeliefFlooding):
         self._in_rows = flatten_sender_lists(in_lists)
 
     def _phase_rows(self, t: int):
-        return candidate_rows(self._rep_schedules, t, *self._in_rows)
+        return candidate_rows(self._phases.wake(t), *self._in_rows)
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)

@@ -122,7 +122,7 @@ class OpportunisticFlooding(BeliefFlooding):
 
     def _phase_rows(self, t: int):
         """Candidate rows plus OF's static gate columns."""
-        kk, ss, rr = candidate_rows(self._rep_schedules, t, *self._in_rows)
+        kk, ss, rr = candidate_rows(self._phases.wake(t), *self._in_rows)
         pid = self._pidx[kk]
         own_r = self._own_stack[pid, ss]
         return (

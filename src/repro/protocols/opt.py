@@ -142,7 +142,6 @@ class OptOracle(FloodingProtocol):
         rs = rs[rs != SOURCE]
         self._frontier_r = rs
         self._frontier_s = designated[rs]
-        self._rep_schedules = list(schedules_list)
         self._phases = PhaseCache(schedules_list)
 
     def _phase_rows(self, t: int):
@@ -151,22 +150,11 @@ class OptOracle(FloodingProtocol):
         The designated-server map is static, so the sorted flat request
         list across all replications depends on the wake phase only.
         """
-        kk_parts = []
-        rr_parts = []
-        for k, sched in enumerate(self._rep_schedules):
-            aw = sched.awake_at(t)
-            ok = aw[(aw != SOURCE) & (self._designated[aw] >= 0)]
-            if ok.size:
-                kk_parts.append(np.full(ok.size, k, dtype=np.int64))
-                rr_parts.append(ok)
-        empty = np.empty(0, dtype=np.int64)
-        if kk_parts:
-            kk_r = np.concatenate(kk_parts)
-            rr_flat = np.concatenate(rr_parts)
-            ss_flat = self._designated[rr_flat]
-            order = np.lexsort((rr_flat, ss_flat, kk_r))
-            return kk_r[order], ss_flat[order], rr_flat[order]
-        return empty, empty, empty
+        kk_r, rr_flat = np.nonzero(
+            self._phases.wake(t) & (self._designated >= 0))
+        ss_flat = self._designated[rr_flat]
+        order = np.lexsort((rr_flat, ss_flat, kk_r))
+        return kk_r[order], ss_flat[order], rr_flat[order]
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         if self.server_policy == "any":

@@ -439,8 +439,11 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     e_fail = np.zeros((R, n), dtype=np.int64)
     e_rx = np.zeros((R, n), dtype=np.int64)
 
+    # The per-phase wake lists and (R, n) wake matrix, built once per
+    # phase of the stack's wake periods.
+    phases = PhaseCache(schedules_list)
     view = RepSimView(
-        topo, schedules_list, workloads[0], has_stack, arrival_stack)
+        topo, schedules_list, workloads[0], has_stack, arrival_stack, phases)
     pack_pw = (
         np.uint64(1) << np.arange(M, dtype=np.uint64)
         if view.has_packed is not None
@@ -448,15 +451,12 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     )
     protocol.prepare_reps(topo, schedules_list, workloads[0], rngs)
 
-    # The per-phase wake lists and (R, n) wake matrix, built once per
-    # phase of the stack's wake periods.
-    phases = PhaseCache(schedules_list)
-
     def _phase_awake(t: int):
+        stack = phases.wake(t)
+        # The lists are each table's own precomputed per-phase arrays:
+        # gathering them copies nothing, where slicing them out of the
+        # matrix would allocate R views per phase.
         lists = [s.awake_at(t) for s in schedules_list]
-        stack = np.zeros((R, n), dtype=bool)
-        for ki, aw in enumerate(lists):
-            stack[ki, aw] = True
         return lists, stack, stack.reshape(-1), stack.any(axis=1)
 
     # True wake sets of skewed replications are not periodic: they are

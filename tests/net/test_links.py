@@ -153,23 +153,38 @@ class TestCommittedSubstratePrr:
     Every topology fingerprint and store key hashes these bytes, so a
     change anywhere in the distance -> RSSI -> PRR chain (the erfc that
     scipy.special used to evaluate included) must show up here first.
-    The digests were recorded with scipy.special.erfc in the chain.
+    The digests were recorded with scipy.special.erfc in the chain. The
+    RSSI matrices the PRRs derive from are pinned beside them.
     """
 
-    @pytest.mark.parametrize("spec, digest", [
+    SUBSTRATES = [
         # GreenOrbs at 120 sensors: the Figs. 9-11 benchmark substrate.
-        ({"kind": "greenorbs", "seed": 2011, "params": {"n_sensors": 120}},
-         "c4d4705f84d3188ffa6590982f28c038fd580c0fc7b7b9e73e6421eb3e83794c"),
+        {"kind": "greenorbs", "seed": 2011, "params": {"n_sensors": 120}},
         # GreenOrbs at paper scale (297 sensors).
-        ({"kind": "greenorbs", "seed": 2011, "params": {"n_sensors": 297}},
-         "c53334b818e24b5730295303bf0de11cd79753993c32fcfc53009506a50cddf7"),
+        {"kind": "greenorbs", "seed": 2011, "params": {"n_sensors": 297}},
         # The mac-duty bench deployment.
-        ({"kind": "geometric", "seed": 2011,
-          "params": {"n_nodes": 60, "area_m": 254.6, "placement": "uniform"}},
-         "9e7cb8c38a0ad74e68dbb35f87044d1d74c3129032a199bcd9f0bdfec21ea96e"),
-    ])
+        {"kind": "geometric", "seed": 2011,
+         "params": {"n_nodes": 60, "area_m": 254.6, "placement": "uniform"}},
+    ]
+
+    @pytest.mark.parametrize("spec, digest", zip(SUBSTRATES, [
+        "c4d4705f84d3188ffa6590982f28c038fd580c0fc7b7b9e73e6421eb3e83794c",
+        "c53334b818e24b5730295303bf0de11cd79753993c32fcfc53009506a50cddf7",
+        "9e7cb8c38a0ad74e68dbb35f87044d1d74c3129032a199bcd9f0bdfec21ea96e",
+    ]))
     def test_prr_bytes(self, spec, digest):
         prr = TopologySpec.from_dict(spec).build().prr
         assert prr.dtype == np.float64
         data = np.ascontiguousarray(prr).tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, digest", zip(SUBSTRATES, [
+        "24914c64278ddd45c0a883f0e0b6766ae4ff1ced280a324c198c0249cb9e722d",
+        "965a3ee448fe39f37ed9aabb93e64be8ceaffcac7188ec20b1cd6925e5d6b2ae",
+        "79612056c51313351e4b98e9a88e99bd9cf440c006862288761770d039b78134",
+    ]))
+    def test_rssi_bytes(self, spec, digest):
+        rssi = TopologySpec.from_dict(spec).build().rssi
+        assert rssi.dtype == np.float64
+        data = np.ascontiguousarray(rssi).tobytes()
         assert hashlib.sha256(data).hexdigest() == digest

@@ -19,6 +19,7 @@ from repro.net.mac import (
 )
 from repro.net.radio import (
     RadioModel,
+    SlotOutcome,
     Transmission,
     TxBatch,
     csma_select,
@@ -288,3 +289,210 @@ class TestRunnerEquivalence:
         # trajectories must differ (same seed, same substrate).
         assert (a.metrics.tx_failures != b.metrics.tx_failures
                 or not np.array_equal(a.arrival, b.arrival))
+
+
+def _stack_case(seed):
+    """One generated stacked 802.15.4 slot.
+
+    A random geometric topology, R = 1-6 replications (some frame-less
+    decoys), each with its own wake set and duplicate-free sender
+    batch. Senders are often drawn from earlier senders' audible sets
+    (CCA defers), sometimes share a receiver with a sender they cannot
+    hear (hidden pairs), and address sleeping receivers or other
+    senders now and then. The MAC constants range down to
+    ``mac_min_be=1`` and zero retries/backoffs; capture is on or off.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 21))
+    topo = random_geometric_topology(
+        n, area_m=float(rng.uniform(40.0, 160.0)), rng=rng)
+    min_be = int(rng.choice([1, 1, 2, 3]))
+    link = Csma802154Link(
+        mac_min_be=min_be,
+        mac_max_be=max(min_be, int(rng.choice([1, 2, 5]))),
+        max_csma_backoffs=int(rng.choice([0, 1, 4])),
+        max_frame_retries=int(rng.choice([0, 1, 3])),
+        ack_wait_rounds=int(rng.choice([0, 1, 3])),
+    )
+    radio = RadioModel() if rng.random() < 0.5 else _no_capture()
+    R = int(rng.integers(1, 7))
+    reps = []
+    for _ in range(R):
+        awake = np.flatnonzero(rng.random(n) < rng.uniform(0.4, 1.0))
+        if rng.random() < 0.25:
+            reps.append((awake, []))  # decoy: no frames this slot
+            continue
+        senders, receivers = [], []
+        for _ in range(int(rng.integers(1, min(n, 7) + 1))):
+            free = np.setdiff1d(np.arange(n), senders)
+            heard = free[topo.audible[senders].any(axis=0)[free]] \
+                if senders else free[:0]
+            hidden = [
+                (s, r) for r in set(receivers) for s in free
+                if topo.adjacency[s, r] and s != r
+                and not topo.audible[senders, s].any()
+            ]
+            u = rng.random()
+            if hidden and u < 0.3:
+                s, r = hidden[int(rng.integers(len(hidden)))]
+            else:
+                pool = heard if heard.size and u < 0.7 else free
+                s = int(pool[int(rng.integers(pool.size))])
+                outs = topo.out_neighbors(s)
+                if outs.size and rng.random() < 0.85:
+                    r = int(outs[int(rng.integers(outs.size))])
+                else:
+                    r = int(rng.choice(np.setdiff1d(np.arange(n), [s])))
+            senders.append(int(s))
+            receivers.append(int(r))
+        frames = [(s, r, int(rng.integers(0, 4)))
+                  for s, r in zip(senders, receivers)]
+        reps.append((awake, frames))
+    seeds = rng.integers(0, 2**32, size=R).tolist()
+    use_stack = bool(rng.random() < 0.5)
+    return topo, link, radio, reps, seeds, use_stack
+
+
+def _stacked_rows(reps):
+    kk, ss, rr, pp = [], [], [], []
+    for k, (_, frames) in enumerate(reps):
+        for s, r, p in frames:
+            kk.append(k)
+            ss.append(s)
+            rr.append(r)
+            pp.append(p)
+    return tuple(np.asarray(a, dtype=np.int64) for a in (kk, ss, rr, pp))
+
+
+@pytest.fixture
+def phy_calls(monkeypatch):
+    """Counts the raw-resolver calls a CSMA slot makes (its steps)."""
+    import repro.net.mac as mac_mod
+
+    calls = []
+    real = mac_mod.resolve_slot_reps
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mac_mod, "resolve_slot_reps", counting)
+    return calls
+
+
+def _resolve_stack(topo, link, radio, reps, seeds, use_stack):
+    kk, ss, rr, pp = _stacked_rows(reps)
+    awake = [aw for aw, _ in reps]
+    stack = None
+    if use_stack:
+        stack = np.zeros((len(reps), topo.n_nodes), dtype=bool)
+        for k, aw in enumerate(awake):
+            stack[k, aw] = True
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = link.resolve_reps(kk, ss, rr, pp, topo, awake, rngs, radio,
+                            awake_stack=stack, collect_collision_rows=True)
+    return out, rngs, kk, ss
+
+
+class TestStackedCsmaEqualsSerial:
+    """Generated differential test of the batched 802.15.4 MAC.
+
+    ``resolve_reps`` over a stack must equal every replication resolved
+    alone by the serial ``Csma802154Link.resolve``: receptions (in
+    order), failures, collisions and each generator's end state. Each
+    replication runs on its own micro-round clock, so the stacked slot
+    takes as many raw-resolver steps as the replication that needs the
+    most rounds alone.
+    """
+
+    @pytest.mark.parametrize("block", range(12))
+    def test_stack_equals_each_replication_alone(self, block, phy_calls):
+        for seed in range(block * 20, block * 20 + 20):
+            topo, link, radio, reps, seeds, use_stack = _stack_case(seed)
+            del phy_calls[:]
+            out, rngs, kk, ss = _resolve_stack(
+                topo, link, radio, reps, seeds, use_stack)
+            stacked_steps = len(phy_calls)
+            solo_steps = [0]
+            for k, (awake, frames) in enumerate(reps):
+                rng = np.random.default_rng(seeds[k])
+                if frames:
+                    s, r, p = (np.asarray(c, dtype=np.int64)
+                               for c in zip(*frames))
+                    ref = link.resolve(TxBatch(s, r, p), topo, awake, rng,
+                                       radio, assume_unique_senders=True)
+                    del phy_calls[:]
+                    link.resolve_reps(
+                        *_stacked_rows([(awake, frames)]), topo, [awake],
+                        [np.random.default_rng(seeds[k])], radio)
+                    solo_steps.append(len(phy_calls))
+                else:
+                    ref = SlotOutcome()
+                where = f"seed {seed}, replication {k}"
+                got = out.rec_rep == k
+                assert list(zip(
+                    out.rec_receiver[got].tolist(),
+                    out.rec_sender[got].tolist(),
+                    out.rec_packet[got].tolist(),
+                    out.rec_overheard[got].tolist(),
+                )) == [(x.receiver, x.sender, x.packet, x.overheard)
+                       for x in ref.receptions], where
+                assert out.fail_sender[out.fail_rep == k].tolist() \
+                    == [tx.sender for tx in ref.failures], where
+                assert out.collision_counts.get(k, 0) \
+                    == len(ref.collisions), where
+                coll = out.coll_rows[kk[out.coll_rows] == k]
+                assert ss[coll].tolist() \
+                    == [tx.sender for tx in ref.collisions], where
+                assert rngs[k].bit_generator.state \
+                    == rng.bit_generator.state, where
+            assert stacked_steps == max(solo_steps), f"seed {seed}"
+
+    def test_generated_cases_reach_every_mac_path(self, monkeypatch):
+        # The differential test is only as strong as its cases: across
+        # them CCA defers, frames go on air again after a missed ACK,
+        # collide and fail, receivers sleep, decoys sit in stacks, and
+        # capture runs both ways.
+        import repro.net.mac as mac_mod
+
+        deferred, on_air = [], []
+        real_select, real_resolve = mac_mod.csma_select, mac_mod.resolve_slot
+
+        def spy_select(senders, topo):
+            winners, deferrals = real_select(senders, topo)
+            deferred.append(len(senders) - len(winners))
+            return winners, deferrals
+
+        def spy_resolve(batch, *args, **kwargs):
+            on_air.extend(batch.senders.tolist())
+            return real_resolve(batch, *args, **kwargs)
+
+        monkeypatch.setattr(mac_mod, "csma_select", spy_select)
+        monkeypatch.setattr(mac_mod, "resolve_slot", spy_resolve)
+        seen = dict(deferrals=0, retransmissions=0, collisions=0,
+                    failures=0, decoys=0, sleeping=0)
+        capture, widths = set(), set()
+        for seed in range(240):
+            topo, link, radio, reps, seeds, _ = _stack_case(seed)
+            capture.add(radio.capture_margin_db is not None)
+            widths.add(len(reps))
+            for k, (awake, frames) in enumerate(reps):
+                if not frames:
+                    seen["decoys"] += 1
+                    continue
+                seen["sleeping"] += sum(r not in awake for _, r, _ in frames)
+                s, r, p = (np.asarray(c, dtype=np.int64)
+                           for c in zip(*frames))
+                del deferred[:], on_air[:]
+                ref = link.resolve(
+                    TxBatch(s, r, p), topo, awake,
+                    np.random.default_rng(seeds[k]), radio,
+                    assume_unique_senders=True)
+                seen["deferrals"] += sum(deferred)
+                seen["retransmissions"] += len(on_air) - len(set(on_air))
+                seen["collisions"] += len(ref.collisions)
+                seen["failures"] += len(ref.failures)
+        assert capture == {True, False}
+        assert widths == set(range(1, 7))
+        for key, count in seen.items():
+            assert count >= 20, (key, count)
