@@ -14,12 +14,10 @@ used by both the integration tests and the EXPERIMENTS.md shape audit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..core.fdl import fdl_theorem2_bounds
 from ..core.linkloss import effective_k, recurrence_hitting_time
 from ..net.topology import Topology
 

@@ -125,6 +125,9 @@ class ExactTreeDelay:
             )
         if len(schedules) != topo.n_nodes:
             raise ValueError("schedule table does not match the topology")
+        if schedules.slots_per_period != 1:
+            raise ValueError(
+                "exact tree delay needs one active slot per period")
         if horizon < schedules.period + 2:
             raise ValueError("horizon must cover at least one period")
         self._topo = topo

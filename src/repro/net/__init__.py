@@ -26,13 +26,7 @@ from .radio import (
     TxBatch,
     resolve_slot,
 )
-from .schedule import (
-    ScheduleTable,
-    WorkingSchedule,
-    duty_ratio_to_period,
-    period_to_duty_ratio,
-    random_schedules,
-)
+from .schedule import ScheduleTable, duty_ratio_to_period
 from .topology import SOURCE, Topology
 from .trace import (
     GreenOrbsConfig,
@@ -51,8 +45,7 @@ __all__ = [
     "FloodWorkload", "Packet",
     "RadioModel", "Reception", "SlotOutcome", "Transmission", "TxBatch",
     "resolve_slot",
-    "ScheduleTable", "WorkingSchedule", "duty_ratio_to_period",
-    "period_to_duty_ratio", "random_schedules",
+    "ScheduleTable", "duty_ratio_to_period",
     "SOURCE", "Topology",
     "GreenOrbsConfig", "load_trace", "save_trace", "synthesize_greenorbs",
     "trace_statistics",
@@ -61,7 +54,3 @@ __all__ = [
 from .dynamics import GilbertElliott
 
 __all__.append("GilbertElliott")
-
-from .multislot import MultiSlotScheduleTable
-
-__all__.append("MultiSlotScheduleTable")

@@ -96,9 +96,11 @@ __all__ = [
 class LinkModel:
     """One slot of medium access: contend → deliver → acknowledge.
 
-    Subclasses implement both engine paths. ``kind`` names the model in
-    scenario files; ``params`` echoes the constructor arguments (for
-    introspection and error messages).
+    Subclasses implement two paths: :meth:`resolve_reps`, which the
+    engine runs, and :meth:`resolve`, the one-replication reference the
+    link tests hold it to. ``kind`` names the model in scenario files;
+    ``params`` echoes the constructor arguments (for introspection and
+    error messages).
     """
 
     #: Scenario-facing name of the model.

@@ -63,12 +63,14 @@ class Transmission:
 
 
 class TxBatch:
-    """Structure-of-arrays view of one slot's committed transmissions.
+    """Structure-of-arrays view of one replication's committed
+    transmissions in one slot.
 
-    The batch is the engine's native currency: protocols propose one,
-    the engine validates it with vectorized mask operations, and
-    :func:`resolve_slot` resolves it without materialising per-frame
-    Python objects on the hot path. ``senders``, ``receivers`` and
+    The one-replication reference resolver (:func:`resolve_slot`,
+    :meth:`~repro.net.mac.LinkModel.resolve`) takes one, and the engine
+    builds one per observed replication for the observer hooks; the
+    engine itself resolves the flat arrays of the whole stack with
+    :func:`resolve_slot_reps`. ``senders``, ``receivers`` and
     ``packets`` are parallel int64 arrays; row ``i`` is the unicast
     ``senders[i] -> receivers[i]`` carrying ``packets[i]``.
 
@@ -529,8 +531,9 @@ def resolve_slot_reps(
     ----------
     kk, ss, rr, pp:
         Parallel flat arrays: replication id (ascending groups), sender,
-        receiver, packet. Each replication's rows must appear in the
-        exact order the serial proposer would have emitted them.
+        receiver, packet. Each replication's rows must appear in its
+        back-off rank order, the order :func:`resolve_slot` would see
+        them in for that replication alone.
     awake_by_rep:
         Indexable by replication id; sorted unique wake set per rep.
         Ignored when ``awake_stack`` is supplied.

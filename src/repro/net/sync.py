@@ -78,5 +78,6 @@ class JitteredSchedules:
         return np.flatnonzero((offsets == (t % self.period)).any(axis=1))
 
     def is_active(self, node: int, t: int) -> bool:
+        t = validate_slot_index(t)
         offsets = self._offsets_for_period(t // self.period)
         return bool((offsets[node] == (t % self.period)).any())

@@ -55,9 +55,8 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .net.schedule import duty_ratio_to_period
 from .net.topology import Topology, ge_mean_matched, homogenized
 
 __all__ = [
@@ -368,11 +367,12 @@ class Scenario:
 
     * **workload** — ``protocol`` (+ ``protocol_kwargs``), ``n_packets``
       (the paper's ``M``), ``generation_interval``;
-    * **schedule** — ``duty_ratio`` (normalized period
-      ``T = round(wake_slots / duty_ratio)``), ``wake_slots`` (>1 uses
-      the multi-slot schedule model), ``schedule_jitter`` (per-period
-      probability a node's true wake lands one slot off its advertised
-      slot — residual synchronization error);
+    * **schedule** — ``duty_ratio`` (period
+      ``T = round(wake_slots / duty_ratio)``), ``wake_slots`` (active
+      slots per period; the paper's normalized analysis uses 1),
+      ``schedule_jitter`` (per-period probability a node's true wake
+      lands one slot off its advertised slot — residual synchronization
+      error);
     * **channel** — ``link_model`` (``static`` or ``gilbert_elliott``)
       with ``link_kwargs``, plus ``sim`` overrides (``fast_forward``,
       ``max_slots``, ``track_events`` and a nested ``radio`` object of
@@ -509,8 +509,6 @@ class Scenario:
     @property
     def period(self) -> int:
         """Schedule period ``T``: ``wake_slots`` active slots per ``T``."""
-        if self.wake_slots == 1:
-            return duty_ratio_to_period(self.duty_ratio)
         return max(int(round(self.wake_slots / self.duty_ratio)),
                    self.wake_slots)
 

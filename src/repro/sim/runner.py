@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..net.multislot import MultiSlotScheduleTable
 from ..net.packet import FloodWorkload
 from ..net.schedule import ScheduleTable
 from ..net.sync import JitteredSchedules
@@ -140,13 +139,8 @@ def _replication_inputs(topo: Topology, scenario: Scenario,
     process builds them.
     """
     schedule_rng = streams.get(f"schedule/{rep}")
-    if scenario.wake_slots == 1:
-        schedules = ScheduleTable.random(
-            topo.n_nodes, scenario.period, schedule_rng)
-    else:
-        schedules = MultiSlotScheduleTable.random(
-            topo.n_nodes, scenario.period, scenario.wake_slots, schedule_rng
-        )
+    schedules = ScheduleTable.random(
+        topo.n_nodes, scenario.period, schedule_rng, scenario.wake_slots)
     true_schedules = None
     if scenario.schedule_jitter > 0.0:
         jitter_seed = int(

@@ -158,6 +158,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExactTreeDelay(topo, schedules, parent, horizon=5)
 
+    def test_multi_slot_schedules_rejected(self):
+        # The hop kernel steps one period per retry, which skips every
+        # other active slot of a multi-slot table.
+        topo, _, parent = chain_setup()
+        two_slots = ScheduleTable(5, [[0, 2], [1, 3], [2, 4], [3, 0]])
+        with pytest.raises(ValueError, match="one active slot"):
+            ExactTreeDelay(topo, two_slots, parent, horizon=64)
+
     def test_unreachable_node(self):
         topo, schedules, parent = chain_setup()
         parent = parent.copy()

@@ -36,14 +36,15 @@ def test_every_registry_grid_serializes_and_round_trips():
         assert again.fingerprint() == grid.fingerprint(), eid
 
 
-def test_smoke_expectation_matches_committed_digest(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["scenario", "schedules"])
+def test_smoke_expectation_matches_committed_digest(kind, tmp_path, capsys):
     # The CI smoke contract, runnable locally: simulation is
     # bit-identical across machines, so the committed digest is exact.
     out = tmp_path / "summary.json"
-    assert main(["run-scenario", str(EXAMPLES / "scenario_smoke.json"),
+    assert main(["run-scenario", str(EXAMPLES / f"{kind}_smoke.json"),
                  "--summary", str(out)]) == 0
     capsys.readouterr()
-    expected = (EXAMPLES / "scenario_smoke.expected.json").read_text()
+    expected = (EXAMPLES / f"{kind}_smoke.expected.json").read_text()
     assert json.loads(out.read_text()) == json.loads(expected)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.experiments import run_experiment_by_id
 from repro.net.generators import line_topology
-from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.net.sync import JitteredSchedules
@@ -28,7 +27,7 @@ class TestJitteredSchedules:
     def test_zero_jitter_keeps_every_wake_slot(self, wake_slots, rng):
         # Every active slot of a multi-slot table jitters, so at jitter 0
         # the true wake sets equal the advertised ones at every phase.
-        advertised = MultiSlotScheduleTable.random(5, 20, wake_slots, rng)
+        advertised = ScheduleTable.random(5, 20, rng, wake_slots)
         truth = JitteredSchedules(advertised, 0.0, seed=1)
         for t in range(40):
             assert np.array_equal(truth.awake_at(t), advertised.awake_at(t))
@@ -74,6 +73,13 @@ class TestJitteredSchedules:
         truth = JitteredSchedules(advertised, 0.5, seed=1)
         with pytest.raises(ValueError):
             truth.awake_at(-1)
+
+    def test_is_active_rejects_negative_slots(self):
+        # Slot -3 would otherwise read period -1's jitter draws.
+        truth = JitteredSchedules(ScheduleTable(5, [0, 1, 2]), 0.3, 7)
+        with pytest.raises(ValueError, match="non-negative"):
+            truth.is_active(0, -3)
+        assert truth.is_active(0, 0) == (0 in truth.awake_at(0).tolist())
 
 
 class TestEngineSkewMode:

@@ -1,47 +1,81 @@
-"""Tests for multi-active-slot schedule tables."""
+"""Tests for schedule tables with several active slots per node (duty a/T)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.multislot import MultiSlotScheduleTable
+from repro.net.generators import line_topology
+from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
+from repro.protocols.base import RepSimView
+
+
+def _next_wakes(table, t, nodes=None):
+    """Each node's first wake strictly after ``t`` through the engine's
+    frontier query, :meth:`RepSimView.next_wakes`, on a one-table stack."""
+    n = len(table)
+    nodes = np.arange(n) if nodes is None else np.asarray(nodes)
+    has = np.zeros((1, 1, n), dtype=bool)
+    view = RepSimView(line_topology(n - 1), [table], FloodWorkload(1), has,
+                      np.full(has.shape, -1, dtype=np.int64))
+    return view.next_wakes(t, np.zeros(1, dtype=np.int64), nodes).min(axis=2)[0]
+
+_OFFSETS = st.integers(1, 30).flatmap(
+    lambda period: st.tuples(
+        st.just(period),
+        st.lists(st.integers(0, period - 1), min_size=1, max_size=12),
+    )
+)
 
 
 @pytest.fixture
 def table(rng):
-    return MultiSlotScheduleTable.random(8, 20, 3, rng)
+    return ScheduleTable.random(8, 20, rng, 3)
 
 
 class TestConstruction:
     def test_random_shape_and_duty(self, table):
         assert len(table) == 8
         assert table.slots_per_period == 3
+        assert table.offsets_matrix.shape == (8, 3)
         assert table.duty_ratio == pytest.approx(0.15)
 
     def test_duplicate_slots_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            MultiSlotScheduleTable(10, np.asarray([[1, 1]]))
+            ScheduleTable(10, np.asarray([[1, 1]]))
+        with pytest.raises(ValueError, match="node 2 has duplicate"):
+            ScheduleTable(10, np.asarray([[0, 1], [2, 3], [4, 4]]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            MultiSlotScheduleTable(10, np.asarray([[0, 10]]))
+            ScheduleTable(10, np.asarray([[0, 10]]))
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            MultiSlotScheduleTable.random(0, 10, 2, rng)
+            ScheduleTable.random(0, 10, rng, 2)
         with pytest.raises(ValueError):
-            MultiSlotScheduleTable.random(5, 10, 11, rng)
+            ScheduleTable.random(5, 10, rng, 11)
         with pytest.raises(ValueError):
-            MultiSlotScheduleTable(0, np.asarray([[0]]))
+            ScheduleTable(0, np.asarray([[0]]))
 
-    def test_from_single_roundtrip(self, rng):
-        single = ScheduleTable.random(6, 12, rng)
-        multi = MultiSlotScheduleTable.from_single(single)
-        for t in range(24):
-            assert np.array_equal(multi.awake_at(t), single.awake_at(t))
-        assert multi.duty_ratio == pytest.approx(single.duty_ratio)
+    @given(_OFFSETS)
+    @settings(max_examples=60)
+    def test_from_single_roundtrip(self, case):
+        # Flat (n,) offsets and their (n, 1) column build the same
+        # one-slot table: every query agrees.
+        period, offsets = case
+        flat = ScheduleTable(period, np.asarray(offsets))
+        column = ScheduleTable(period, np.asarray(offsets)[:, None])
+        assert np.array_equal(flat.offsets_matrix, column.offsets_matrix)
+        assert np.array_equal(flat.offsets, column.offsets)
+        assert flat.duty_ratio == column.duty_ratio == 1 / period
+        assert len(flat) == len(column) == len(offsets)
+        for t in range(2 * period + 1):
+            assert np.array_equal(flat.awake_at(t), column.awake_at(t))
+            for v in range(len(offsets)):
+                assert flat.is_active(v, t) == column.is_active(v, t)
+                assert flat.next_active(v, t) == column.next_active(v, t)
 
 
 class TestQueries:
@@ -54,11 +88,14 @@ class TestQueries:
             }
             assert awake == expected
 
-    def test_is_active_consistent_with_awake(self, table):
-        for t in (0, 7, 19, 33):
-            awake = set(table.awake_at(t).tolist())
-            for v in range(8):
-                assert table.is_active(v, t) == (v in awake)
+    @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 200))
+    @settings(max_examples=60)
+    def test_is_active_consistent_with_awake(self, period, a, t):
+        table = ScheduleTable.random(
+            10, period, np.random.default_rng(period), min(a, period))
+        awake = table.awake_at(t).tolist()
+        assert awake == sorted(awake)
+        assert set(awake) == {v for v in range(10) if table.is_active(v, t)}
 
     def test_next_active_minimal(self, table):
         for v in range(8):
@@ -69,15 +106,9 @@ class TestQueries:
                 for u in range(t, nxt):
                     assert not table.is_active(v, u)
 
-    def test_next_active_array_matches_scalar(self, table):
-        for t in (0, 13, 27):
-            arr = table.next_active_array(t)
-            for v in range(8):
-                assert arr[v] == table.next_active(v, t)
-
     def test_next_wake_after_strict_and_minimal(self, table):
         for t in (0, 5, 19, 20, 41):
-            arr = table.next_wake_after(t)
+            arr = _next_wakes(table, t)
             for v in range(8):
                 nxt = int(arr[v])
                 assert t < nxt <= t + table.period
@@ -89,18 +120,11 @@ class TestQueries:
         # Node active at t itself must map to its *next* active slot,
         # which with multiple slots per period may be inside the same
         # period rather than a full period away.
-        table = MultiSlotScheduleTable(6, np.asarray([[0, 3]]))
-        assert table.next_wake_after(0)[0] == 3
-        assert table.next_wake_after(3)[0] == 6
-        assert table.next_wake_after(6)[0] == 9
-        assert table.next_wake_after(2, nodes=np.array([0, 0])).tolist() == [3, 3]
-
-    def test_schedule_of(self, table):
-        ws = table.schedule_of(2)
-        assert ws.period == 20
-        assert ws.active_slots == frozenset(
-            int(s) for s in table.offsets_matrix[2]
-        )
+        table = ScheduleTable(6, np.asarray([[0, 3], [1, 4]]))
+        assert _next_wakes(table, 0, [0])[0] == 3
+        assert _next_wakes(table, 3, [0])[0] == 6
+        assert _next_wakes(table, 6, [0])[0] == 9
+        assert _next_wakes(table, 2, nodes=[0, 0]).tolist() == [3, 3]
 
     def test_offsets_shim_first_slot(self, table):
         assert np.array_equal(table.offsets, table.offsets_matrix[:, 0])
@@ -110,10 +134,13 @@ class TestQueries:
     def test_wakes_per_period_equal_a(self, period, data):
         a = data.draw(st.integers(1, period))
         rng = np.random.default_rng(7)
-        table = MultiSlotScheduleTable.random(4, period, a, rng)
+        table = ScheduleTable.random(4, period, rng, a)
         for v in range(4):
             wakes = sum(table.is_active(v, t) for t in range(period))
             assert wakes == a
+        # Each node sits in exactly a of the per-phase wake lists.
+        listed = np.concatenate(table.wake_lists)
+        assert np.bincount(listed, minlength=4).tolist() == [a] * 4
 
 
 class TestEngineIntegration:
@@ -123,7 +150,7 @@ class TestEngineIntegration:
         from repro.sim.engine import SimConfig, run_flood
 
         rng = np.random.default_rng(1)
-        schedules = MultiSlotScheduleTable.random(5, 10, 2, rng)
+        schedules = ScheduleTable.random(5, 10, rng, 2)
         result = run_flood(
             line5, schedules, FloodWorkload(2), make_protocol("dbao"),
             np.random.default_rng(2), SimConfig(coverage_target=1.0),

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.net.generators import random_geometric_topology
-from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.net.topology import SOURCE
@@ -90,10 +89,10 @@ def _slot_split_stack(n, seed):
     # table: the offsets stack edge-pads the narrower ones.
     rng = np.random.default_rng(seed)
     return [
-        MultiSlotScheduleTable.random(n, 20, 3, rng),
+        ScheduleTable.random(n, 20, rng, 3),
         ScheduleTable.random(n, 10, rng),
-        MultiSlotScheduleTable.random(n, 20, 1, rng),
-        MultiSlotScheduleTable.random(n, 40, 2, rng),
+        ScheduleTable.random(n, 20, rng, 1),
+        ScheduleTable.random(n, 40, rng, 2),
     ]
 
 

@@ -26,7 +26,6 @@ import pytest
 from repro.net.dynamics import GilbertElliott
 from repro.net.generators import random_geometric_topology
 from repro.net.mac import make_link_model
-from repro.net.multislot import MultiSlotScheduleTable
 from repro.net.packet import FloodWorkload
 from repro.net.radio import RadioModel
 from repro.net.schedule import ScheduleTable
@@ -46,15 +45,11 @@ MAX_SLOTS = 600
 def _substrate(wake_slots=1):
     rng = np.random.default_rng(7)
     topo = random_geometric_topology(25, area_m=180.0, rng=rng)
-    if wake_slots == 1:
-        schedules = ScheduleTable.random(
-            topo.n_nodes, PERIOD, np.random.default_rng(8))
-    else:
-        # Same duty ratio as the single-slot substrate, split into
-        # ``wake_slots`` windows per (proportionally longer) period.
-        schedules = MultiSlotScheduleTable.random(
-            topo.n_nodes, PERIOD * wake_slots, wake_slots,
-            np.random.default_rng(8))
+    # Same duty ratio at every wake-slot count: ``wake_slots`` windows
+    # per (proportionally longer) period.
+    schedules = ScheduleTable.random(
+        topo.n_nodes, PERIOD * wake_slots, np.random.default_rng(8),
+        wake_slots)
     return topo, schedules
 
 
