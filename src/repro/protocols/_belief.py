@@ -24,7 +24,7 @@ import numpy as np
 
 from ..net.topology import Topology
 from ._repbatch import executing_rows, frontier_pairs
-from .base import FloodingProtocol, PhaseCache
+from .base import FloodingProtocol, PacketWords, PhaseCache
 
 __all__ = ["RepNeighborBelief", "BeliefFlooding"]
 
@@ -37,19 +37,16 @@ class RepNeighborBelief:
     replications. A node keeps beliefs about its graph out-neighbors
     only: belief column ``j`` of node ``v`` is its ``j``-th out-neighbor.
 
-    For M <= 64 packets the backing store packs the packet axis into
-    uint64 words (packet ``m`` -> bit ``m``, shape ``(R, n_nodes,
-    max_degree)``): belief updates and frontier offer scans become 2-D
-    word gathers instead of 3-D boolean gathers plus an (M,) reduction.
-    Wider workloads fall back to the ``(R, n_nodes, M, max_degree)``
-    boolean tensor.
+    The store holds one packet set per (replication, node, column) in
+    the :class:`~repro.protocols.base.PacketWords` layout, shape ``(R,
+    n_nodes, max_degree, W)``: belief updates and offer scans are word
+    gathers and word ops against the engine's possession words.
     """
 
     def __init__(self, topo: Topology, n_packets: int, n_reps: int):
-        if n_packets < 1:
-            raise ValueError("need at least one packet")
         if n_reps < 1:
             raise ValueError("need at least one replication")
+        self.packet_words = PacketWords(n_packets)
         n = topo.n_nodes
         nbrs = [topo.out_neighbors(node) for node in range(n)]
         max_deg = max(max((a.size for a in nbrs), default=0), 1)
@@ -57,36 +54,24 @@ class RepNeighborBelief:
         self._pair_col = np.full((n, n), -1, dtype=np.int64)
         for node, nbs in enumerate(nbrs):
             self._pair_col[node, nbs] = np.arange(nbs.size)
-        self._n_packets = int(n_packets)
-        if self._n_packets <= 64:
-            self._pow2 = np.uint64(1) << np.arange(
-                self._n_packets, dtype=np.uint64
-            )
-            self._packed = np.zeros(
-                (int(n_reps), n, max_deg), dtype=np.uint64
-            )
-            self._full_word = np.uint64((1 << self._n_packets) - 1)
-            self._belief4 = None
-        else:
-            self._pow2 = None
-            self._packed = None
-            self._belief4 = np.zeros(
-                (int(n_reps), n, self._n_packets, max_deg), dtype=bool
-            )
+        self._words = np.zeros(
+            (int(n_reps), n, max_deg, self.packet_words.n_words),
+            dtype=np.uint64)
 
     @property
     def n_reps(self) -> int:
-        if self._packed is not None:
-            return self._packed.shape[0]
-        return self._belief4.shape[0]
+        return self._words.shape[0]
 
-    @property
-    def packed(self) -> bool:
-        """Whether beliefs live in uint64 words (M <= 64)."""
-        return self._packed is not None
+    def word_rows(self) -> np.ndarray:
+        """The store as ``(R * n * max_degree, W)`` word rows, indexed
+        by :meth:`word_row_index`."""
+        return self._words.reshape(-1, self._words.shape[3])
 
-    def _cols(self, observers: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Belief columns of flat (observer, receiver) neighbor pairs."""
+    def word_row_index(
+        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray
+    ) -> np.ndarray:
+        """Rows of :meth:`word_rows` holding the beliefs of flat
+        (replication, observer, receiver) neighbor tuples."""
         cols = self._pair_col[observers, receivers]
         if np.any(cols < 0):
             bad = int(np.flatnonzero(cols < 0)[0])
@@ -94,70 +79,44 @@ class RepNeighborBelief:
                 f"node {int(receivers[bad])} is not an out-neighbor of "
                 f"{int(observers[bad])}"
             )
-        return cols
-
-    def needs_pairs(
-        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray
-    ) -> np.ndarray:
-        """(P, M) believed needs for flat (replication, observer, receiver)."""
-        cols = self._cols(observers, receivers)
-        if self._packed is not None:
-            words = self._packed[kk, observers, cols]
-            return (words[:, None] & self._pow2[None, :]) == 0
-        return ~self._belief4[kk, observers, :, cols]
+        _, n, max_deg, _ = self._words.shape
+        return (kk * n + observers) * max_deg + cols
 
     def offer_words(
         self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray,
         has_packed: np.ndarray,
     ) -> np.ndarray:
-        """(P,) packed offers for flat (replication, observer, receiver).
+        """(P, W) offer words for flat (replication, observer, receiver).
 
         Bit ``m`` of row ``i`` is set when ``observers[i]`` holds packet
-        ``m`` (read off the engine's ``(R, n)`` possession bitmask) and
+        ``m`` (read off the engine's ``(R, n, W)`` possession words) and
         believes ``receivers[i]`` lacks it — the row's FCFS candidates.
-        Both gathers run on fused flat indices. Packed beliefs only.
+        Both gathers are row takes on fused flat indices.
         """
-        cols = self._cols(observers, receivers)
-        node = kk * self._packed.shape[1] + observers
-        believed = self._packed.take(node * self._packed.shape[2] + cols)
-        return has_packed.take(node) & ~believed
-
-    def offers_flat(
-        self, kk: np.ndarray, observers: np.ndarray, receivers: np.ndarray,
-        has_stack: np.ndarray, has_packed: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """(P,) offer mask for flat (replication, observer, receiver)
-        tuples: :meth:`offer_pairs_reps`'s condition, one replication per
-        tuple."""
-        if self._packed is not None and has_packed is not None:
-            return self.offer_words(kk, observers, receivers, has_packed) != 0
-        return (has_stack[kk, :, observers]
-                & self.needs_pairs(kk, observers, receivers)).any(axis=1)
-
-    def unpack(self, words: np.ndarray) -> np.ndarray:
-        """(P, M) boolean packet masks of (P,) packed words."""
-        return (words[:, None] & self._pow2[None, :]) != 0
+        believed = self.word_rows().take(
+            self.word_row_index(kk, observers, receivers), axis=0)
+        holds = has_packed.reshape(-1, has_packed.shape[2]).take(
+            kk * has_packed.shape[1] + observers, axis=0)
+        return holds & ~believed
 
     def sync(
         self,
         kk: np.ndarray,
         observers: np.ndarray,
         receivers: np.ndarray,
-        has_stack: np.ndarray,
-        has_packed: "np.ndarray | None" = None,
+        has_packed: np.ndarray,
     ) -> None:
         """Absorb possession summaries over flat observation tuples.
 
         Tuple ``i`` has ``observers[i]`` (in replication ``kk[i]``)
         learn ``receivers[i]``'s *entire* buffer at once — the summary a
         link-layer ACK piggybacks in dissemination protocols
-        (Deluge-style version vectors) — read off the ``(R, M, n)``
-        possession stack, or straight from the engine-maintained
-        ``(R, n)`` possession bitmask when the caller supplies it.
-        Evidence about a non-neighbor is useless and dropped. Updates
-        only ever set bits, and any repeated (replication, observer,
-        receiver) tuple carries an identical summary, so the batched OR
-        is order-independent and matches any serial application order.
+        (Deluge-style version vectors) — read off the engine's ``(R, n,
+        W)`` possession words. Evidence about a non-neighbor is useless
+        and dropped. Updates only ever set bits, and any repeated
+        (replication, observer, receiver) tuple carries an identical
+        summary, so the batched OR is order-independent and matches any
+        serial application order.
         """
         cols = self._pair_col[observers, receivers]
         keep = cols >= 0
@@ -166,16 +125,7 @@ class RepNeighborBelief:
             cols = cols[keep]
         if kk.size == 0:
             return
-        if self._packed is None:
-            self._belief4[kk, observers, :, cols] |= has_stack[kk, :, receivers]
-            return
-        if has_packed is not None:
-            words = has_packed[kk, receivers]
-        else:
-            words = (
-                has_stack[kk, :, receivers].astype(np.uint64) * self._pow2
-            ).sum(axis=1, dtype=np.uint64)
-        self._packed[kk, observers, cols] |= words
+        self._words[kk, observers, cols] |= has_packed[kk, receivers]
 
     def coverage_counts(
         self, kk: np.ndarray, observers: np.ndarray, packets: np.ndarray
@@ -186,21 +136,17 @@ class RepNeighborBelief:
         ``packets[i]`` in replication ``kk[i]``. Padding columns never
         hold set bits, so the whole padded row sums exactly.
         """
-        if self._packed is not None:
-            words = self._packed[kk, observers]  # (C, max_deg)
-            bits = (
-                words >> packets.astype(np.uint64)[:, None]
-            ) & np.uint64(1)
-            return bits.sum(axis=1).astype(np.int64)
-        return self._belief4[kk, observers, packets, :].sum(axis=1)
+        layout = self.packet_words
+        words = self._words[kk, observers, :, layout.word[packets]]
+        bits = (words & layout.bit[packets][:, None]) != 0  # (C, max_deg)
+        return bits.sum(axis=1, dtype=np.int64)
 
     def offer_pairs_matrix(
         self,
         rep_ids: np.ndarray,
         observers: np.ndarray,
         receivers: np.ndarray,
-        has_stack: np.ndarray,
-        has_packed: "np.ndarray | None" = None,
+        has_packed: np.ndarray,
     ) -> np.ndarray:
         """:meth:`offer_pairs_reps` with per-replication observers.
 
@@ -216,67 +162,35 @@ class RepNeighborBelief:
         ok = valid & (cols >= 0)
         cols = np.where(ok, cols, 0)
         kk = rep_ids[:, None]
-        if self._packed is not None:
-            bel = self._packed[kk, obs, cols]
-            if has_packed is not None:
-                holds_w = has_packed[kk, obs]
-            else:
-                holds_w = (
-                    has_stack[rep_ids[:, None], :, obs].astype(np.uint64)
-                    * self._pow2[None, None, :]
-                ).sum(axis=2, dtype=np.uint64)
-            return ok & ((holds_w & ~bel) != 0)
-        believed = self._belief4[kk, obs, :, cols]  # (R', P, M)
-        holds = has_stack[rep_ids[:, None], :, obs]  # (R', P, M)
-        return ok & (holds & ~believed).any(axis=2)
+        bel = self._words[kk, obs, cols]  # (R', P, W)
+        return ok & (has_packed[kk, obs] & ~bel).any(axis=2)
 
     def offer_pairs_reps(
         self,
         rep_ids: np.ndarray,
         observers: np.ndarray,
         receivers: np.ndarray,
-        has_stack: np.ndarray,
-        has_packed: "np.ndarray | None" = None,
+        has_packed: np.ndarray,
     ) -> np.ndarray:
         """(len(rep_ids), P) offer mask across replications.
 
-        ``has_stack`` is the ``(R, M, n_nodes)`` possession stack; pair
-        ``j`` offers in replication ``rep_ids[i]`` when its observer holds
-        at least one packet it believes the receiver lacks — exactly the
+        Pair ``j`` offers in replication ``rep_ids[i]`` when its observer
+        holds at least one packet (read off the engine's ``(R, n, W)``
+        possession words) it believes the receiver lacks — exactly the
         condition under which the belief-driven protocols would commit a
         transmission on that pair, so offering pairs' receivers form the
-        protocol's pending frontier. When the caller supplies the
-        engine-maintained ``(R, n)`` possession bitmask the scan runs on
-        packed words — two 2-D gathers and one uint64 op per pair
-        instead of the 3-D boolean gather.
+        protocol's pending frontier.
         """
         cols = self._pair_col[observers, receivers]
-        if self._packed is not None:
-            bel = self._packed[
-                rep_ids[:, None], observers[None, :], cols[None, :]
-            ]
-            if has_packed is not None:
-                holds_w = has_packed[rep_ids[:, None], observers[None, :]]
-            else:
-                holds_w = (
-                    has_stack[rep_ids][:, :, observers].astype(np.uint64)
-                    * self._pow2[None, :, None]
-                ).sum(axis=1, dtype=np.uint64)
-            return (holds_w & ~bel) != 0
-        believed = self._belief4[
-            rep_ids[:, None], observers[None, :], :, cols[None, :]
-        ]  # (R', P, M)
-        holds = has_stack[rep_ids][:, :, observers].transpose(0, 2, 1)
-        return (holds & ~believed).any(axis=2)
+        kk = rep_ids[:, None]
+        bel = self._words[kk, observers[None, :], cols[None, :]]
+        return (has_packed[kk, observers[None, :]] & ~bel).any(axis=2)
 
     def rep_state(self, rep: int) -> np.ndarray:
-        """Copy of one replication's belief tensor (tests/diagnostics)."""
-        if self._packed is not None:
-            return (
-                self._packed[int(rep)][:, None, :]
-                & self._pow2[None, :, None]
-            ) != 0
-        return self._belief4[int(rep)].copy()
+        """One replication's beliefs as an ``(n, M, max_degree)``
+        boolean tensor (tests/diagnostics)."""
+        return self.packet_words.unpack(self._words[int(rep)]).transpose(
+            0, 2, 1)
 
 
 class BeliefFlooding(FloodingProtocol):
@@ -325,25 +239,17 @@ class BeliefFlooding(FloodingProtocol):
         is computed for a row they drop. Returns ``(rows, heads)``: the
         ascending indices of the kept valid rows and their heads.
 
-        With packed beliefs (M <= 64) validity is one word test per row
-        and the head argmin runs on valid rows only; wider workloads
-        take the boolean needs/heads path.
+        Validity is a test of the row's offer words, and the head argmin
+        runs on valid rows only.
         """
         idx = None
         if keep is not None:
             idx = np.flatnonzero(keep)
             kk, ss, rr = kk[idx], ss[idx], rr[idx]
-        belief = self._rep_belief
-        if belief.packed and view.has_packed is not None:
-            words = belief.offer_words(kk, ss, rr, view.has_packed)
-            rows = np.flatnonzero(words)
-            heads = view.fcfs_heads_masked(
-                kk[rows], ss[rows], belief.unpack(words[rows]))
-        else:
-            heads, valid = view.fcfs_heads_pairs(
-                kk, ss, belief.needs_pairs(kk, ss, rr))
-            rows = np.flatnonzero(valid)
-            heads = heads[rows]
+        words = self._rep_belief.offer_words(kk, ss, rr, view.has_packed)
+        rows = np.flatnonzero(words.any(axis=1))
+        heads = view.fcfs_heads_masked(
+            kk[rows], ss[rows], view.packet_words.unpack(words[rows]))
         if idx is not None:
             rows = idx[rows]
         return rows, heads
@@ -366,8 +272,7 @@ class BeliefFlooding(FloodingProtocol):
         if self._witnesses is not None:
             kk, observers, receivers = self._join_witnesses(
                 kk, observers, receivers, view.n_nodes)
-        self._rep_belief.sync(
-            kk, observers, receivers, view.has_stack, view.has_packed)
+        self._rep_belief.sync(kk, observers, receivers, view.has_packed)
 
     def _join_witnesses(self, kk, observers, receivers, n):
         """Append the witnesses whose chosen receiver got a reception.
@@ -400,9 +305,7 @@ class BeliefFlooding(FloodingProtocol):
         if self._off_frontier is None:
             self._off_frontier = view.offsets_stack[:, self._frontier_r]
         offers = self._rep_belief.offer_pairs_reps(
-            rep_ids, self._frontier_s, self._frontier_r, view.has_stack,
-            view.has_packed,
-        )
+            rep_ids, self._frontier_s, self._frontier_r, view.has_packed)
         return view.earliest_wakes(
             t, rep_ids, self._frontier_r, offers, self._off_frontier
         )

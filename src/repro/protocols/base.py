@@ -27,7 +27,7 @@ from ..net.topology import Topology
 
 __all__ = ["RepSimView", "FloodingProtocol", "register_protocol",
            "make_protocol", "available_protocols", "NEVER",
-           "PhaseCache", "PHASE_CACHE_CAP"]
+           "PhaseCache", "PHASE_CACHE_CAP", "PacketWords"]
 
 #: Sentinel arrival for absent packets in FCFS computations (hoisted —
 #: ``np.iinfo`` on every call shows up hard in profiles).
@@ -116,6 +116,45 @@ class PhaseCache:
         return rows
 
 
+class PacketWords:
+    """The packet-set encoding: ``W = ceil(M / 64)`` uint64 words.
+
+    Packet ``p`` is bit ``p % 64`` of word ``p // 64``, so a set of
+    packets is a trailing ``(W,)`` word axis and set algebra (union,
+    difference, "holds something the other lacks") runs as word ops. The
+    engine's possession words (:attr:`RepSimView.has_packed`) and the
+    protocols' neighbor beliefs share this one layout at every ``M``.
+    """
+
+    def __init__(self, n_packets: int):
+        if n_packets < 1:
+            raise ValueError("need at least one packet")
+        self.n_packets = int(n_packets)
+        #: Words per packet set.
+        self.n_words = -(-self.n_packets // 64)
+        packets = np.arange(self.n_packets, dtype=np.int64)
+        #: (M,) word index of each packet.
+        self.word = packets // 64
+        #: (M,) each packet's bit within its word.
+        self.bit = np.uint64(1) << (packets % 64).astype(np.uint64)
+        self._word_starts = packets[::64]
+        #: (W,) words of the full packet set.
+        self.full = self.pack(np.ones(self.n_packets, dtype=bool))
+
+    def pack(self, has: np.ndarray, axis: int = -1) -> np.ndarray:
+        """C-contiguous ``(..., W)`` words of boolean packet masks whose
+        packet axis (length M) is ``axis``; the other axes keep their
+        order. Contiguity lets callers keep flat views of the words."""
+        has = np.moveaxis(np.asarray(has, dtype=bool), axis, -1)
+        # A word's packets hold distinct bits, so their sum is their OR.
+        return np.ascontiguousarray(
+            np.add.reduceat(has * self.bit, self._word_starts, axis=-1))
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """``(..., M)`` boolean packet masks of ``(..., W)`` words."""
+        return (np.take(words, self.word, axis=-1) & self.bit) != 0
+
+
 class RepSimView:
     """Stacked read-only window across R replications of one scenario.
 
@@ -162,17 +201,13 @@ class RepSimView:
         #: ``held_counts``: an upper bound on the arrival of every packet
         #: the node holds, read without the (P, M) head gather.
         self.latest_arrival = arrival_stack.max(axis=1)
-        #: (R, n) possession bitmask (packet m -> bit m), kept in sync by
-        #: the engine alongside ``held_counts``; lets frontier queries
-        #: compare whole buffers with one uint64 op instead of an (M,)
-        #: reduction. ``None`` when M exceeds the 64-bit word.
-        if self.n_packets <= 64:
-            pw = np.uint64(1) << np.arange(self.n_packets, dtype=np.uint64)
-            self.has_packed = (
-                has_stack.astype(np.uint64) * pw[None, :, None]
-            ).sum(axis=1, dtype=np.uint64)
-        else:
-            self.has_packed = None
+        #: The packet-set word layout.
+        self.packet_words = PacketWords(self.n_packets)
+        #: (R, n, W) possession words (:class:`PacketWords`), kept in
+        #: sync by the engine alongside ``held_counts``; lets proposals
+        #: and frontier queries compare whole buffers with W uint64 ops
+        #: instead of an (M,) reduction.
+        self.has_packed = self.packet_words.pack(has_stack, axis=1)
 
     @property
     def n_reps(self) -> int:
@@ -212,36 +247,16 @@ class RepSimView:
         sub = self.has_stack[rep][:, neighbors] & needed_mask[:, None]
         return neighbors[sub.any(axis=0)]
 
-    def fcfs_heads_pairs(
-        self, kk: np.ndarray, senders: np.ndarray, needs: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """FCFS heads for flat (replication, sender) pairs.
-
-        ``needs`` is ``(P, M)`` — row ``i`` is the needs mask believed by
-        ``senders[i]`` in replication ``kk[i]``. Returns ``(heads,
-        valid)``: per-pair :meth:`fcfs_head` packets (undefined where
-        ``valid`` is False).
-        """
-        cand = self.has_stack[kk, :, senders] & needs  # (P, M)
-        arrivals = np.where(
-            cand, self.arrival_stack[kk, :, senders], _INT64_MAX)
-        return arrivals.argmin(axis=1), cand.any(axis=1)
-
-    def held_counts_pairs(
-        self, kk: np.ndarray, nodes: np.ndarray
-    ) -> np.ndarray:
-        """Buffer sizes for flat (replication, node) pairs."""
-        return self.held_counts[kk, nodes]
-
     def fcfs_heads_masked(
         self, kk: np.ndarray, senders: np.ndarray, cand: np.ndarray
     ) -> np.ndarray:
-        """FCFS heads when the (P, M) candidate mask is already known.
+        """FCFS heads for flat (replication, sender) pairs.
 
-        ``cand`` rows must be non-empty (callers pre-filter with the
-        packed-word validity test); returns the earliest-arrival packet
-        per row under the same argmin tie-break as
-        :meth:`fcfs_heads_pairs`.
+        Row ``i`` of the ``(P, M)`` mask ``cand`` marks the packets
+        ``senders[i]`` may send in replication ``kk[i]`` (callers unpack
+        it from candidate words, see :class:`PacketWords`) and must be
+        non-empty. Returns the earliest-arrived such packet per row,
+        ties to the lower index, as :meth:`fcfs_head`.
         """
         arrivals = np.where(
             cand, self.arrival_stack[kk, :, senders], _INT64_MAX)

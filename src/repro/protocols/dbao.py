@@ -143,130 +143,69 @@ class Dbao(BeliefFlooding):
             # gather, so the per-slot receiver pick needs no lexsort and
             # no index-array gathers — just masks over these arrays.
             srows = np.lexsort((r_flat, -prr_flat, s_flat, kk))
-            # Belief columns are static per (sender, receiver) pair, so
-            # the per-slot packed-word scan skips the pair-map lookup.
-            col_flat = self._rep_belief._pair_col[s_flat, r_flat]
-            if np.any(col_flat < 0):
-                bad = int(np.flatnonzero(col_flat < 0)[0])
-                raise KeyError(
-                    f"node {int(r_flat[bad])} is not an out-neighbor of "
-                    f"{int(s_flat[bad])}"
-                )
             # The listen rule's static part: a waking non-source sender
             # is silenced iff its buffer is incomplete.
             u_listen = sender_awake[first_idx] & (s_flat[first_idx] != SOURCE)
-            k_srt, s_srt, col_srt = kk[srows], s_flat[srows], col_flat[srows]
+            k_srt, s_srt, r_srt = kk[srows], s_flat[srows], r_flat[srows]
             # Flattened gather indices (static per phase): per-slot word
-            # lookups become single `take` calls instead of multi-array
+            # lookups become single row takes instead of multi-array
             # advanced indexing.
-            n_nodes = self._topo.n_nodes
-            if self._rep_belief._packed is not None:
-                max_deg = self._rep_belief._packed.shape[2]
-                bel_idx = (k_srt * n_nodes + s_srt) * max_deg + col_srt
-            else:
-                bel_idx = np.empty(0, dtype=np.int64)
-            u_idx = kk[first_idx] * n_nodes + s_flat[first_idx]
             rows = (
-                k_srt, s_srt, r_flat[srows], prr_flat[srows],
-                col_srt, kk[first_idx], s_flat[first_idx],
-                u_listen, inv[srows], bel_idx, u_idx,
+                k_srt, s_srt, r_srt, prr_flat[srows], kk[first_idx],
+                u_listen, inv[srows],
+                self._rep_belief.word_row_index(k_srt, s_srt, r_srt),
+                kk[first_idx] * self._topo.n_nodes + s_flat[first_idx],
             )
         else:
             empty = np.empty(0, dtype=np.int64)
             rows = (empty, empty, empty, np.empty(0, dtype=np.float64),
-                    empty, empty, empty, np.empty(0, dtype=bool), empty,
-                    empty, empty)
+                    empty, np.empty(0, dtype=bool), empty, empty, empty)
         return rows
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
         self._witnesses = None
 
-        (k_srt, s_srt, r_srt, prr_srt, col_srt, u_k, u_s, u_listen,
-         inv_srt, bel_idx, u_idx) = self._phases.at(t, self._phase_rows)
+        (k_srt, s_srt, r_srt, prr_srt, u_k, u_listen, inv_srt, bel_idx,
+         u_idx) = self._phases.at(t, self._phase_rows)
         if k_srt.size == 0:
             return empty, empty, empty, empty
 
-        belief = self._rep_belief
-        if belief._packed is not None and view.has_packed is not None:
-            # One fused gate: the pair-level possession word answers both
-            # the listen rule (incomplete buffer != full word) and —
-            # combined with the per-row belief word — row validity (the
-            # sender holds a bit the row's belief lacks, which subsumes
-            # "holds at least one packet"). The survivors are then
-            # compressed once via flatnonzero + take, and the FCFS argmin
-            # only runs on winner rows.
-            hw_u = view.has_packed.take(u_idx)
-            elig_u = ~((hw_u != belief._full_word) & u_listen)
-            if rep_ids.size < len(self._rep_schedules):
-                active = np.zeros(len(self._rep_schedules), dtype=bool)
-                active[rep_ids] = True
-                elig_u &= active[u_k]
-            cand_w = hw_u.take(inv_srt) & ~belief._packed.take(bel_idx)
-            sel = np.flatnonzero(elig_u.take(inv_srt) & (cand_w != 0))
-            if sel.size == 0:
-                return empty, empty, empty, empty
+        # One fused gate: the pair-level possession words answer both
+        # the listen rule (incomplete buffer != full set) and — combined
+        # with the per-row belief words — row validity (the sender holds
+        # a packet the row's belief lacks, which subsumes "holds at
+        # least one packet"). The survivors are then compressed once via
+        # flatnonzero + take, and the FCFS argmin only runs on winner
+        # rows.
+        layout = view.packet_words
+        hw_u = view.has_packed.reshape(-1, layout.n_words).take(u_idx, axis=0)
+        elig_u = ~((hw_u != layout.full).any(axis=1) & u_listen)
+        if rep_ids.size < len(self._rep_schedules):
+            active = np.zeros(len(self._rep_schedules), dtype=bool)
+            active[rep_ids] = True
+            elig_u &= active[u_k]
+        cand_w = hw_u.take(inv_srt, axis=0) & ~self._rep_belief.word_rows(
+            ).take(bel_idx, axis=0)
+        sel = np.flatnonzero(elig_u.take(inv_srt) & cand_w.any(axis=1))
+        if sel.size == 0:
+            return empty, empty, empty, empty
 
-            # A sender with several waking neighbors in need picks the
-            # one it has the best link to, equal links tie-breaking to
-            # the smaller receiver id: the first remaining row per
-            # (replication, sender); boundaries via the fused pair key.
-            pk = k_srt.take(sel) * self._topo.n_nodes + s_srt.take(sel)
-            first = np.empty(sel.size, dtype=bool)
-            first[0] = True
-            np.not_equal(pk[1:], pk[:-1], out=first[1:])
-            fsel = sel[first]
-            chosen_k = k_srt.take(fsel)  # ascending (rep, sender)
-            chosen_s = s_srt.take(fsel)
-            chosen_r = r_srt.take(fsel)
-            chosen_prr = prr_srt.take(fsel)
-            cand = (
-                cand_w.take(fsel)[:, None] & belief._pow2[None, :]
-            ) != 0
-            chosen_p = view.fcfs_heads_masked(chosen_k, chosen_s, cand)
-        else:
-            # Pair-level gate, evaluated once per unique (replication,
-            # sender): a sender must hold at least one packet (else no
-            # row of it can validate), and the listen rule silences a
-            # waking non-source node with an incomplete buffer — its
-            # active slot exists to receive, and transmitting through it
-            # would starve schedule-aligned neighbor pairs.
-            counts_u = view.held_counts_pairs(u_k, u_s)
-            elig_u = (counts_u > 0) & ~(
-                u_listen & (counts_u < view.n_packets)
-            )
-            if rep_ids.size < len(self._rep_schedules):
-                active = np.zeros(len(self._rep_schedules), dtype=bool)
-                active[rep_ids] = True
-                elig_u &= active[u_k]
-            if not elig_u.any():
-                return empty, empty, empty, empty
-
-            # Surviving rows, already in (rep, sender, best-prr,
-            # receiver) order from the phase-level sort.
-            m = elig_u[inv_srt]
-            k_e = k_srt[m]
-            s_e = s_srt[m]
-            r_e = r_srt[m]
-            prr_e = prr_srt[m]
-
-            needs = belief.needs_pairs(k_e, s_e, r_e)
-            heads, valid = view.fcfs_heads_pairs(k_e, s_e, needs)
-            if not valid.any():
-                return empty, empty, empty, empty
-            k_e = k_e[valid]
-            s_e = s_e[valid]
-            r_e = r_e[valid]
-            prr_e = prr_e[valid]
-            h_e = heads[valid]
-
-            first = np.ones(s_e.size, dtype=bool)
-            first[1:] = (s_e[1:] != s_e[:-1]) | (k_e[1:] != k_e[:-1])
-            chosen_k = k_e[first]
-            chosen_s = s_e[first]
-            chosen_r = r_e[first]
-            chosen_p = h_e[first]
-            chosen_prr = prr_e[first]
+        # A sender with several waking neighbors in need picks the one
+        # it has the best link to, equal links tie-breaking to the
+        # smaller receiver id: the first remaining row per (replication,
+        # sender); boundaries via the fused pair key.
+        pk = k_srt.take(sel) * self._topo.n_nodes + s_srt.take(sel)
+        first = np.empty(sel.size, dtype=bool)
+        first[0] = True
+        np.not_equal(pk[1:], pk[:-1], out=first[1:])
+        fsel = sel[first]
+        chosen_k = k_srt.take(fsel)  # ascending (rep, sender)
+        chosen_s = s_srt.take(fsel)
+        chosen_r = r_srt.take(fsel)
+        chosen_prr = prr_srt.take(fsel)
+        chosen_p = view.fcfs_heads_masked(
+            chosen_k, chosen_s, layout.unpack(cand_w.take(fsel, axis=0)))
 
         if self.overhearing:
             # Every contender that chose receiver r hears r's link-layer

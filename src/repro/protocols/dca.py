@@ -150,8 +150,7 @@ class DutyCycleAwareFlooding(BeliefFlooding):
             self._off_frontier = view.offsets_stack[:, fr]
         observers = self._rep_parent[rep_ids][:, fr]
         offers = self._rep_belief.offer_pairs_matrix(
-            rep_ids, observers, fr, view.has_stack, view.has_packed
-        )
+            rep_ids, observers, fr, view.has_packed)
         return view.earliest_wakes(
             t, rep_ids, fr, offers, self._off_frontier
         )

@@ -225,9 +225,9 @@ class OpportunisticFlooding(BeliefFlooding):
             lag, self._fr_own[pid], self._fr_hop[pid], self._fr_quant[pid]))
         # Offers are tested on the (few) pairs the bound keeps.
         ri, pj = np.nonzero(ok)
-        offers = self._rep_belief.offers_flat(
+        offers = self._rep_belief.offer_words(
             rep_ids[ri], self._frontier_s[pj], self._frontier_r[pj],
-            view.has_stack, view.has_packed,
-        )
+            view.has_packed,
+        ).any(axis=1)
         ok[ri[~offers], pj[~offers]] = False
         return np.where(ok, wakes, NEVER).min(axis=1)

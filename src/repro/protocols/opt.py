@@ -167,27 +167,21 @@ class OptOracle(FloodingProtocol):
         # cache; subset gathers preserve that order.
         kk_r, ss_flat, rr_flat = executing_rows(
             rep_ids, view.n_reps, *self._phases.at(t, self._phase_rows))
-        cand_w = None
-        if kk_r.size:
-            hp = view.has_packed
-            if hp is not None:
-                # Packed possession words: "receiver still lacks a
-                # packet" and "server holds one of those" are single
-                # uint64 ops per row, gathered through flat takes.
-                hp_flat = hp.reshape(-1)
-                full = np.uint64((1 << view.n_packets) - 1)
-                recv_w = hp_flat.take(kk_r * n + rr_flat)
-                sel = np.flatnonzero(recv_w != full)
-                kk_r = kk_r.take(sel)
-                ss_flat = ss_flat.take(sel)
-                rr_flat = rr_flat.take(sel)
-                cand_w = hp_flat.take(kk_r * n + ss_flat) & ~recv_w.take(sel)
-            else:
-                needy = ~view.has_stack[kk_r, :, rr_flat].all(axis=1)
-                kk_r, ss_flat, rr_flat = (
-                    kk_r[needy], ss_flat[needy], rr_flat[needy])
         if kk_r.size == 0:
             return empty, empty, empty, empty
+        # Possession words: "receiver still lacks a packet" and "server
+        # holds one of those" are word ops per row, gathered through
+        # row takes.
+        hp = view.has_packed.reshape(-1, view.packet_words.n_words)
+        recv_w = hp.take(kk_r * n + rr_flat, axis=0)
+        sel = np.flatnonzero((recv_w != view.packet_words.full).any(axis=1))
+        if sel.size == 0:
+            return empty, empty, empty, empty
+        kk_r = kk_r.take(sel)
+        ss_flat = ss_flat.take(sel)
+        rr_flat = rr_flat.take(sel)
+        cand_w = hp.take(kk_r * n + ss_flat, axis=0) & ~recv_w.take(
+            sel, axis=0)
         P = kk_r.size
         new_grp = np.ones(P, dtype=bool)
         new_grp[1:] = (kk_r[1:] != kk_r[:-1]) | (ss_flat[1:] != ss_flat[:-1])
@@ -197,15 +191,10 @@ class OptOracle(FloodingProtocol):
         g = np.repeat(np.arange(G), L)
         pos = np.arange(P) - group_start[g]
 
-        # FCFS head per (server, dependent) pair; round-robin rotation
-        # picks each group's first valid head in rotated order.
-        if cand_w is not None:
-            heads = None
-            valid = cand_w != 0
-        else:
-            needs = ~view.has_stack[kk_r, :, rr_flat]
-            heads, valid = view.fcfs_heads_pairs(kk_r, ss_flat, needs)
-        # Round-robin rotation counts each replication's own periods.
+        # Round-robin rotation picks each group's first valid pair (the
+        # server holds a packet the dependent lacks) in rotated order,
+        # counting each replication's own periods.
+        valid = cand_w.any(axis=1)
         rotk = t // self._rep_periods[kk_r]
         rot = (pos - (rotk % L[g])) % L[g]
         big = P + 1
@@ -220,14 +209,10 @@ class OptOracle(FloodingProtocol):
         cand_k = kk_r[pick]
         cand_s = ss_flat[pick]
         cand_r = rr_flat[pick]
-        if cand_w is not None:
-            # The FCFS argmin only runs on the picked rows, unpacking
-            # their candidate words back to an (C, M) mask.
-            pw = np.uint64(1) << np.arange(view.n_packets, dtype=np.uint64)
-            cand = (cand_w[pick][:, None] & pw[None, :]) != 0
-            cand_h = view.fcfs_heads_masked(cand_k, cand_s, cand)
-        else:
-            cand_h = heads[pick]
+        # The FCFS argmin only runs on the picked rows, unpacking their
+        # candidate words back to a (C, M) mask.
+        cand_h = view.fcfs_heads_masked(
+            cand_k, cand_s, view.packet_words.unpack(cand_w[pick]))
 
         # A server defers iff its own designated server committed to it.
         # Chosen receivers are unique per replication, so the candidate
@@ -273,14 +258,9 @@ class OptOracle(FloodingProtocol):
             return view.earliest_wakes(t, rep_ids, self._all_nodes, offers)
         if self._off_frontier is None:
             self._off_frontier = view.offsets_stack[:, self._frontier_r]
-        if view.has_packed is not None:
-            hp = view.has_packed[rep_ids]
-            offers = (hp[:, self._frontier_s] & ~hp[:, self._frontier_r]) != 0
-        else:
-            has = view.has_stack[rep_ids]
-            offers = (
-                has[:, :, self._frontier_s] & ~has[:, :, self._frontier_r]
-            ).any(axis=1)
+        hp = view.has_packed[rep_ids]
+        offers = (hp[:, self._frontier_s] & ~hp[:, self._frontier_r]).any(
+            axis=2)
         return view.earliest_wakes(
             t, rep_ids, self._frontier_r, offers, self._off_frontier
         )

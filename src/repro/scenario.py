@@ -117,16 +117,30 @@ def _reject_unknown(given, allowed, what: str) -> None:
         )
 
 
+#: Exclusive bound of the signed 64-bit integers the engine computes in.
+_INT64_END = 2 ** 63
+
+
 def _check_number(name: str, value: Any, kind: type) -> None:
     """Reject a ``value`` for field ``name`` that is not a ``kind``.
 
     ``kind`` is :class:`numbers.Integral` or :class:`numbers.Real`;
     booleans are refused either way, although Python counts them as
-    integers.
+    integers. Integers must also fit the engine's signed 64-bit arrays.
     """
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise ScenarioError(f"{name} must be {noun}, got {value!r}")
+    if kind is numbers.Integral and not -_INT64_END <= value < _INT64_END:
+        raise ScenarioError(
+            f"{name} must fit a signed 64-bit integer, got {value!r}")
+
+
+def _check_seed(name: str, value: Any) -> None:
+    """Reject a seed that NumPy's seed sequences cannot take."""
+    _check_number(name, value, numbers.Integral)
+    if value < 0:
+        raise ScenarioError(f"{name} must be non-negative, got {value!r}")
 
 
 def _check_flag(name: str, value: Any) -> None:
@@ -184,7 +198,7 @@ class TopologySpec:
     transform: Optional[str] = None
 
     def __post_init__(self):
-        _check_number("topology seed", self.seed, numbers.Integral)
+        _check_seed("topology seed", self.seed)
         _reject_unknown((self.kind,), _TOPOLOGY_PARAMS, "topology kind")
         _reject_unknown(self.params, _TOPOLOGY_PARAMS[self.kind],
                         f"{self.kind!r} topology parameter")
@@ -414,9 +428,10 @@ class Scenario:
         if not self.protocol or not isinstance(self.protocol, str):
             raise ScenarioError(f"protocol must be a name, got {self.protocol!r}")
         _reject_unknown((self.protocol,), available_protocols(), "protocol")
-        for name in ("n_packets", "n_replications", "seed",
-                     "generation_interval", "wake_slots"):
+        for name in ("n_packets", "n_replications", "generation_interval",
+                     "wake_slots"):
             _check_number(name, getattr(self, name), numbers.Integral)
+        _check_seed("seed", self.seed)
         for name in ("duty_ratio", "coverage_target", "schedule_jitter"):
             _check_number(name, getattr(self, name), numbers.Real)
         for name in ("protocol_kwargs", "link_kwargs", "mac_kwargs", "sim"):
@@ -439,6 +454,11 @@ class Scenario:
             raise ScenarioError("generation interval must be >= 0")
         if self.wake_slots < 1:
             raise ScenarioError("need at least one wake slot per period")
+        if not self.wake_slots / self.duty_ratio < _INT64_END:
+            raise ScenarioError(
+                f"duty_ratio {self.duty_ratio} with {self.wake_slots} wake "
+                "slot(s) gives a wake period beyond a signed 64-bit integer"
+            )
         if not (0.0 <= self.schedule_jitter <= 1.0):
             raise ScenarioError(
                 f"schedule jitter must be in [0, 1], got {self.schedule_jitter}"

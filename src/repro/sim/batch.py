@@ -444,11 +444,12 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     phases = PhaseCache(schedules_list)
     view = RepSimView(
         topo, schedules_list, workloads[0], has_stack, arrival_stack, phases)
-    pack_pw = (
-        np.uint64(1) << np.arange(M, dtype=np.uint64)
-        if view.has_packed is not None
-        else None
-    )
+    # The (R, n, W) possession words (protocols.base.PacketWords):
+    # packet p is bit ``bit_of[p]`` of word ``word_of[p]``.
+    has_packed = view.has_packed
+    W = view.packet_words.n_words
+    word_of = view.packet_words.word
+    bit_of = view.packet_words.bit
     protocol.prepare_reps(topo, schedules_list, workloads[0], rngs)
 
     def _phase_awake(t: int):
@@ -480,9 +481,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     # Flat aliases for the validation/apply gathers: one flat-index
     # ``take`` replaces the 2-/3-axis fancy index.
     has_flat = has_stack.reshape(-1)
-    packed_flat = (
-        view.has_packed.reshape(-1) if view.has_packed is not None else None
-    )
+    packed_flat = has_packed.reshape(-1)
     prof = profiler
     _tprev = perf_counter() if prof is not None else 0.0
 
@@ -536,8 +535,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                 arrival_stack[ki, p, SOURCE] = t
                 view.latest_arrival[ki, SOURCE] = t
                 view.held_counts[ki, SOURCE] += 1
-                if pack_pw is not None:
-                    view.has_packed[ki, SOURCE] |= pack_pw[p]
+                has_packed[ki, SOURCE, word_of[p]] |= bit_of[p]
                 for ob in hooks:
                     ob.on_inject(t, p)
                 cur += 1
@@ -645,14 +643,11 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                 rrv = outcome.rec_receiver
                 rpk = outcome.rec_packet
                 rov = outcome.rec_overheard
-                if packed_flat is not None:
-                    # Fused duplicate probe: one word gather + bit test
-                    # against the possession bitmask instead of the
-                    # 3-axis boolean gather.
-                    words = packed_flat.take(rk * n + rrv)
-                    dup = (words & pack_pw[rpk]) != 0
-                else:
-                    dup = has_stack[rk, rpk, rrv]
+                # Fused duplicate probe: one word gather + bit test
+                # against the possession words instead of the 3-axis
+                # boolean gather.
+                words = packed_flat.take((rk * n + rrv) * W + word_of[rpk])
+                dup = (words & bit_of[rpk]) != 0
                 new = ~dup
                 dup_counted = rk[dup & ~rov]
                 if dup_counted.size:
@@ -670,8 +665,7 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                     # At most one reception per (rep, receiver) per slot,
                     # so the fancy increments hit unique cells.
                     view.held_counts[nk, nr] += 1
-                    if pack_pw is not None:
-                        view.has_packed[nk, nr] |= pack_pw[npk]
+                    has_packed[nk, nr, word_of[npk]] |= bit_of[npk]
                     acc_rx_k.append(nk)
                     acc_rx_r.append(nr)
                     elig = eligible[nr]

@@ -8,9 +8,11 @@ import pytest
 from repro.net.generators import line_topology
 from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
+from repro.protocols._belief import RepNeighborBelief
 from repro.protocols.base import (
     PHASE_CACHE_CAP,
     FloodingProtocol,
+    PacketWords,
     PhaseCache,
     RepSimView,
     available_protocols,
@@ -177,15 +179,15 @@ class TestSimView:
     """The protocols' window onto one replication (R = 1)."""
 
     def test_holds(self, view):
-        # The engine-maintained possession bitmask: packet m -> bit m.
-        assert int(view.has_packed[0, 0]) == 0b111
-        assert int(view.has_packed[0, 1]) == 0b010
-        assert int(view.has_packed[0, 3]) == 0
+        # The engine-maintained possession words: packet m -> bit m of
+        # the single word three packets need.
+        assert view.has_packed.shape == (1, 5, 1)
+        assert int(view.has_packed[0, 0, 0]) == 0b111
+        assert int(view.has_packed[0, 1, 0]) == 0b010
+        assert int(view.has_packed[0, 3, 0]) == 0
 
     def test_held_packets(self, view):
         assert view.held_counts[0].tolist() == [3, 1, 0, 0, 0]
-        pairs = view.held_counts_pairs(np.asarray([0, 0]), np.asarray([1, 3]))
-        assert pairs.tolist() == [1, 0]
 
     def test_arrival_slot(self, view):
         # Earliest arrival wins among the candidate packets.
@@ -217,19 +219,69 @@ class TestSimView:
                                       np.zeros(3, bool)).size == 0
 
     def test_oracle_accessors(self, view):
-        # OPT serves receivers by their true needs, read off the
-        # possession stack, through the batched FCFS query.
-        needed = ~view.has_stack[0][:, [1, 3]].T
-        assert needed[0].tolist() == [True, False, True]
-        heads, valid = view.fcfs_heads_pairs(
-            np.asarray([0, 0]), np.asarray([0, 1]), needed)
-        assert valid.tolist() == [True, True]
+        # OPT serves receivers by their true needs: the server's
+        # possession words minus the receiver's, with FCFS heads over
+        # the unpacked candidates.
+        hp = view.has_packed[0]
+        cand_w = hp[[0, 1]] & ~hp[[1, 3]]
+        assert cand_w.any(axis=1).tolist() == [True, True]
+        cand = view.packet_words.unpack(cand_w)
+        assert cand.tolist() == [[True, False, True], [False, True, False]]
+        heads = view.fcfs_heads_masked(
+            np.asarray([0, 0]), np.asarray([0, 1]), cand)
         assert heads.tolist() == [0, 1]
         # Node 1 can offer node 3 nothing once node 3 holds packet 1.
-        _, valid = view.fcfs_heads_pairs(
-            np.asarray([0]), np.asarray([1]),
-            np.asarray([[True, False, True]]))
-        assert valid.tolist() == [False]
+        recv = view.packet_words.pack(np.asarray([False, True, False]))
+        assert not (hp[1] & ~recv).any()
+
+
+#: Packet counts around the 64-bit word boundaries.
+WORD_EDGES = [1, 63, 64, 65, 128, 129]
+
+
+class TestPacketWords:
+    """The one packet-set encoding: ceil(M / 64) uint64 words."""
+
+    @pytest.mark.parametrize("n_packets", WORD_EDGES)
+    def test_pack_then_unpack_reproduces_possession(self, n_packets):
+        layout = PacketWords(n_packets)
+        assert layout.n_words == -(-n_packets // 64)
+        rng = np.random.default_rng(n_packets)
+        has = rng.random((2, n_packets, 5)) < 0.5
+        words = layout.pack(has, axis=1)
+        assert words.shape == (2, 5, layout.n_words)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(
+            layout.unpack(words), has.transpose(0, 2, 1))
+        # Packet p is bit p % 64 of word p // 64.
+        p = n_packets - 1
+        assert int(layout.word[p]) == p // 64
+        assert int(layout.bit[p]) == 1 << (p % 64)
+
+    @pytest.mark.parametrize("n_packets", WORD_EDGES)
+    def test_full_set_has_exactly_m_bits(self, n_packets):
+        layout = PacketWords(n_packets)
+        assert layout.full.shape == (layout.n_words,)
+        assert sum(bin(int(w)).count("1") for w in layout.full) == n_packets
+        assert layout.unpack(layout.full).all()
+
+    @pytest.mark.parametrize("n_packets", WORD_EDGES)
+    def test_coverage_counts_read_every_word(self, line5, n_packets):
+        # Node 1's out-neighbors are nodes 0 and 2: node 0 holds the
+        # even packets, node 2 every packet past the first word and the
+        # last one.
+        packets = np.arange(n_packets)
+        has = np.zeros((1, n_packets, 5), dtype=bool)
+        has[0, :, 0] = packets % 2 == 0
+        has[0, :, 2] = (packets >= 64) | (packets == n_packets - 1)
+        belief = RepNeighborBelief(line5, n_packets=n_packets, n_reps=1)
+        belief.sync(np.asarray([0, 0]), np.asarray([1, 1]),
+                    np.asarray([0, 2]), belief.packet_words.pack(has, axis=1))
+        counts = belief.coverage_counts(
+            np.zeros(n_packets, dtype=np.int64),
+            np.ones(n_packets, dtype=np.int64), packets)
+        np.testing.assert_array_equal(
+            counts, has[0, :, 0].astype(int) + has[0, :, 2])
 
 
 class TestBatchContract:

@@ -236,6 +236,38 @@ class TestFieldTypes:
         with pytest.raises(ScenarioError, match=match):
             Scenario.from_dict({**MINIMAL, **fields})
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"seed": -1}, "^seed must be non-negative, got -1"),
+        ({"topology": {"seed": -1}},
+         "^topology seed must be non-negative, got -1"),
+        ({"generation_interval": 10 ** 30},
+         "^generation_interval must fit a signed 64-bit integer"),
+        ({"n_packets": 2 ** 63}, "^n_packets must fit a signed 64-bit"),
+        ({"sim": {"max_slots": 10 ** 30}},
+         "^sim override 'max_slots' must fit a signed 64-bit integer"),
+        ({"mac": "csma_802154", "mac_kwargs": {"mac_min_be": -2 ** 63 - 1}},
+         "mac parameter 'mac_min_be' must fit a signed 64-bit integer"),
+        ({"duty_ratio": 1e-30},
+         r"^duty_ratio 1e-30 with 1 wake slot\(s\) gives a wake period "
+         "beyond a signed 64-bit integer"),
+        ({"duty_ratio": 5e-324}, "^duty_ratio 5e-324 with 1 wake slot"),
+    ], ids=["seed-negative", "topology-seed-negative", "int-past-int64",
+            "int-at-int64", "sim-int-past-int64", "mac-int-below-int64",
+            "period-past-int64", "period-infinite"])
+    def test_values_the_engine_cannot_hold_named(self, fields, match):
+        # Each value once validated and then failed inside NumPy (a
+        # negative seed, an integer past int64) or the schedule build (a
+        # wake period past int64) without naming the field.
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict({**MINIMAL, **fields})
+
+    def test_int64_edges_still_validate(self):
+        s = Scenario.from_dict({**MINIMAL, "seed": 0,
+                                "sim": {"max_slots": 2 ** 63 - 1}})
+        assert s.sim_config().max_slots == 2 ** 63 - 1
+        assert Scenario.from_dict({**MINIMAL, "duty_ratio": 2.0 ** -62}) \
+            .period == 2 ** 62
+
     def test_integral_values_fill_real_fields(self):
         s = Scenario.from_dict({**MINIMAL, "duty_ratio": 1,
                                 "coverage_target": 1, "schedule_jitter": 0})

@@ -38,16 +38,17 @@ def topo():
 
 
 def _scenario(protocol, fast_forward=True, link_model="static",
-              duty_ratio=0.1, seed=2011, generation_interval=0):
+              duty_ratio=0.1, seed=2011, generation_interval=0, n_packets=3,
+              max_slots=4000):
     return Scenario(
         protocol=protocol,
         duty_ratio=duty_ratio,
-        n_packets=3,
+        n_packets=n_packets,
         seed=seed,
         n_replications=N_REPS,
         generation_interval=generation_interval,
         link_model=link_model,
-        sim={"fast_forward": fast_forward, "max_slots": 4000},
+        sim={"fast_forward": fast_forward, "max_slots": max_slots},
     )
 
 
@@ -267,3 +268,15 @@ class TestCrossCellStacking:
             standalone = run_replication_chunk(topo, spec, start, count)
             for s, c in zip(standalone, cell_results):
                 assert_results_identical(s, c)
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_wide_packet_sets(self, topo, protocol):
+        # M = 70 packets span two 64-bit words. A mixed-duty stack must
+        # extract every replication bit-identical to its R = 1 run.
+        cells = [(_scenario(protocol, duty_ratio=d, n_packets=70,
+                            max_slots=1000), 0, 2) for d in (0.1, 0.2)]
+        stacked = run_replication_stack(topo, cells)
+        for (spec, start, count), cell_results in zip(cells, stacked):
+            assert len(cell_results) == count
+            for rep, c in zip(range(start, start + count), cell_results):
+                assert_results_identical(run_replication(topo, spec, rep), c)

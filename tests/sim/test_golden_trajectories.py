@@ -4,8 +4,10 @@ These tests freeze the *exact* trajectories of small seeded floods — per
 packet delays, every aggregate counter, per-node energy checksums, and a
 content hash of the arrival matrix — across all registered protocols and
 the engine's optional code paths (skew, bursty dynamics, event tracking,
-probe floods, two wake slots per period, the 802.15.4 MAC). Event-log
-runs additionally pin a hash of the full event stream, order included.
+probe floods, two wake slots per period, the 802.15.4 MAC), and floods
+of 64, 65 and 70 packets, whose packet sets span one and two 64-bit
+words. Event-log runs additionally pin a hash of the full event stream,
+order included.
 
 They are the safety net for engine refactors: any change that alters RNG
 consumption order, channel resolution, or bookkeeping semantics trips
@@ -63,7 +65,8 @@ def _config(protocol: str, **kwargs) -> SimConfig:
 
 
 def _flood(protocol: str, *, track_events=False, probes=False, dynamics=None,
-           skew=False, wake_slots=1, mac="ideal", kwargs=None):
+           skew=False, wake_slots=1, mac="ideal", kwargs=None, packets=M,
+           max_slots=MAX_SLOTS):
     topo, schedules = _substrate(wake_slots)
     true_schedules = (
         JitteredSchedules(schedules, 0.3, seed=99) if skew else None
@@ -72,10 +75,10 @@ def _flood(protocol: str, *, track_events=False, probes=False, dynamics=None,
     return run_flood(
         topo,
         schedules,
-        FloodWorkload(M),
+        FloodWorkload(packets),
         make_protocol(protocol, **(kwargs or {})),
         np.random.default_rng(42),
-        _config(protocol, track_events=track_events),
+        _config(protocol, track_events=track_events, max_slots=max_slots),
         measure_transmission_delay=probes,
         dynamics=dyn,
         true_schedules=true_schedules,
@@ -134,6 +137,10 @@ def _observe(result) -> dict:
         obs["n_events"] = len(result.events)
     if result.metrics.transmission_delay is not None:
         obs["transmission_delay"] = result.metrics.transmission_delay.tolist()
+    if len(obs["delays"]) > M:
+        # Wide floods pin their per-packet lists by checksum.
+        for key in ("delays", "first_tx", "completed_at", "coverage"):
+            obs[key] = hashlib.sha256(repr(obs[key]).encode()).hexdigest()[:16]
     return obs
 
 
@@ -158,6 +165,14 @@ SCENARIOS = {
     "dbao-skew-probes": dict(protocol="dbao", skew=True, probes=True),
     "dbao-events": dict(protocol="dbao", track_events=True),
     "opt-any": dict(protocol="opt", kwargs={"server_policy": "any"}),
+    # Wide packet sets: M = 64 fills one 64-bit word, M = 65 and M = 70
+    # need two (the paper's full-scale floods carry M = 100). The longer
+    # horizon lets the last word's packets cross the network and some
+    # buffers fill up.
+    **{f"{p}-m70": dict(protocol=p, packets=70, max_slots=2 * MAX_SLOTS)
+       for p in ("opt", "dbao", "of", "naive", "dca", "flash", "crosslayer")},
+    **{f"{p}-m{m}": dict(protocol=p, packets=m, max_slots=2 * MAX_SLOTS)
+       for p in ("dbao", "of") for m in (64, 65)},
 }
 
 #: Event-stream hashes (see :func:`_event_stream_sha`) of the
@@ -167,7 +182,9 @@ EVENT_STREAMS = {'dbao-events': 'b8426f6c65f27fb0', 'opt-events': 'a957b90c3d0b8
 # Generated against the seed engine (pre-refactor) via the __main__ helper;
 # the ``-2slot``, ``-csma``, ``-probes``, ``-events`` and ``-any``
 # additions against the serial slot pipeline before the batched engine
-# replaced it.
+# replaced it; the ``-m64``, ``-m65`` and ``-m70`` additions against the
+# engine that still held packet sets of more than 64 packets as boolean
+# arrays.
 GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                 'collisions': 6,
                 'completed': True,
@@ -202,6 +219,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                       'sleep_misses': 0,
                       'tx_attempts': 98,
                       'tx_failures': 10},
+ 'crosslayer-m70': {'arrival_sha': '53d0b510292d28c0',
+                    'collisions': 204,
+                    'completed': True,
+                    'completed_at': '391fd5980e7d92cf',
+                    'coverage': 'b14a6938ab102a0b',
+                    'delays': 'bb124c2b68b42901',
+                    'duplicates': 260,
+                    'elapsed': 976,
+                    'energy_total': 9455.2,
+                    'first_tx': 'b984f29530f24820',
+                    'ledger_failures': [286, 3689],
+                    'ledger_rx': [1680, 22680],
+                    'ledger_tx': [1752, 23828],
+                    'overhears': 474,
+                    'sleep_misses': 0,
+                    'tx_attempts': 1752,
+                    'tx_failures': 286},
  'dbao': {'arrival_sha': '354d15be16837900',
           'collisions': 10,
           'completed': True,
@@ -296,6 +330,57 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                  'sleep_misses': 0,
                  'tx_attempts': 131,
                  'tx_failures': 20},
+ 'dbao-m64': {'arrival_sha': '1cd6e274c7193a7a',
+              'collisions': 138,
+              'completed': True,
+              'completed_at': '8dee9dc3b0db96ef',
+              'coverage': 'f536620d1905f923',
+              'delays': 'd61a831d97cad023',
+              'duplicates': 454,
+              'elapsed': 1191,
+              'energy_total': 11770.7,
+              'first_tx': '083aac97521c0085',
+              'ledger_failures': [241, 3893],
+              'ledger_rx': [1536, 20736],
+              'ledger_tx': [2231, 31575],
+              'overhears': 0,
+              'sleep_misses': 0,
+              'tx_attempts': 2231,
+              'tx_failures': 241},
+ 'dbao-m65': {'arrival_sha': 'cdb109f54ef6b9a9',
+              'collisions': 145,
+              'completed': False,
+              'completed_at': '8a0c700bd186ed9f',
+              'coverage': 'e1c18abf85683d39',
+              'delays': 'dcd8fe75c3e57296',
+              'duplicates': 463,
+              'elapsed': 1200,
+              'energy_total': 11950.0,
+              'first_tx': '5facae1143a6a713',
+              'ledger_failures': [264, 4071],
+              'ledger_rx': [1557, 21027],
+              'ledger_tx': [2284, 32285],
+              'overhears': 0,
+              'sleep_misses': 0,
+              'tx_attempts': 2284,
+              'tx_failures': 264},
+ 'dbao-m70': {'arrival_sha': '3d880fbd1ab852c4',
+              'collisions': 178,
+              'completed': False,
+              'completed_at': 'e9e677bfa8bcb3a0',
+              'coverage': '2cb30666bf13d06a',
+              'delays': 'c7d21b7c5a7db91c',
+              'duplicates': 454,
+              'elapsed': 1200,
+              'energy_total': 12127.5,
+              'first_tx': 'b984f29530f24820',
+              'ledger_failures': [286, 4295],
+              'ledger_rx': [1615, 21931],
+              'ledger_tx': [2355, 33054],
+              'overhears': 0,
+              'sleep_misses': 0,
+              'tx_attempts': 2355,
+              'tx_failures': 286},
  'dbao-skew': {'arrival_sha': '5f3ab6492dd8fb0b',
                'collisions': 10,
                'completed': True,
@@ -365,6 +450,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                'sleep_misses': 0,
                'tx_attempts': 101,
                'tx_failures': 29},
+ 'dca-m70': {'arrival_sha': 'f53627c7586b0868',
+             'collisions': 0,
+             'completed': False,
+             'completed_at': 'be28d817c5c7fb77',
+             'coverage': 'e81cce9b396510d3',
+             'delays': 'be28d817c5c7fb77',
+             'duplicates': 0,
+             'elapsed': 1200,
+             'energy_total': 9322.5,
+             'first_tx': '36e9cd26b1260215',
+             'ledger_failures': [469, 1398],
+             'ledger_rx': [764, 8355],
+             'ledger_tx': [1233, 4952],
+             'overhears': 0,
+             'sleep_misses': 0,
+             'tx_attempts': 1233,
+             'tx_failures': 469},
  'flash': {'arrival_sha': '52d2543d9d076245',
            'collisions': 2092,
            'completed': False,
@@ -399,6 +501,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                  'sleep_misses': 0,
                  'tx_attempts': 3784,
                  'tx_failures': 3583},
+ 'flash-m70': {'arrival_sha': '3e302d17eb70b46e',
+               'collisions': 6917,
+               'completed': False,
+               'completed_at': 'be28d817c5c7fb77',
+               'coverage': 'faf97cc92b988048',
+               'delays': 'be28d817c5c7fb77',
+               'duplicates': 410,
+               'elapsed': 1200,
+               'energy_total': 27600.0,
+               'first_tx': '1348f0b28b162c21',
+               'ledger_failures': [7230, 83093],
+               'ledger_rx': [904, 11207],
+               'ledger_tx': [8544, 98684],
+               'overhears': 0,
+               'sleep_misses': 0,
+               'tx_attempts': 8544,
+               'tx_failures': 7230},
  'naive': {'arrival_sha': '49aecb822125df6c',
            'collisions': 649,
            'completed': True,
@@ -433,6 +552,23 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                  'sleep_misses': 0,
                  'tx_attempts': 1289,
                  'tx_failures': 1017},
+ 'naive-m70': {'arrival_sha': '6a2987028efb465a',
+               'collisions': 2075,
+               'completed': False,
+               'completed_at': '989f22f738f4713f',
+               'coverage': 'e3ddc6f7dc0f799d',
+               'delays': 'd41d78665ce8bc9e',
+               'duplicates': 679,
+               'elapsed': 1200,
+               'energy_total': 17310.0,
+               'first_tx': '4d186222e99891ef',
+               'ledger_failures': [3238, 41114],
+               'ledger_rx': [511, 6872],
+               'ledger_tx': [4428, 57294],
+               'overhears': 0,
+               'sleep_misses': 0,
+               'tx_attempts': 4428,
+               'tx_failures': 3238},
  'of': {'arrival_sha': '446ba340b0f282fc',
         'collisions': 1,
         'completed': True,
@@ -485,6 +621,57 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                       'transmission_delay': [50, 95, 50],
                       'tx_attempts': 124,
                       'tx_failures': 49},
+ 'of-m64': {'arrival_sha': 'fed3a07250aec070',
+            'collisions': 1,
+            'completed': False,
+            'completed_at': 'bad4b4b6f281fcc8',
+            'coverage': '58b3b03d44be0d7d',
+            'delays': 'bad4b4b6f281fcc8',
+            'duplicates': 8,
+            'elapsed': 1200,
+            'energy_total': 8920.0,
+            'first_tx': 'b12b1ff22135b346',
+            'ledger_failures': [76, 284],
+            'ledger_rx': [988, 12152],
+            'ledger_tx': [1072, 7592],
+            'overhears': 0,
+            'sleep_misses': 0,
+            'tx_attempts': 1072,
+            'tx_failures': 76},
+ 'of-m65': {'arrival_sha': '25eadb17a7d5d1da',
+            'collisions': 0,
+            'completed': False,
+            'completed_at': '1dce2df79201274c',
+            'coverage': '621e30b273eb2170',
+            'delays': '1dce2df79201274c',
+            'duplicates': 4,
+            'elapsed': 1200,
+            'energy_total': 8957.5,
+            'first_tx': '1796348536d7182f',
+            'ledger_failures': [81, 384],
+            'ledger_rx': [1002, 12268],
+            'ledger_tx': [1087, 7662],
+            'overhears': 0,
+            'sleep_misses': 0,
+            'tx_attempts': 1087,
+            'tx_failures': 81},
+ 'of-m70': {'arrival_sha': '1b3888c241e5c390',
+            'collisions': 1,
+            'completed': False,
+            'completed_at': 'be28d817c5c7fb77',
+            'coverage': '2d6b9bf08acb0ecb',
+            'delays': 'be28d817c5c7fb77',
+            'duplicates': 1,
+            'elapsed': 1200,
+            'energy_total': 8945.0,
+            'first_tx': '208190b8dfb76972',
+            'ledger_failures': [86, 285],
+            'ledger_rx': [995, 12050],
+            'ledger_tx': [1082, 7196],
+            'overhears': 0,
+            'sleep_misses': 0,
+            'tx_attempts': 1082,
+            'tx_failures': 86},
  'of-probes': {'arrival_sha': '446ba340b0f282fc',
                'collisions': 1,
                'completed': True,
@@ -579,7 +766,24 @@ GOLDEN = {'crosslayer': {'arrival_sha': '412193f653f56f5d',
                 'overhears': 0,
                 'sleep_misses': 0,
                 'tx_attempts': 74,
-                'tx_failures': 2}}
+                'tx_failures': 2},
+ 'opt-m70': {'arrival_sha': '2a42a8437dc8542b',
+             'collisions': 0,
+             'completed': True,
+             'completed_at': 'f12b94bf2feb0035',
+             'coverage': 'b14a6938ab102a0b',
+             'delays': '259b26aa67e3d5c5',
+             'duplicates': 0,
+             'elapsed': 724,
+             'energy_total': 8069.8,
+             'first_tx': 'e4e526c47df80e66',
+             'ledger_failures': [42, 922],
+             'ledger_rx': [1680, 22680],
+             'ledger_tx': [1722, 24302],
+             'overhears': 0,
+             'sleep_misses': 0,
+             'tx_attempts': 1722,
+             'tx_failures': 42}}
 
 
 def test_all_registered_protocols_are_pinned():
@@ -636,10 +840,11 @@ def test_golden_trajectory_extracted_from_batch(name, rep_index):
     results = run_flood_batch(
         topo,
         [schedules] * n_reps,
-        FloodWorkload(M),
+        FloodWorkload(spec.get("packets", M)),
         make_protocol(protocol, **spec.get("kwargs", {})),
         [np.random.default_rng(_seed(r, 42, 1000)) for r in range(n_reps)],
-        _config(protocol, track_events=spec.get("track_events", False)),
+        _config(protocol, track_events=spec.get("track_events", False),
+                max_slots=spec.get("max_slots", MAX_SLOTS)),
         dynamics_list=dynamics_list,
         link=make_link_model(spec.get("mac", "ideal")),
         true_schedules_list=true_list,
