@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..net.topology import Topology
-from ._repbatch import executing_rows, frontier_pairs
-from .base import FloodingProtocol, PacketWords, PhaseCache
+from ._repbatch import frontier_pairs
+from .base import FloodingProtocol, PacketWords, WakeStack
 
 __all__ = ["RepNeighborBelief", "BeliefFlooding"]
 
@@ -196,9 +196,10 @@ class RepNeighborBelief:
 class BeliefFlooding(FloodingProtocol):
     """Base of the protocols whose senders act on neighbor beliefs.
 
-    Subclasses call :meth:`_prepare_belief` from ``prepare_reps``, read
-    their per-slot candidate rows through :meth:`_slot_rows`, which
-    memoises the subclass's ``_phase_rows(t)`` per wake phase, and
+    Subclasses call :meth:`_prepare_belief` from ``prepare_reps`` and
+    end it by building their candidate rows into ``self._table``, a
+    :class:`~repro.protocols.base.PhaseTable` over ``self._wakes``. Each
+    slot they read the executing replications' rows from the table and
     narrow them to valid rows with FCFS heads through
     :meth:`_valid_heads`. They inherit the shared observe rule and —
     given each receiver's candidate senders — the shared quiescence
@@ -210,22 +211,15 @@ class BeliefFlooding(FloodingProtocol):
         """Per-run belief state; ``sender_lists[r]`` lists receiver
         ``r``'s candidate senders, whose pairs form the frontier."""
         self._topo = topo
-        self._rep_schedules = list(schedules_list)
         self._rep_belief = RepNeighborBelief(
             topo, workload.n_packets, len(schedules_list))
-        self._phases = PhaseCache(schedules_list)
+        self._wakes = WakeStack(schedules_list)
         #: ``(kk, senders, receivers)`` of the last proposal's contenders
         #: that overhear their chosen receiver's ACK, or ``None``.
         self._witnesses = None
         self._off_frontier = None
         if sender_lists is not None:
             self._frontier_s, self._frontier_r = frontier_pairs(sender_lists)
-
-    def _slot_rows(self, t, rep_ids):
-        """The subclass's ``_phase_rows(t)``, memoised per wake phase and
-        narrowed to the replications executing slot ``t``."""
-        return executing_rows(rep_ids, len(self._rep_schedules),
-                              *self._phases.at(t, self._phase_rows))
 
     def _valid_heads(self, kk, ss, rr, view, keep=None):
         """The valid candidate rows and their FCFS heads.

@@ -4,15 +4,15 @@ The receiver-driven floods (OF, naive, FLASH, cross-layer, DBAO) all
 walk the same per-slot structure: for every waking non-source receiver,
 a protocol-specific ordered list of candidate senders. Across R
 replications that flattens to parallel ``(replication, sender,
-receiver)`` row arrays whose content depends only on the schedule phase,
-so each protocol builds them through these helpers once per phase (a
-:class:`~repro.protocols.base.PhaseCache` keeps them, alongside the
-protocol's own static per-row annotations) and narrows them each slot
-to the replications executing it. A phase's rows come from the whole
-stack at once: the cache's ``(R, n)`` wake matrix lists the waking
-``(replication, receiver)`` pairs in serial order, and one gather over
-the flattened sender lists expands them, with no loop over
-replications.
+receiver)`` row arrays whose content depends only on each replication's
+wake phase, so each protocol builds them through these helpers once per
+run, for one wake period of every replication, into a
+:class:`~repro.protocols.base.PhaseTable` (alongside the protocol's own
+static per-row annotations), which serves each slot the rows of the
+replications executing it. The rows come from the whole stack at once:
+the stack's wake triples list the waking ``(replication, phase,
+receiver)`` wakes in serial order, and one gather over the flattened
+sender lists expands them, with no loop over replications or phases.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from ..net.topology import SOURCE
 
-__all__ = ["flatten_sender_lists", "frontier_pairs", "candidate_rows",
-           "executing_rows"]
+__all__ = ["flatten_sender_lists", "frontier_pairs", "candidate_rows"]
 
 
 def flatten_sender_lists(
@@ -67,49 +66,34 @@ def frontier_pairs(
 
 
 def candidate_rows(
-    wake: np.ndarray,
+    wakes,
     sizes: np.ndarray,
     starts: np.ndarray,
     flat: np.ndarray,
     with_sender_awake: bool = False,
 ):
-    """All-replication candidate rows for one slot's ``(R, n)`` wake
-    matrix (:meth:`~repro.protocols.base.PhaseCache.wake`).
+    """Candidate rows of one wake period per replication of a
+    :class:`~repro.protocols.base.WakeStack`.
 
-    For each replication ``k`` and each waking non-source receiver
-    ``r``, ascending, one row per candidate sender in list order.
-    Returns ``(kk, ss, rr)`` — plus the per-row sender-awake mask when
-    requested (the listen rule's static part) — matching the exact
-    traversal order of the serial proposal loops: the row-major
-    ``nonzero`` of the receiver matrix is already (replication,
-    ascending receiver) order.
+    For each phase group (:meth:`~repro.protocols.base.WakeStack.triples`)
+    and each of its waking non-source receivers ``r``, ascending, one
+    row per candidate sender in list order. Returns ``(key, kk, ss,
+    rr)`` — the rows' group keys, ascending, then replication, sender
+    and receiver — plus the per-row sender-awake mask when requested
+    (the listen rule's static part). Each group's rows match the exact
+    traversal order of the serial proposal loops at that phase.
     """
-    recv_wake = wake.copy()
-    recv_wake[:, SOURCE] = False
-    k_recv, recv = np.nonzero(recv_wake)
+    key, k_recv, recv = wakes.triples()
+    keep = recv != SOURCE
+    key, k_recv, recv = key[keep], k_recv[keep], recv[keep]
     sz = sizes[recv]
     total = int(sz.sum())
     seg = np.cumsum(sz) - sz
     idx = np.repeat(starts[recv] - seg, sz) + np.arange(total)
     ss = flat[idx]
+    key = np.repeat(key, sz)
     kk = np.repeat(k_recv, sz)
     rr = np.repeat(recv, sz)
     if with_sender_awake:
-        return kk, ss, rr, wake[kk, ss]
-    return kk, ss, rr
-
-
-def executing_rows(rep_ids: np.ndarray, n_reps: int, kk: np.ndarray, *cols):
-    """Keep the phase rows of the replications executing this slot.
-
-    Phase rows cover every replication of the stack; ``rep_ids`` lists
-    those executing slot ``t`` (the others sit out a fast-forward jump).
-    Returns ``(kk, *cols)`` filtered alike, untouched when all execute.
-    """
-    if rep_ids.size < n_reps:
-        active = np.zeros(n_reps, dtype=bool)
-        active[rep_ids] = True
-        keep = active[kk]
-        if not keep.all():
-            return (kk[keep],) + tuple(c[keep] for c in cols)
-    return (kk,) + cols
+        return key, kk, ss, rr, wakes.awake(key, ss)
+    return key, kk, ss, rr

@@ -15,7 +15,6 @@ which reads ground-truth possession — that is the point of OPT.
 
 from __future__ import annotations
 
-import math
 from abc import ABC
 from typing import Dict, List, Optional, Type
 
@@ -27,7 +26,7 @@ from ..net.topology import Topology
 
 __all__ = ["RepSimView", "FloodingProtocol", "register_protocol",
            "make_protocol", "available_protocols", "NEVER",
-           "PhaseCache", "PHASE_CACHE_CAP", "PacketWords"]
+           "WakeStack", "PhaseTable", "PacketWords"]
 
 #: Sentinel arrival for absent packets in FCFS computations (hoisted —
 #: ``np.iinfo`` on every call shows up hard in profiles).
@@ -39,81 +38,138 @@ _INT64_MAX = np.iinfo(np.int64).max
 NEVER = _INT64_MAX // 4
 
 
-#: Largest wake-phase period a :class:`PhaseCache` memoises; a stack
-#: whose LCM exceeds it rebuilds its rows every slot.
-PHASE_CACHE_CAP = 16384
+class WakeStack:
+    """The believed wake schedules of a replication stack.
 
-
-class PhaseCache:
-    """Per-phase memo of rows derived from a replication stack's wake sets.
-
-    Wake sets repeat every period (the paper's compact time scale), so
-    every per-slot structure built from them alone — the engine's wake
-    lists, a protocol's candidate rows — repeats with the least common
-    multiple of the replications' wake periods, even when a cross-cell
-    stack mixes duty cycles. :meth:`at` builds such rows once per phase
-    ``t % period`` and serves every later slot of that phase from the
-    memo. ``period`` is 0 when the LCM exceeds :data:`PHASE_CACHE_CAP`
-    (pathological period mixes); every call then rebuilds.
-
-    Builders read the whole stack's wake sets at once from :meth:`wake`,
-    an ``(R, n)`` matrix whose ``np.nonzero`` lists the waking
-    ``(replication, node)`` pairs in the serial order: replication,
-    then ascending node.
+    Replication ``k``'s table repeats with its own wake period ``T_k``
+    (the paper's compact time scale); a cross-cell stack mixes periods.
+    :meth:`wake` answers one slot for the whole stack, and
+    :meth:`triples` lists every ``(replication, phase, node)`` wake of
+    one period per replication — the input of a :class:`PhaseTable`.
+    Wakes are grouped under the key ``p * R + k`` of replication ``k``
+    at phase ``p < T_k``.
     """
 
     def __init__(self, schedules_list):
         #: (R,) per-replication wake periods.
         self.periods = np.asarray(
             [int(s.period) for s in schedules_list], dtype=np.int64)
-        period = 1
-        for p in self.periods.tolist():
-            period = math.lcm(period, p)
-            if period > PHASE_CACHE_CAP:
-                period = 0
-                break
-        self.period = period
-        self._schedules = schedules_list
-        self._offsets: Optional[np.ndarray] = None
-        self._rows: Dict[int, object] = {}
+        mats = [s.offsets_matrix for s in schedules_list]
+        width = max(m.shape[1] for m in mats)
+        #: ``(R, n, A)`` active-slot offsets of every node (``A`` wake
+        #: slots per period). Tables with fewer wake slots repeat their
+        #: last offset, which leaves every wake test and earliest-wake
+        #: minimum unchanged.
+        self.offsets_stack = np.stack([
+            m if m.shape[1] == width
+            else np.pad(m, ((0, 0), (0, width - m.shape[1])), mode="edge")
+            for m in mats
+        ])
+        #: The stack's one wake period, or 0 when periods mix.
+        self.period = int(self.periods[0]) \
+            if (self.periods == self.periods[0]).all() else 0
+        # The wake test's offsets: ``(R, n)`` at one wake slot per period.
+        self._off = self.offsets_stack[:, :, 0] if width == 1 \
+            else self.offsets_stack
 
     @property
-    def offsets_stack(self) -> np.ndarray:
-        """``(R, n, A)`` active-slot offsets of every node (``A`` wake
-        slots per period), built on first use.
-
-        Tables with fewer wake slots repeat their last offset, which
-        leaves every wake test and earliest-wake minimum unchanged.
-        """
-        if self._offsets is None:
-            mats = [s.offsets_matrix for s in self._schedules]
-            width = max(m.shape[1] for m in mats)
-            self._offsets = np.stack([
-                m if m.shape[1] == width
-                else np.pad(m, ((0, 0), (0, width - m.shape[1])), mode="edge")
-                for m in mats
-            ])
-        return self._offsets
+    def n_reps(self) -> int:
+        return self.periods.size
 
     def wake(self, t: int) -> np.ndarray:
         """``(R, n)`` wake matrix of slot ``t``: row ``k`` marks the
         nodes replication ``k``'s table has active at ``t``."""
-        phase = t % self.periods
-        return (self.offsets_stack == phase[:, None, None]).any(axis=2)
+        if self.period:
+            match = self._off == t % self.period
+        else:
+            phase = t % self.periods
+            match = self._off == phase.reshape(
+                (-1,) + (1,) * (self._off.ndim - 1))
+        return match if match.ndim == 2 else match.any(axis=2)
 
-    def at(self, t: int, build):
-        """``build(t)``, memoised on slot ``t``'s phase.
+    def group_keys(self, t: int, rep_ids: np.ndarray) -> np.ndarray:
+        """Group key of each listed replication's phase at slot ``t``."""
+        return t % self.periods[rep_ids] * self.n_reps + rep_ids
 
-        The builder is passed per call rather than stored, so a protocol
-        holding its own cache forms no reference cycle.
+    def triples(self):
+        """``(key, kk, nodes)`` of every wake in one period per
+        replication: node ``nodes[i]`` of replication ``kk[i]`` is
+        active at the phase group ``key[i]``.
+
+        Sorted by group key, then ascending node — within a group, the
+        order the serial wake list has.
         """
-        if not self.period:
-            return build(t)
-        key = t % self.period
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = build(t)
-        return rows
+        off = self.offsets_stack
+        R, n, A = off.shape
+        kk = np.repeat(np.arange(R, dtype=np.int64), n * A)
+        nodes = np.tile(np.repeat(np.arange(n, dtype=np.int64), A), R)
+        key = off.reshape(-1) * R + kk
+        order = np.lexsort((nodes, key))
+        key, kk, nodes = key[order], kk[order], nodes[order]
+        # Edge padding repeats a wake slot: keep each wake once.
+        keep = np.ones(key.size, dtype=bool)
+        keep[1:] = (key[1:] != key[:-1]) | (nodes[1:] != nodes[:-1])
+        return key[keep], kk[keep], nodes[keep]
+
+    def awake(self, key: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Whether ``nodes[i]`` is active in the phase group ``key[i]``."""
+        kk = key % self.n_reps
+        phase = key // self.n_reps
+        return (self.offsets_stack[kk, nodes] == phase[:, None]).any(axis=1)
+
+
+class PhaseTable:
+    """A replication stack's per-slot rows, one wake period each.
+
+    Rows derived from wake sets alone — a protocol's candidate rows and
+    their static annotations — repeat with each replication's own wake
+    period. The table holds them once, grouped by ``(replication k,
+    phase p < T_k)`` under :class:`WakeStack`'s group key ``p * R + k``,
+    whatever mix of periods the stack has. :meth:`rows` serves slot
+    ``t`` by gathering the groups ``(k, t % T_k)`` of the executing
+    replications, ascending ``k``: one ``searchsorted`` on the group
+    keys and one ranges gather. Groups of one phase lie back to back,
+    so when every replication of a uniform-period stack executes the
+    gather is a plain slice, found from the phase alone.
+    """
+
+    def __init__(self, wakes: WakeStack, key: np.ndarray, *cols):
+        """``key`` is each row's group key, ascending; ``cols`` are the
+        row columns (first axis rows), each group's rows in the order a
+        slot serves them."""
+        self._wakes = wakes
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) \
+            if key.size else np.empty(0, dtype=np.int64)
+        # A sentinel group past every key turns a miss into an empty
+        # range where the next group starts.
+        self._gkey = np.append(key[starts], _INT64_MAX)
+        self._gbound = np.append(starts, [key.size, key.size])
+        #: The row columns, one period of rows per replication.
+        self.cols = cols
+
+    def __len__(self) -> int:
+        return int(self._gbound[-1])
+
+    def rows(self, t: int, rep_ids: np.ndarray) -> tuple:
+        """The columns' rows of slot ``t`` for the replications
+        ``rep_ids`` (ascending, non-empty), grouped by replication."""
+        wakes = self._wakes
+        if wakes.period and rep_ids.size == wakes.n_reps:
+            key = t % wakes.period * wakes.n_reps
+            a = self._gbound[self._gkey.searchsorted(key)]
+            b = self._gbound[self._gkey.searchsorted(key + wakes.n_reps)]
+            return tuple(c[a:b] for c in self.cols)
+        q = wakes.group_keys(t, rep_ids)
+        pos = self._gkey.searchsorted(q)
+        lo = self._gbound[pos]
+        hi = np.where(self._gkey[pos] == q, self._gbound[pos + 1], lo)
+        if (hi[:-1] == lo[1:]).all():
+            a, b = int(lo[0]), int(hi[-1])
+            return tuple(c[a:b] for c in self.cols)
+        sizes = hi - lo
+        idx = np.arange(int(sizes.sum())) + np.repeat(
+            lo - (np.cumsum(sizes) - sizes), sizes)
+        return tuple(c.take(idx, axis=0) for c in self.cols)
 
 
 class PacketWords:
@@ -166,7 +222,7 @@ class RepSimView:
     engine cannot enforce this, but the test suite audits each
     protocol's information usage on crafted scenarios.
 
-    ``phases`` is the stack's :class:`PhaseCache`, whose offsets stack
+    ``wakes`` is the stack's :class:`WakeStack`, whose offsets stack
     the view shares; one is built when none is passed.
     """
 
@@ -177,22 +233,19 @@ class RepSimView:
         workload: FloodWorkload,
         has_stack: np.ndarray,
         arrival_stack: np.ndarray,
-        phases: Optional[PhaseCache] = None,
+        wakes: Optional[WakeStack] = None,
     ):
         self.topo = topo
         self.schedules_list = schedules_list
         self.workload = workload
         self.has_stack = has_stack
         self.arrival_stack = arrival_stack
-        if phases is None:
-            phases = PhaseCache(schedules_list)
-        self.offsets_stack = phases.offsets_stack
+        if wakes is None:
+            wakes = WakeStack(schedules_list)
+        self.offsets_stack = wakes.offsets_stack
         #: (R,) per-replication wake periods; cross-cell stacks mix duty
-        #: cycles, so ``period`` (the first replication's) only stands
-        #: for the whole stack when ``uniform_period`` holds.
-        self.periods = phases.periods
-        self.period = int(self.periods[0])
-        self.uniform_period = bool((self.periods == self.period).all())
+        #: cycles.
+        self.periods = wakes.periods
         #: (R, n) buffer sizes, kept in sync by the engine as possession
         #: changes so pair queries skip the (P, M) gather-and-sum.
         self.held_counts = has_stack.sum(axis=1, dtype=np.int64)
@@ -298,17 +351,9 @@ class RepSimView:
             off = self.offsets_stack[rep_ids[:, None], nodes[None, :]]
         else:
             off = off_nodes[rep_ids]
+        # The modular formula with each replication's own period: the
+        # query costs the gathered offsets, whatever the period.
         nxt = t + 1
-        if self.uniform_period:
-            # Offsets live in [0, period), so the modular next-wake
-            # formula collapses to a period-length lookup table per
-            # query slot.
-            wake_map = nxt + (
-                (np.arange(self.period, dtype=np.int64) - nxt) % self.period
-            )
-            return wake_map[off]
-        # Heterogeneous-period stack: apply the formula directly with
-        # each replication's own period.
         per = self.periods[rep_ids][:, None, None]
         return nxt + ((off - nxt) % per)
 
@@ -341,7 +386,8 @@ class FloodingProtocol(ABC):
         workload: FloodWorkload,
         rngs: "List[np.random.Generator]",
     ) -> None:
-        """One-time setup across R replications (trees, cliques, beliefs).
+        """One-time setup across R replications (trees, cliques,
+        beliefs, and the :class:`PhaseTable` of per-slot rows).
 
         ``schedules_list`` holds each replication's *believed* schedule
         table; ``rngs`` its channel stream, which protocol randomness
@@ -359,7 +405,7 @@ class FloodingProtocol(ABC):
 
         ``rep_ids`` lists the replications executing slot ``t`` with a
         non-empty wake set, ascending; ``awake_by_rep[k]`` is replication
-        ``k``'s believed wake set. Rows come back grouped by replication
+        ``k``'s believed wake set (built on access). Rows come back grouped by replication
         in ``rep_ids`` order; within a replication, row order is the
         back-off rank order the channel's capture tie-breaks see.
 

@@ -32,7 +32,7 @@ from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
 from ._belief import BeliefFlooding
 from ._repbatch import candidate_rows, flatten_sender_lists
-from .base import RepSimView, register_protocol
+from .base import PhaseTable, RepSimView, register_protocol
 
 __all__ = ["CrossLayerFlooding", "recommended_configuration"]
 
@@ -71,11 +71,11 @@ class CrossLayerFlooding(BeliefFlooding):
         self.init_kwargs: dict = {}
         self._topo = None
 
-    # Clique candidate rows per phase like DBAO; the best-link pick per
-    # (replication, sender) keeps the earliest traversal row on PRR ties,
-    # usefulness is computed on the picked rows (beliefs are static
-    # within a slot), and every contender witnesses its receiver's ACK,
-    # as in DBAO.
+    # Clique candidate rows per wake phase like DBAO; the best-link pick
+    # per (replication, sender) keeps the earliest traversal row on PRR
+    # ties, usefulness is computed on the picked rows (beliefs are
+    # static within a slot), and every contender witnesses its
+    # receiver's ACK, as in DBAO.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
         # No randomness is consumed; the ETX anchor (and so the cliques)
@@ -95,21 +95,20 @@ class CrossLayerFlooding(BeliefFlooding):
         # DBAO's — the opportunistic ranking only reorders senders, it
         # never adds pairs beyond the cliques.
         self._prepare_belief(topo, schedules_list, workload, forwarders)
-        self._fwd_rows = flatten_sender_lists(forwarders)
         self._out_deg = np.asarray(
             [topo.out_neighbors(v).size for v in range(topo.n_nodes)],
             dtype=np.int64,
         )
-
-    def _phase_rows(self, t: int):
-        kk, ss, rr, sender_awake = candidate_rows(
-            self._phases.wake(t), *self._fwd_rows, with_sender_awake=True)
-        return kk, ss, rr, sender_awake, self._topo.prr[ss, rr]
+        key, kk, ss, rr, sender_awake = candidate_rows(
+            self._wakes, *flatten_sender_lists(forwarders),
+            with_sender_awake=True)
+        self._table = PhaseTable(
+            self._wakes, key, kk, ss, rr, sender_awake, topo.prr[ss, rr])
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
         self._witnesses = None
-        kk, ss, rr, sender_awake, prr = self._slot_rows(t, rep_ids)
+        kk, ss, rr, sender_awake, prr = self._table.rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
         # RX-mode rule: see FlashFlooding.propose_reps.

@@ -31,11 +31,11 @@ update rules only record confirmed receptions, keeping beliefs sound
 The proposal path is fully batched: the per-slot candidate set is the
 concatenation of every waking receiver's forwarder clique across all
 replications, flattened to parallel (replication, sender, receiver, prr)
-arrays that depend only on the wake sets and are therefore cached per
-schedule phase. Belief lookups, FCFS heads, the per-sender
-best-receiver choice, and the back-off ranking all run as single NumPy
-passes over those arrays; each step documents the per-node rule it
-implements.
+arrays that depend only on the wake sets and are therefore built once
+per run, one wake period per replication. Belief lookups, FCFS heads,
+the per-sender best-receiver choice, and the back-off ranking all run
+as single NumPy passes over those arrays; each step documents the
+per-node rule it implements.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE
 from ._belief import BeliefFlooding
 from ._repbatch import candidate_rows, flatten_sender_lists
-from .base import RepSimView, register_protocol
+from .base import PhaseTable, RepSimView, register_protocol
 
 __all__ = ["Dbao", "forwarder_clique"]
 
@@ -122,72 +122,50 @@ class Dbao(BeliefFlooding):
         # batch. The back-off carries no cross-slot state, so schedule
         # progression alone decides when the frontier can next transmit.
         self._prepare_belief(topo, schedules_list, workload, fwd_arrays)
-        # Static forwarder cliques (in clique order), flattened once.
-        self._fwd_rows = flatten_sender_lists(fwd_arrays)
-
-    def _phase_rows(self, t: int):
-        """All-replication candidate rows for one slot's schedule phase,
-        sorted and annotated for the proposal's fused gate."""
-        kk, s_flat, r_flat, sender_awake = candidate_rows(
-            self._phases.wake(t), *self._fwd_rows, with_sender_awake=True)
-        if kk.size:
-            prr_flat = self._topo.prr[s_flat, r_flat]
-            # Unique (replication, sender) pairs with a row inverse: the
-            # hold-something / listen gate is per pair, so propose_reps
-            # evaluates it on the (much smaller) pair set and broadcasts.
-            key = kk * self._topo.n_nodes + s_flat
-            _, first_idx, inv = np.unique(
-                key, return_index=True, return_inverse=True)
-            # Rows stored pre-sorted by (rep, sender, best-prr,
-            # receiver): any row subset keeps this order under a boolean
-            # gather, so the per-slot receiver pick needs no lexsort and
-            # no index-array gathers — just masks over these arrays.
-            srows = np.lexsort((r_flat, -prr_flat, s_flat, kk))
-            # The listen rule's static part: a waking non-source sender
-            # is silenced iff its buffer is incomplete.
-            u_listen = sender_awake[first_idx] & (s_flat[first_idx] != SOURCE)
-            k_srt, s_srt, r_srt = kk[srows], s_flat[srows], r_flat[srows]
-            # Flattened gather indices (static per phase): per-slot word
-            # lookups become single row takes instead of multi-array
-            # advanced indexing.
-            rows = (
-                k_srt, s_srt, r_srt, prr_flat[srows], kk[first_idx],
-                u_listen, inv[srows],
-                self._rep_belief.word_row_index(k_srt, s_srt, r_srt),
-                kk[first_idx] * self._topo.n_nodes + s_flat[first_idx],
-            )
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            rows = (empty, empty, empty, np.empty(0, dtype=np.float64),
-                    empty, np.empty(0, dtype=bool), empty, empty, empty)
-        return rows
+        # Candidate rows from the static forwarder cliques (in clique
+        # order), stored per phase group sorted by (sender, best prr,
+        # receiver): the rows a slot gathers keep that order per
+        # replication, so the per-slot receiver pick needs no lexsort.
+        key, kk, ss, rr, sender_awake = candidate_rows(
+            self._wakes, *flatten_sender_lists(fwd_arrays),
+            with_sender_awake=True)
+        prr = topo.prr[ss, rr]
+        srt = np.lexsort((rr, -prr, ss, key))
+        key, kk, ss, rr = key[srt], kk[srt], ss[srt], rr[srt]
+        # The listen rule's static part: a waking non-source sender is
+        # silenced iff its buffer is incomplete. The flattened gather
+        # indices make the per-slot word lookups single row takes: the
+        # row's belief words and its sender's possession words, whose
+        # index is also the fused (replication, sender) key.
+        self._table = PhaseTable(
+            self._wakes, key, kk, ss, rr, prr[srt],
+            sender_awake[srt] & (ss != SOURCE),
+            self._rep_belief.word_row_index(kk, ss, rr),
+            kk * topo.n_nodes + ss,
+        )
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
         self._witnesses = None
 
-        (k_srt, s_srt, r_srt, prr_srt, u_k, u_listen, inv_srt, bel_idx,
-         u_idx) = self._phases.at(t, self._phase_rows)
+        (k_srt, s_srt, r_srt, prr_srt, listen, bel_idx,
+         pair) = self._table.rows(t, rep_ids)
         if k_srt.size == 0:
             return empty, empty, empty, empty
 
-        # One fused gate: the pair-level possession words answer both
-        # the listen rule (incomplete buffer != full set) and — combined
-        # with the per-row belief words — row validity (the sender holds
+        # One fused gate: the sender's possession words answer both the
+        # listen rule (incomplete buffer != full set) and — combined
+        # with the row's belief words — row validity (the sender holds
         # a packet the row's belief lacks, which subsumes "holds at
         # least one packet"). The survivors are then compressed once via
         # flatnonzero + take, and the FCFS argmin only runs on winner
         # rows.
         layout = view.packet_words
-        hw_u = view.has_packed.reshape(-1, layout.n_words).take(u_idx, axis=0)
-        elig_u = ~((hw_u != layout.full).any(axis=1) & u_listen)
-        if rep_ids.size < len(self._rep_schedules):
-            active = np.zeros(len(self._rep_schedules), dtype=bool)
-            active[rep_ids] = True
-            elig_u &= active[u_k]
-        cand_w = hw_u.take(inv_srt, axis=0) & ~self._rep_belief.word_rows(
-            ).take(bel_idx, axis=0)
-        sel = np.flatnonzero(elig_u.take(inv_srt) & cand_w.any(axis=1))
+        hw = view.has_packed.reshape(-1, layout.n_words).take(pair, axis=0)
+        cand_w = hw & ~self._rep_belief.word_rows().take(bel_idx, axis=0)
+        sel = np.flatnonzero(
+            ~((hw != layout.full).any(axis=1) & listen)
+            & cand_w.any(axis=1))
         if sel.size == 0:
             return empty, empty, empty, empty
 
@@ -195,7 +173,7 @@ class Dbao(BeliefFlooding):
         # it has the best link to, equal links tie-breaking to the
         # smaller receiver id: the first remaining row per (replication,
         # sender); boundaries via the fused pair key.
-        pk = k_srt.take(sel) * self._topo.n_nodes + s_srt.take(sel)
+        pk = pair.take(sel)
         first = np.empty(sel.size, dtype=bool)
         first[0] = True
         np.not_equal(pk[1:], pk[:-1], out=first[1:])

@@ -26,7 +26,7 @@ import numpy as np
 from ..net.radio import csma_select_reps
 from ..net.topology import SOURCE, Topology
 from ._belief import BeliefFlooding
-from .base import NEVER, RepSimView, register_protocol
+from .base import NEVER, PhaseTable, RepSimView, register_protocol
 
 __all__ = ["DutyCycleAwareFlooding", "build_delay_optimal_tree"]
 
@@ -98,16 +98,17 @@ class DutyCycleAwareFlooding(BeliefFlooding):
         self._has_parent[:, SOURCE] = False
         # Quiescence frontier: the only candidate pairs are tree edges.
         self._frontier_r = np.flatnonzero(self._has_parent.any(axis=0))
-
-    def _phase_rows(self, t: int):
-        wake = self._phases.wake(t)
-        kk, recv = np.nonzero(wake & self._has_parent)
-        par = self._rep_parent[kk, recv]
-        return kk, par, recv, wake[kk, par]
+        # One (parent, receiver) row per waking receiver with a parent.
+        key, kk, recv = self._wakes.triples()
+        keep = self._has_parent[kk, recv]
+        key, kk, recv = key[keep], kk[keep], recv[keep]
+        par = parents[kk, recv]
+        self._table = PhaseTable(
+            self._wakes, key, kk, par, recv, self._wakes.awake(key, par))
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr, sender_awake = self._slot_rows(t, rep_ids)
+        kk, ss, rr, sender_awake = self._table.rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
         # RX-mode rule (see FlashFlooding.propose_reps): a waking

@@ -27,7 +27,7 @@ import numpy as np
 from ..net.topology import SOURCE
 from ._belief import BeliefFlooding
 from ._repbatch import candidate_rows, flatten_sender_lists
-from .base import RepSimView, register_protocol
+from .base import PhaseTable, RepSimView, register_protocol
 
 __all__ = ["FlashFlooding"]
 
@@ -72,15 +72,13 @@ class FlashFlooding(BeliefFlooding):
         # conservative (a bounded slot may still execute empty, never the
         # reverse).
         self._prepare_belief(topo, schedules_list, workload, strongest_first)
-        self._in_rows = flatten_sender_lists(strongest_first)
-
-    def _phase_rows(self, t: int):
-        return candidate_rows(self._phases.wake(t), *self._in_rows,
-                              with_sender_awake=True)
+        self._table = PhaseTable(self._wakes, *candidate_rows(
+            self._wakes, *flatten_sender_lists(strongest_first),
+            with_sender_awake=True))
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr, sender_awake = self._slot_rows(t, rep_ids)
+        kk, ss, rr, sender_awake = self._table.rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
         # A node whose own active slot is now and whose buffer is still

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._belief import BeliefFlooding
 from ._repbatch import candidate_rows, flatten_sender_lists
-from .base import RepSimView, register_protocol
+from .base import PhaseTable, RepSimView, register_protocol
 
 __all__ = ["NaiveFlooding"]
 
@@ -45,9 +45,10 @@ class NaiveFlooding(BeliefFlooding):
         self._topo = None
 
     # The option collection flattens to (replication, sender, receiver)
-    # rows per phase; the persistence and uniform-pick draws stay a small
-    # Python loop over the per-(replication, sender) option groups so
-    # each replication consumes its channel stream in a fixed order.
+    # rows per wake phase, built once per run; the persistence and
+    # uniform-pick draws stay a small Python loop over the
+    # per-(replication, sender) option groups so each replication
+    # consumes its channel stream in a fixed order.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
         # Quiescence frontier: the proposal considers every (in-neighbor,
@@ -58,14 +59,12 @@ class NaiveFlooding(BeliefFlooding):
         in_lists = [topo.in_neighbors(r) for r in range(topo.n_nodes)]
         self._prepare_belief(topo, schedules_list, workload, in_lists)
         self._rep_rngs = list(rngs)
-        self._in_rows = flatten_sender_lists(in_lists)
-
-    def _phase_rows(self, t: int):
-        return candidate_rows(self._phases.wake(t), *self._in_rows)
+        self._table = PhaseTable(self._wakes, *candidate_rows(
+            self._wakes, *flatten_sender_lists(in_lists)))
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
-        kk, ss, rr = self._slot_rows(t, rep_ids)
+        kk, ss, rr = self._table.rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
         rows, h_o = self._valid_heads(kk, ss, rr, view)

@@ -27,7 +27,7 @@ import numpy as np
 from ..net.radio import csma_select_reps
 from ._belief import BeliefFlooding
 from ._repbatch import candidate_rows, flatten_sender_lists
-from .base import NEVER, RepSimView, register_protocol
+from .base import NEVER, PhaseTable, RepSimView, register_protocol
 from .tree import build_etx_tree
 
 __all__ = ["OpportunisticFlooding"]
@@ -64,11 +64,11 @@ class OpportunisticFlooding(BeliefFlooding):
         self._topo = None
 
     # OF's proposal flattens to (replication, sender, receiver) rows per
-    # schedule phase: the statistical gate becomes one vectorized float
-    # comparison over the rows, the one-TX-per-sender rule a
-    # first-row-per-(replication, sender) pick, and the random back-off
-    # a per-replication permutation drawn from each replication's own
-    # channel stream.
+    # wake phase, built once per run: the statistical gate becomes one
+    # vectorized float comparison over the rows, the one-TX-per-sender
+    # rule a first-row-per-(replication, sender) pick, and the random
+    # back-off a per-replication permutation drawn from each
+    # replication's own channel stream.
 
     def prepare_reps(self, topo, schedules_list, workload, rngs):
         # No randomness is consumed. The ETX-tree parents (and so the
@@ -83,7 +83,6 @@ class OpportunisticFlooding(BeliefFlooding):
         # (next_action_slots).
         self._prepare_belief(topo, schedules_list, workload, in_lists)
         self._rep_rngs = list(rngs)
-        self._in_rows = flatten_sender_lists(in_lists)
         periods = [int(s.period) for s in schedules_list]
         distinct = sorted(set(periods))
         quant = np.empty((len(distinct), n))
@@ -101,14 +100,10 @@ class OpportunisticFlooding(BeliefFlooding):
                 hop[d] = np.where(topo.prr > 0.0, period / topo.prr, np.inf)
         self._pidx = np.asarray(
             [distinct.index(p) for p in periods], dtype=np.int64)
-        self._quant_stack = quant
-        self._own_stack = own
-        self._hop_stack = hop
         tree_edge = np.zeros((n, n), dtype=bool)
         parent = np.asarray(trees[periods[0]].parent, dtype=np.int64)
         kids = np.flatnonzero(parent >= 0)
         tree_edge[parent[kids], kids] = True
-        self._tree_edge = tree_edge
         # The frontier's static gate columns, one per (period, pair),
         # and its receivers: wakes are computed per receiver, then
         # expanded to the pairs.
@@ -119,25 +114,19 @@ class OpportunisticFlooding(BeliefFlooding):
         self._fr_hop = hop[:, fs, fr]
         self._fr_quant = quant[:, fr]
         self._fr_fin = np.isfinite(self._fr_own)
-
-    def _phase_rows(self, t: int):
-        """Candidate rows plus OF's static gate columns."""
-        kk, ss, rr = candidate_rows(self._phases.wake(t), *self._in_rows)
+        # Candidate rows plus OF's static gate columns.
+        key, kk, ss, rr = candidate_rows(
+            self._wakes, *flatten_sender_lists(in_lists))
         pid = self._pidx[kk]
-        own_r = self._own_stack[pid, ss]
-        return (
-            kk, ss, rr,
-            self._tree_edge[ss, rr],
-            own_r,
-            self._hop_stack[pid, ss, rr],
-            self._quant_stack[pid, rr],
-            np.isfinite(own_r),
-        )
+        own_r = own[pid, ss]
+        self._table = PhaseTable(
+            self._wakes, key, kk, ss, rr, tree_edge[ss, rr], own_r,
+            hop[pid, ss, rr], quant[pid, rr], np.isfinite(own_r))
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         empty = np.empty(0, dtype=np.int64)
         (kk, ss, rr, tree_e, own_r, hop_r, quant_r,
-         fin) = self._slot_rows(t, rep_ids)
+         fin) = self._table.rows(t, rep_ids)
         if kk.size == 0:
             return empty, empty, empty, empty
         # The statistical gate. Tree edges always forward; an

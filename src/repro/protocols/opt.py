@@ -35,8 +35,9 @@ import numpy as np
 
 from ..net.radio import RadioModel
 from ..net.topology import SOURCE
-from ._repbatch import executing_rows
-from .base import FloodingProtocol, PhaseCache, RepSimView, register_protocol
+from .base import (
+    FloodingProtocol, PhaseTable, RepSimView, WakeStack, register_protocol,
+)
 
 __all__ = ["OptOracle", "opt_radio_model"]
 
@@ -142,19 +143,18 @@ class OptOracle(FloodingProtocol):
         rs = rs[rs != SOURCE]
         self._frontier_r = rs
         self._frontier_s = designated[rs]
-        self._phases = PhaseCache(schedules_list)
-
-    def _phase_rows(self, t: int):
-        """Static (replication, server, receiver) request rows per slot.
-
-        The designated-server map is static, so the sorted flat request
-        list across all replications depends on the wake phase only.
-        """
-        kk_r, rr_flat = np.nonzero(
-            self._phases.wake(t) & (self._designated >= 0))
-        ss_flat = self._designated[rr_flat]
-        order = np.lexsort((rr_flat, ss_flat, kk_r))
-        return kk_r[order], ss_flat[order], rr_flat[order]
+        # Static (replication, server, receiver) request rows: the
+        # designated-server map is static, so a slot's requests depend
+        # on the wake phase only. Each phase group is sorted by
+        # (server, receiver).
+        wakes = WakeStack(schedules_list)
+        key, kk, rr = wakes.triples()
+        keep = designated[rr] >= 0
+        key, kk, rr = key[keep], kk[keep], rr[keep]
+        ss = designated[rr]
+        order = np.lexsort((rr, ss, key))
+        self._table = PhaseTable(
+            wakes, key[order], kk[order], ss[order], rr[order])
 
     def propose_reps(self, t, rep_ids, awake_by_rep, view: RepSimView):
         if self.server_policy == "any":
@@ -164,9 +164,8 @@ class OptOracle(FloodingProtocol):
 
         # Flat (replication, waking sensor) pairs with a live request,
         # presorted by (replication, server, receiver) from the phase
-        # cache; subset gathers preserve that order.
-        kk_r, ss_flat, rr_flat = executing_rows(
-            rep_ids, view.n_reps, *self._phases.at(t, self._phase_rows))
+        # table; subset gathers preserve that order.
+        kk_r, ss_flat, rr_flat = self._table.rows(t, rep_ids)
         if kk_r.size == 0:
             return empty, empty, empty, empty
         # Possession words: "receiver still lacks a packet" and "server

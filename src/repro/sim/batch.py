@@ -8,7 +8,8 @@ column in one call). One staged slot loop over ``(R, …)`` state stacks
 executes, per slot,
 
 1. **inject**: packets whose generation slot arrived enter the source,
-2. the believed **wake sets** (cached per schedule phase),
+2. the believed **wake sets**, one ``(R, n)`` matrix from each
+   replication's phase ``t % T_k``,
 3. **propose**: the protocol commits flat ``(replication, sender,
    receiver, packet)`` rows,
 4. **validate** the rows against the model's hard constraints
@@ -68,7 +69,7 @@ from ..net.packet import FloodWorkload
 from ..net.radio import Reception, SlotOutcome, TxBatch
 from ..net.schedule import ScheduleTable
 from ..net.topology import SOURCE, Topology
-from ..protocols.base import FloodingProtocol, PhaseCache, RepSimView
+from ..protocols.base import FloodingProtocol, RepSimView, WakeStack
 from .energy import EnergyLedger
 from .engine import FloodResult, SimConfig
 from .metrics import FloodMetrics, PacketDelays, coverage_threshold
@@ -140,6 +141,24 @@ def _raise_invalid_batch(
     raise AssertionError(
         "batch validation flagged a proposal the per-frame checks accept"
     )
+
+
+class _WakeLists:
+    """Each replication's wake list at slot ``t``, built on access.
+
+    Only OPT's ``server_policy="any"``, ``on_slot`` observers and skewed
+    replications read wake lists; every other slot reads the wake
+    matrix alone and builds none.
+    """
+
+    __slots__ = ("_tables", "_t")
+
+    def __init__(self, tables, t: int):
+        self._tables = tables
+        self._t = t
+
+    def __getitem__(self, k) -> np.ndarray:
+        return self._tables[k].awake_at(self._t)
 
 
 def _fanout(observers_list, hook: str) -> Dict[int, list]:
@@ -439,31 +458,30 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     e_fail = np.zeros((R, n), dtype=np.int64)
     e_rx = np.zeros((R, n), dtype=np.int64)
 
-    # The per-phase wake lists and (R, n) wake matrix, built once per
-    # phase of the stack's wake periods.
-    phases = PhaseCache(schedules_list)
+    # The believed (R, n) wake matrix is built per slot from each
+    # replication's own phase.
+    wakes = WakeStack(schedules_list)
     view = RepSimView(
-        topo, schedules_list, workloads[0], has_stack, arrival_stack, phases)
+        topo, schedules_list, workloads[0], has_stack, arrival_stack, wakes)
     # The (R, n, W) possession words (protocols.base.PacketWords):
     # packet p is bit ``bit_of[p]`` of word ``word_of[p]``.
     has_packed = view.has_packed
     W = view.packet_words.n_words
     word_of = view.packet_words.word
     bit_of = view.packet_words.bit
+    prof = profiler
+    if prof is not None:
+        _t0 = perf_counter()
     protocol.prepare_reps(topo, schedules_list, workloads[0], rngs)
-
-    def _phase_awake(t: int):
-        stack = phases.wake(t)
-        # The lists are each table's own precomputed per-phase arrays:
-        # gathering them copies nothing, where slicing them out of the
-        # matrix would allocate R views per phase.
-        lists = [s.awake_at(t) for s in schedules_list]
-        return lists, stack, stack.reshape(-1), stack.any(axis=1)
+    if prof is not None:
+        prof.note("prepare", perf_counter() - _t0)
 
     # True wake sets of skewed replications are not periodic: they are
     # built per traffic slot, for the replications that transmit.
     skewed = np.asarray([truth is not None for truth in true_list])
     any_skew = bool(skewed.any())
+    true_tables = [believed if truth is None else truth
+                   for believed, truth in zip(schedules_list, true_list)]
 
     # Observer fan-out, resolved once: a hook nobody overrides costs
     # nothing per slot.
@@ -482,7 +500,6 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
     # ``take`` replaces the 2-/3-axis fancy index.
     has_flat = has_stack.reshape(-1)
     packed_flat = has_packed.reshape(-1)
-    prof = profiler
     _tprev = perf_counter() if prof is not None else 0.0
 
     # Deferred counter accumulation: attempts, failures, duplicate /
@@ -520,8 +537,10 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
         # Inject arrivals and collect wake sets for this slot. The
         # ``next_inject`` probe keeps injection-free slots (most of a
         # flood) out of the per-replication Python loop entirely.
-        awake_by_rep, awake_stack, awake_flat, has_awake = phases.at(
-            t, _phase_awake)
+        awake_stack = wakes.wake(t)
+        awake_flat = awake_stack.reshape(-1)
+        has_awake = awake_stack.any(axis=1)
+        awake_by_rep = _WakeLists(schedules_list, t)
         pending_inject = exec_reps[next_inject[exec_reps] <= t]
         for k in pending_inject:
             ki = int(k)
@@ -585,13 +604,11 @@ def _simulate(topo, schedules_list, workloads, protocol, rngs, config,
                 tx_reps = np.unique(kk)
                 tx_skewed = tx_reps[skewed[tx_reps]]
                 if tx_skewed.size:
-                    true_by_rep = list(awake_by_rep)
+                    true_by_rep = _WakeLists(true_tables, t)
                     true_stack = awake_stack.copy()
                     for k in tx_skewed.tolist():
-                        aw = true_list[k].awake_at(t)
-                        true_by_rep[k] = aw
                         true_stack[k] = False
-                        true_stack[k, aw] = True
+                        true_stack[k, true_by_rep[k]] = True
                     miss = ~true_stack.reshape(-1).take(kk * n + rr)
                     c_misses += np.bincount(kk[miss], minlength=R)
             if prof is not None:

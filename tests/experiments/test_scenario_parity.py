@@ -36,7 +36,8 @@ def test_every_registry_grid_serializes_and_round_trips():
         assert again.fingerprint() == grid.fingerprint(), eid
 
 
-@pytest.mark.parametrize("kind", ["scenario", "schedules", "wide"])
+@pytest.mark.parametrize("kind", ["scenario", "schedules", "wide",
+                                  "fullduty"])
 def test_smoke_expectation_matches_committed_digest(kind, tmp_path, capsys):
     # The CI smoke contract, runnable locally: simulation is
     # bit-identical across machines, so the committed digest is exact.

@@ -1,5 +1,7 @@
 """Tests for the vectorized schedule table and the frontier wake query."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,28 @@ class TestNextWakeAfter:
         for t in (0, 1, 17):
             assert _next_wakes(table, t).tolist() == [t + 1] * 3
 
+    def test_long_period_query_allocates_no_period_table(self):
+        # A query costs its gathered offsets, not a table as long as the
+        # period: at T = 10^6 one query stays far below 1 MiB.
+        period = 10**6
+        table = ScheduleTable(period=period,
+                              offsets=[0, 3, 500_000, 999_999])
+        view = _view(table)
+        rep_ids, nodes = np.zeros(1, dtype=np.int64), np.arange(4)
+        view.next_wakes(0, rep_ids, nodes)
+        tracemalloc.start()
+        try:
+            wakes = view.next_wakes(499_999, rep_ids, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # The slot-by-slot scan over one period after the query slot.
+        slots = np.arange(500_000, 500_000 + period)
+        for v in range(4):
+            first = slots[table.offsets[v] == slots % period][0]
+            assert wakes[0, v].min() == first
+
     def test_node_subset_with_duplicates(self):
         table = ScheduleTable(period=6, offsets=[0, 1, 2, 3])
         out = _next_wakes(table, 2, nodes=[3, 1, 1])
@@ -327,7 +351,7 @@ class TestNextWakeAfter:
     def test_uniform_period_lookup(self, rng):
         tables = [ScheduleTable.random(9, 6, rng, a) for a in (1, 2, 2)]
         view = _view(*tables)
-        assert view.uniform_period
+        assert set(view.periods.tolist()) == {6}
         nodes = np.arange(9)
         for t in (0, 5, 6, 11, 60):
             wakes = view.next_wakes(t, np.arange(3), nodes)
@@ -339,7 +363,7 @@ class TestNextWakeAfter:
         tables = [ScheduleTable.random(9, p, rng, a)
                   for p, a in ((5, 1), (7, 2), (12, 4))]
         view = _view(*tables)
-        assert not view.uniform_period
+        assert view.periods.tolist() == [5, 7, 12]
         nodes = np.arange(9)
         for t in (0, 4, 11, 35, 83):
             wakes = view.next_wakes(t, np.arange(3), nodes)

@@ -1,7 +1,5 @@
 """Tests for the protocol interface, registry, and RepSimView."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -10,11 +8,11 @@ from repro.net.packet import FloodWorkload
 from repro.net.schedule import ScheduleTable
 from repro.protocols._belief import RepNeighborBelief
 from repro.protocols.base import (
-    PHASE_CACHE_CAP,
     FloodingProtocol,
     PacketWords,
-    PhaseCache,
+    PhaseTable,
     RepSimView,
+    WakeStack,
     available_protocols,
     make_protocol,
     register_protocol,
@@ -123,42 +121,71 @@ class TestInitKwargsRecording:
         assert constructed == [5] * len(constructed)
 
 
-class TestPhaseCache:
-    """Rows built from wake sets are memoised per phase of the LCM."""
+class TestPhaseTable:
+    """Rows built from wake sets, one wake period per replication."""
 
-    def _periods(self, *periods):
-        # The cache reads nothing but each table's wake period.
-        return [SimpleNamespace(period=p) for p in periods]
+    @staticmethod
+    def _table(schedules):
+        # One row per wake, carrying its replication and node.
+        wakes = WakeStack(schedules)
+        key, kk, nodes = wakes.triples()
+        return PhaseTable(wakes, key, kk, nodes)
 
-    def test_period_is_the_stack_lcm(self):
-        assert PhaseCache(self._periods(4)).period == 4
-        assert PhaseCache(self._periods(4, 6, 4)).period == 12
+    @staticmethod
+    def _served(schedules, t, rep_ids):
+        kk, nodes = [], []
+        for k in rep_ids:
+            aw = schedules[k].awake_at(t).tolist()
+            kk += [k] * len(aw)
+            nodes += aw
+        return kk, nodes
 
-    def test_builds_once_per_phase(self):
-        cache = PhaseCache(self._periods(4, 6))
-        built = []
+    def _check(self, schedules, slots):
+        table = self._table(schedules)
+        R = len(schedules)
+        subsets = [np.arange(R), np.arange(R)[::2], np.arange(R)[1:],
+                   np.asarray([R - 1])]
+        for t in slots:
+            for rep_ids in subsets:
+                kk, nodes = table.rows(t, rep_ids)
+                assert (kk.tolist(), nodes.tolist()) \
+                    == self._served(schedules, t, rep_ids.tolist()), t
 
-        def build(t):
-            built.append(t)
-            return ("rows", t % 12)
+    def test_holds_one_period_per_replication(self, rng):
+        # Periods 4, 6 and 4 with 1, 2 and 3 wake slots: the table holds
+        # each replication's wakes of one period, 1 + 2 + 3 per node,
+        # however the periods mix.
+        schedules = [ScheduleTable.random(5, 4, rng, 1),
+                     ScheduleTable.random(5, 6, rng, 2),
+                     ScheduleTable.random(5, 4, rng, 3)]
+        assert len(self._table(schedules)) == 5 * (1 + 2 + 3)
 
-        for t in range(40):
-            assert cache.at(t, build) == ("rows", t % 12)
-        assert built == list(range(12))
+    def test_serves_each_replications_own_phase(self, rng):
+        schedules = [ScheduleTable.random(6, p, rng, a)
+                     for p, a in ((4, 1), (6, 2), (4, 1), (5, 3))]
+        self._check(schedules, list(range(130)) + [10**7 + 11, 2**40 + 3])
 
-    def test_rebuilds_every_slot_past_the_cap(self):
-        # 31 * 32 * 33 = 32736 phases exceed the cap: nothing is kept.
-        cache = PhaseCache(self._periods(31, 32, 33))
-        assert cache.period == 0
-        built = []
-        for t in (5, 5, 32741):
-            cache.at(t, lambda t: built.append(t))
-        assert built == [5, 5, 32741]
+    def test_serves_long_period_mixes(self, rng):
+        # Periods 31, 32 and 33: 32,736 phases of their least common
+        # multiple; each replication's table still holds one period.
+        schedules = [ScheduleTable.random(6, p, rng) for p in (31, 32, 33)]
+        self._check(schedules, [0, 5, 32741, 32736 * 3 + 7, 10**7 + 29])
 
-    def test_cap_is_inclusive(self):
-        assert PhaseCache(self._periods(PHASE_CACHE_CAP)).period \
-            == PHASE_CACHE_CAP
-        assert PhaseCache(self._periods(PHASE_CACHE_CAP + 1)).period == 0
+    def test_uniform_stack_serves_a_slice(self, rng):
+        schedules = [ScheduleTable.random(8, 5, rng, 2) for _ in range(3)]
+        table = self._table(schedules)
+        for t in range(10):
+            kk, _ = table.rows(t, np.arange(3))
+            assert np.shares_memory(kk, table.cols[0])
+        self._check(schedules, range(25))
+
+    def test_phases_without_wakes_serve_nothing(self):
+        schedules = [ScheduleTable(4, np.full(3, 3))] * 2
+        table = self._table(schedules)
+        assert len(table) == 6
+        kk, nodes = table.rows(1, np.arange(2))
+        assert kk.size == nodes.size == 0
+        assert table.rows(7, np.asarray([1]))[1].tolist() == [0, 1, 2]
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.net.generators import random_geometric_topology
-from repro.protocols.base import PHASE_CACHE_CAP, available_protocols
+from repro.protocols.base import available_protocols
 from repro.scenario import Scenario
 from repro.sim.runner import (
     run_experiments,
@@ -25,6 +25,10 @@ from repro.sim.runner import (
 )
 
 N_REPS = 3
+
+#: The full-scale Fig. 10/11 duty sweep (2% to 20% in 2% steps).
+FULL_SCALE_DUTIES = (0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18,
+                     0.20)
 
 #: Every registered protocol runs batch-native over the replication axis.
 BATCH_NATIVE = {"naive", "of", "dca", "flash", "crosslayer", "opt", "dbao"}
@@ -255,11 +259,10 @@ class TestCrossCellStacking:
 
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_uncached_phase_path(self, topo, protocol):
-        # Periods 31, 32 and 33 stack to an LCM of 32736, past the phase
-        # cache's cap, so the stacked run rebuilds every slot's rows
-        # while each standalone cell (LCM = its own period) memoises
-        # them: both paths must agree bit for bit.
-        assert 31 * 32 * 33 > PHASE_CACHE_CAP
+        # Periods 31, 32 and 33: their least common multiple has 32,736
+        # phases, while the stacked run's phase table holds one period
+        # per replication, as each standalone cell's does. Both paths
+        # must agree bit for bit.
         cells = [(_scenario(protocol, duty_ratio=1 / period), 0, 2)
                  for period in (31, 32, 33)]
         assert [spec.period for spec, _, _ in cells] == [31, 32, 33]
@@ -268,6 +271,20 @@ class TestCrossCellStacking:
             standalone = run_replication_chunk(topo, spec, start, count)
             for s, c in zip(standalone, cell_results):
                 assert_results_identical(s, c)
+
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_full_scale_duty_column(self, topo, protocol):
+        # The paper's Fig. 10/11 duty ratios, 2% to 20% in 2% steps: ten
+        # periods whose least common multiple is 71,400. One stack
+        # carries the whole column, and each replication must extract
+        # bit-identical to its R = 1 run.
+        cells = [(_scenario(protocol, duty_ratio=d, max_slots=1000), 0, 1)
+                 for d in FULL_SCALE_DUTIES]
+        assert [spec.period for spec, _, _ in cells] \
+            == [50, 25, 17, 12, 10, 8, 7, 6, 6, 5]
+        stacked = run_replication_stack(topo, cells)
+        for (spec, _, _), (cell,) in zip(cells, stacked):
+            assert_results_identical(run_replication(topo, spec, 0), cell)
 
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_wide_packet_sets(self, topo, protocol):

@@ -200,3 +200,31 @@ class TestPhaseProfiler:
         assert 0 < prof.idle_slots == idle < executed
         report = prof.report()
         assert (report["slots"], report["idle_slots"]) == (executed, idle)
+
+    def test_prepare_is_its_own_phase(self, small_rgg):
+        # The protocol's one-time setup, its phase table build included,
+        # is timed once per run as ``prepare``; the per-slot phases
+        # never carry it.
+        built = []
+
+        class Counted(Dbao):
+            def prepare_reps(self, *args):
+                super().prepare_reps(*args)
+                built.append(len(self._table))
+
+        schedules = [
+            ScheduleTable.random(small_rgg.n_nodes, p,
+                                 np.random.default_rng(40 + p))
+            for p in (5, 7, 12)
+        ]
+        prof = PhaseProfiler(sample_allocs=False)
+        run_flood_batch(
+            small_rgg, schedules, FloodWorkload(2), Counted(),
+            [np.random.default_rng(k) for k in range(3)],
+            SimConfig(max_slots=4000), profiler=prof,
+        )
+        assert len(built) == 1 and built[0] > 0
+        assert prof.phase_calls["prepare"] == 1
+        assert prof.phase_seconds["prepare"] > 0.0
+        assert prof.phase_calls["propose"] == prof.loop_slots
+        assert "prepare" in prof.report()["phases"]

@@ -191,6 +191,6 @@ class TestCommands:
         assert head.endswith(
             f"{data['slots']} replication-slots ({data['idle_slots']} idle)")
         phases = data["phases"]
-        for phase in ("inject", "propose", "validate", "resolve", "mac",
-                      "apply", "observe", "fastforward", "probe"):
+        for phase in ("prepare", "inject", "propose", "validate", "resolve",
+                      "mac", "apply", "observe", "fastforward", "probe"):
             assert phases[phase]["calls"] > 0, phase
