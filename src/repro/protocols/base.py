@@ -65,12 +65,6 @@ class WakeStack:
             else np.pad(m, ((0, 0), (0, width - m.shape[1])), mode="edge")
             for m in mats
         ])
-        #: The stack's one wake period, or 0 when periods mix.
-        self.period = int(self.periods[0]) \
-            if (self.periods == self.periods[0]).all() else 0
-        # The wake test's offsets: ``(R, n)`` at one wake slot per period.
-        self._off = self.offsets_stack[:, :, 0] if width == 1 \
-            else self.offsets_stack
 
     @property
     def n_reps(self) -> int:
@@ -79,13 +73,8 @@ class WakeStack:
     def wake(self, t: int) -> np.ndarray:
         """``(R, n)`` wake matrix of slot ``t``: row ``k`` marks the
         nodes replication ``k``'s table has active at ``t``."""
-        if self.period:
-            match = self._off == t % self.period
-        else:
-            phase = t % self.periods
-            match = self._off == phase.reshape(
-                (-1,) + (1,) * (self._off.ndim - 1))
-        return match if match.ndim == 2 else match.any(axis=2)
+        phase = t % self.periods
+        return (self.offsets_stack == phase[:, None, None]).any(axis=2)
 
     def group_keys(self, t: int, rep_ids: np.ndarray) -> np.ndarray:
         """Group key of each listed replication's phase at slot ``t``."""
@@ -127,10 +116,10 @@ class PhaseTable:
     phase p < T_k)`` under :class:`WakeStack`'s group key ``p * R + k``,
     whatever mix of periods the stack has. :meth:`rows` serves slot
     ``t`` by gathering the groups ``(k, t % T_k)`` of the executing
-    replications, ascending ``k``: one ``searchsorted`` on the group
-    keys and one ranges gather. Groups of one phase lie back to back,
-    so when every replication of a uniform-period stack executes the
-    gather is a plain slice, found from the phase alone.
+    replications, ascending ``k``: two ``searchsorted`` calls on the
+    group keys and one ranges gather. Groups of one phase lie back to
+    back, so when every replication of a uniform-period stack executes
+    the gather is a plain slice.
     """
 
     def __init__(self, wakes: WakeStack, key: np.ndarray, *cols):
@@ -138,12 +127,8 @@ class PhaseTable:
         row columns (first axis rows), each group's rows in the order a
         slot serves them."""
         self._wakes = wakes
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) \
-            if key.size else np.empty(0, dtype=np.int64)
-        # A sentinel group past every key turns a miss into an empty
-        # range where the next group starts.
-        self._gkey = np.append(key[starts], _INT64_MAX)
-        self._gbound = np.append(starts, [key.size, key.size])
+        self._gkey, starts = np.unique(key, return_index=True)
+        self._gbound = np.append(starts, key.size)
         #: The row columns, one period of rows per replication.
         self.cols = cols
 
@@ -153,16 +138,10 @@ class PhaseTable:
     def rows(self, t: int, rep_ids: np.ndarray) -> tuple:
         """The columns' rows of slot ``t`` for the replications
         ``rep_ids`` (ascending, non-empty), grouped by replication."""
-        wakes = self._wakes
-        if wakes.period and rep_ids.size == wakes.n_reps:
-            key = t % wakes.period * wakes.n_reps
-            a = self._gbound[self._gkey.searchsorted(key)]
-            b = self._gbound[self._gkey.searchsorted(key + wakes.n_reps)]
-            return tuple(c[a:b] for c in self.cols)
-        q = wakes.group_keys(t, rep_ids)
-        pos = self._gkey.searchsorted(q)
-        lo = self._gbound[pos]
-        hi = np.where(self._gkey[pos] == q, self._gbound[pos + 1], lo)
+        q = self._wakes.group_keys(t, rep_ids)
+        # A group without rows is an empty range where the next starts.
+        lo = self._gbound[self._gkey.searchsorted(q)]
+        hi = self._gbound[self._gkey.searchsorted(q, side="right")]
         if (hi[:-1] == lo[1:]).all():
             a, b = int(lo[0]), int(hi[-1])
             return tuple(c[a:b] for c in self.cols)
